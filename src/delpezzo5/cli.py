@@ -132,6 +132,9 @@ def _cmd_eliminate(args) -> int:
     names = [v.strip() for v in args.vars.split(",") if v.strip()]
     if not names:
         raise ValueError("--vars needs at least one variable name")
+    unknown = [n for n in names if n not in ideal.context.variables]
+    if unknown:
+        raise ValueError(f"unknown variable {unknown[0]!r} in --vars")
     _print_ideal(ideal.eliminate(names), args)
     return 0
 

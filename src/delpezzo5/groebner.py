@@ -114,6 +114,17 @@ class GroebnerBasis:
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
 
+    def express(self, p: Polynomial) -> list[Polynomial]:
+        """Coefficients c with ``p == sum(c[k] * input_gens[k])``, for p
+        in the ideal; needs a basis computed with cofactor tracking."""
+        if self.cofactors is None:
+            raise ValueError("expressing needs a basis computed with cofactor tracking")
+        r, q = self.normal_form(p, with_quotients=True)
+        if not r.is_zero():
+            raise ValueError("polynomial is not in the ideal")
+        start = [self.context.zero()] * len(self.input_gens)
+        return _lift(start, [-qt for qt in q], self.cofactors)
+
     def lead_monomials(self) -> list[Exponents]:
         return [g.lead_monomial(self.order) for g in self.elements]
 
@@ -140,6 +151,42 @@ def _select_pair(pairs: set[tuple[int, int]], leads: list[Exponents], order: Mon
     return min(pairs, key=pair_key)
 
 
+def _s_pair(G: Sequence[Polynomial], leads: list[Exponents], i: int, j: int,
+            order: MonomialOrder, track: bool):
+    """Remainder of the S-pair x^mi G[i] - x^mj G[j] by G and, with ``track``,
+    the map from cofactor rows aligned with G to the remainder's row."""
+    lcm = mono_lcm(leads[i], leads[j])
+    mi = mono_div(lcm, leads[i])
+    mj = mono_div(lcm, leads[j])
+    s = G[i].term_multiple(mi, Fraction(1)) - G[j].term_multiple(mj, Fraction(1))
+    if not track:
+        return normal_form(s, G, order), None
+    r, q = normal_form(s, G, order, with_quotients=True)
+
+    def lift(rows):
+        row = [a.term_multiple(mi, Fraction(1)) - b.term_multiple(mj, Fraction(1))
+               for a, b in zip(rows[i], rows[j])]
+        return _lift(row, q, rows)
+
+    return r, lift
+
+
+def _unit_row(context: RingContext, n: int, k: int, scale) -> list[Polynomial]:
+    """The cofactor row scale * e_k of length n."""
+    row = [context.zero()] * n
+    row[k] = context.constant(scale)
+    return row
+
+
+def _lift(row: list[Polynomial], quotients: Sequence[Polynomial], rows) -> list[Polynomial]:
+    """row - sum(quotients[t] * rows[t]): the cofactor row of the remainder
+    of p == sum(quotients[t] * divisors[t]) + r, from the rows of p and the divisors."""
+    for qt, other in zip(quotients, rows):
+        if not qt.is_zero():
+            row = [a - qt * b for a, b in zip(row, other)]
+    return row
+
+
 def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
                            track_cofactors: bool = False) -> GroebnerBasis:
     """Buchberger with the normal selection strategy and both of
@@ -158,18 +205,11 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
 
     G: list[Polynomial] = []
     rows: list[list[Polynomial]] = []  # aligned with G when tracking
-    zero = context.zero()
-
-    def unit_row(k: int, scale: Fraction) -> list[Polynomial]:
-        row = [zero] * len(gens)
-        row[k] = context.constant(scale)
-        return row
-
     for k, g in nonzero:
         lc = g.lead_coefficient(order)
         G.append(g / lc)
         if track_cofactors:
-            rows.append(unit_row(k, Fraction(1) / lc))
+            rows.append(_unit_row(context, len(gens), k, Fraction(1) / lc))
 
     pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
     leads = [g.lead_monomial(order) for g in G]
@@ -189,25 +229,13 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
                 break
         if chain:
             continue
-        mi = mono_div(lcm, leads[i])
-        mj = mono_div(lcm, leads[j])
-        s = G[i].term_multiple(mi, Fraction(1)) - G[j].term_multiple(mj, Fraction(1))
-        if track_cofactors:
-            r, q = normal_form(s, G, order, with_quotients=True)
-        else:
-            r = normal_form(s, G, order)
-            q = None
+        r, lift = _s_pair(G, leads, i, j, order, track_cofactors)
         if r.is_zero():
             continue
         lc = r.lead_coefficient(order)
         G.append(r / lc)
         if track_cofactors:
-            row = [a.term_multiple(mi, Fraction(1)) - b.term_multiple(mj, Fraction(1))
-                   for a, b in zip(rows[i], rows[j])]
-            for t, qt in enumerate(q):
-                if not qt.is_zero():
-                    row = [a - qt * b for a, b in zip(row, rows[t])]
-            rows.append([a / lc for a in row])
+            rows.append([a / lc for a in lift(rows)])
         new = len(G) - 1
         leads.append(r.lead_monomial(order))
         pairs.update((k, new) for k in range(new))
@@ -225,16 +253,10 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
     for idx in range(len(final)):
         others = final[:idx] + final[idx + 1:]
         if track_cofactors:
-            r, q = normal_form(final[idx], others, order, with_quotients=True)
-            row = final_rows[idx]
-            other_rows = final_rows[:idx] + final_rows[idx + 1:]
-            for qt, orow in zip(q, other_rows):
-                if not qt.is_zero():
-                    row = [a - qt * b for a, b in zip(row, orow)]
-            final_rows[idx] = row
+            final[idx], q = normal_form(final[idx], others, order, with_quotients=True)
+            final_rows[idx] = _lift(final_rows[idx], q, final_rows[:idx] + final_rows[idx + 1:])
         else:
-            r = normal_form(final[idx], others, order)
-        final[idx] = r
+            final[idx] = normal_form(final[idx], others, order)
 
     order_desc = sorted(range(len(final)),
                         key=lambda k: order.key(final[k].lead_monomial(order)), reverse=True)
@@ -275,11 +297,9 @@ def syzygy_columns(gb: GroebnerBasis) -> list[list[Polynomial]]:
     if gb.cofactors is None:
         raise ValueError("syzygies need a basis computed with cofactor tracking")
     gens = gb.input_gens
-    context = gb.context
     order = gb.order
-    G = list(gb.elements)
-    A = [list(row) for row in gb.cofactors]
-    zero = context.zero()
+    G = gb.elements
+    A = gb.cofactors
 
     columns: list[list[Polynomial]] = []
 
@@ -290,40 +310,21 @@ def syzygy_columns(gb: GroebnerBasis) -> list[list[Polynomial]]:
     leads = [g.lead_monomial(order) for g in G]
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
-            lcm = mono_lcm(leads[i], leads[j])
-            mi = mono_div(lcm, leads[i])
-            mj = mono_div(lcm, leads[j])
-            s = G[i].term_multiple(mi, Fraction(1)) - G[j].term_multiple(mj, Fraction(1))
-            r, q = normal_form(s, G, order, with_quotients=True)
+            r, lift = _s_pair(G, leads, i, j, order, True)
             if not r.is_zero():
                 raise AssertionError("S-pair of a Groebner basis must reduce to zero")
             # tau = x^mi e_i - x^mj e_j - q, a syzygy of G; push tau * A
-            col = [zero] * len(gens)
-            for k in range(len(gens)):
-                acc = A[i][k].term_multiple(mi, Fraction(1)) - A[j][k].term_multiple(mj, Fraction(1))
-                for t, qt in enumerate(q):
-                    if not qt.is_zero():
-                        acc = acc - qt * A[t][k]
-                col[k] = acc
-            push(col)
+            push(lift(A))
 
     for i, g in enumerate(gens):
+        unit = _unit_row(gb.context, len(gens), i, 1)
         if g.is_zero():
-            col = [zero] * len(gens)
-            col[i] = context.constant(1)
-            push(col)
+            push(unit)
             continue
         r, b = normal_form(g, G, order, with_quotients=True)
         if not r.is_zero():
             raise AssertionError("generator must reduce to zero against its own basis")
-        col = []
-        for k in range(len(gens)):
-            acc = context.constant(1) if k == i else zero
-            for j, bj in enumerate(b):
-                if not bj.is_zero():
-                    acc = acc - bj * A[j][k]
-            col.append(acc)
-        push(col)
+        push(_lift(unit, b, A))
 
     return columns
 

@@ -10,13 +10,12 @@ sufficiently large degree, and the tests insist on it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .ideals import Ideal
 from .linalg import SparseEchelon
-from .polyring import GREVLEX, Exponents, MonomialOrder, Polynomial, RingContext, mono_divides
+from .polyring import GREVLEX, Exponents, MonomialOrder, mono_divides
 
 
 class HilbertPolynomial:

@@ -5,8 +5,8 @@ phi(g_i) in (S/J)_{deg g_i + t}, one unknown coefficient per standard
 monomial; the relations are exactly that every syzygy of the g_i must
 map to zero.  Restricting to homomorphisms that kill a smaller ideal
 I_X (for curves inside a fixed ambient variety X) adds one equation
-block per generator of I_X, written in terms of the g_i through the
-Groebner cofactor matrix.
+block per generator of I_X, written in terms of the g_i by the source's
+Groebner basis.
 
 The dimension of the degree-0 part of Hom(I_C, S/I_C) is the tangent
 space to the Hilbert scheme of the ambient projective space at [C];
@@ -20,7 +20,7 @@ from .groebner import syzygy_columns
 from .hilbert import standard_monomials
 from .ideals import Ideal
 from .linalg import SparseEchelon
-from .polyring import GREVLEX, Polynomial, mono_mul
+from .polyring import GREVLEX, Polynomial
 
 
 def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
@@ -91,21 +91,9 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
         impose(list(column))
 
     if within is not None:
-        A = gb.cofactors
         for w in within.gens:
-            if w.is_zero():
-                continue
-            r, q = gb.normal_form(w, with_quotients=True)
-            if not r.is_zero():
-                raise AssertionError("ambient generator must reduce to zero")
-            coeffs = []
-            for k in range(len(gens)):
-                acc = source.context.zero()
-                for j, qj in enumerate(q):
-                    if not qj.is_zero():
-                        acc = acc + qj * A[j][k]
-                coeffs.append(acc)
-            impose(coeffs)
+            if not w.is_zero():
+                impose(gb.express(w))
 
     return len(unknown_index) - ech.rank
 

@@ -9,13 +9,12 @@ when they generate the same ideal.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .groebner import GroebnerBasis, normal_form, reduced_groebner_basis
 from .polyring import (
     GREVLEX,
-    BlockOrder,
     MonomialOrder,
     Polynomial,
     RingContext,
@@ -142,17 +141,7 @@ class Ideal:
 
     def quotient(self, other) -> "Ideal":
         """Ideal quotient (I : f) or (I : J)."""
-        if isinstance(other, Polynomial):
-            return self._quotient_single(other)
-        self._check_same_context(other)
-        nonzero = [g for g in other.gens if not g.is_zero()]
-        if not nonzero:
-            warnings.warn("quotient by the zero ideal is the unit ideal")
-            return Ideal(self.context, [self.context.one()])
-        result = self._quotient_single(nonzero[0])
-        for g in nonzero[1:]:
-            result = _meet(result, self._quotient_single(g))
-        return result
+        return self._fold(other, "quotient", self._quotient_single)
 
     def _quotient_single(self, f: Polynomial) -> "Ideal":
         name = _as_variable(f)
@@ -170,24 +159,11 @@ class Ideal:
         if not self.is_homogeneous():
             raise ValueError("variable quotient needs a homogeneous ideal")
         idx = self.context.index(name)
-        order = variable_last_order(self.context.nvars, idx)
-        divided = []
-        for g in self.groebner(order):
-            if all(m[idx] for m in g.terms):
-                shift = [0] * self.context.nvars
-                shift[idx] = 1
-                g = Polynomial(self.context,
-                               {tuple(a - b for a, b in zip(m, shift)): c
-                                for m, c in g.terms.items()})
-            divided.append(g)
-        return Ideal(self.context, divided)
+        gb = self.groebner(variable_last_order(self.context.nvars, idx))
+        return Ideal(self.context, [_divide_variable(g, idx, min(1, _variable_power(g, idx)))
+                                    for g in gb])
 
     def _quotient_poly(self, f: Polynomial) -> "Ideal":
-        if f.context != self.context:
-            raise ValueError("quotient divisor from a different ring context")
-        if f.is_zero():
-            warnings.warn("quotient by the zero ideal is the unit ideal")
-            return Ideal(self.context, [self.context.one()])
         meet = self.intersect(Ideal(self.context, [f]))
         # every element of I cap (f) is a polynomial multiple of f
         quots = []
@@ -200,24 +176,9 @@ class Ideal:
 
     def saturate(self, other) -> "Ideal":
         """Saturation (I : f^inf) or (I : J^inf), by Rabinowitsch's trick."""
-        if isinstance(other, Polynomial):
-            return self._saturate_poly(other)
-        self._check_same_context(other)
-        nonzero = [g for g in other.gens if not g.is_zero()]
-        if not nonzero:
-            warnings.warn("saturation by the zero ideal is the unit ideal")
-            return Ideal(self.context, [self.context.one()])
-        result = self._saturate_poly(nonzero[0])
-        for g in nonzero[1:]:
-            result = _meet(result, self._saturate_poly(g))
-        return result
+        return self._fold(other, "saturation", self._saturate_poly)
 
     def _saturate_poly(self, f: Polynomial) -> "Ideal":
-        if f.context != self.context:
-            raise ValueError("saturation divisor from a different ring context")
-        if f.is_zero():
-            warnings.warn("saturation by the zero ideal is the unit ideal")
-            return Ideal(self.context, [self.context.one()])
         ctx = self.context
         tname = ctx.fresh_name("t")
         ext = ctx.extended(tname)
@@ -243,21 +204,11 @@ class Ideal:
         current = self
         while True:
             gb = current.groebner(order)
-            divided = []
-            changed = False
-            for g in gb:
-                power = min((e[idx] for e in g.terms), default=0)
-                if power:
-                    changed = True
-                    shift = [0] * self.context.nvars
-                    shift[idx] = power
-                    g = Polynomial(self.context,
-                                   {tuple(a - b for a, b in zip(m, shift)): c
-                                    for m, c in g.terms.items()})
-                divided.append(g)
-            if not changed:
+            powers = [_variable_power(g, idx) for g in gb]
+            if not any(powers):
                 return current
-            current = Ideal(self.context, divided)
+            current = Ideal(self.context, [_divide_variable(g, idx, k)
+                                           for g, k in zip(gb, powers)])
 
     def saturate_irrelevant(self) -> "Ideal":
         """Saturation by the irrelevant maximal ideal (all variables).
@@ -265,10 +216,7 @@ class Ideal:
         Equals the intersection of the single-variable saturations; a
         pigeonhole argument on monomials in m^k shows the intersection
         is no larger than (I : m^inf)."""
-        result = self.saturate_variable(self.context.variables[0])
-        for name in self.context.variables[1:]:
-            result = _meet(result, self.saturate_variable(name))
-        return result
+        return _meet_all(map(self.saturate_variable, self.context.variables))
 
     def eliminate(self, names: Sequence[str]) -> "Ideal":
         """Contract to the subring without the named variables."""
@@ -280,6 +228,23 @@ class Ideal:
             raise ValueError("cannot eliminate every variable")
         target = self.context.restricted(keep)
         return _eliminate_to(self.context, list(self.gens), drop=tuple(drop), target=target)
+
+    def _fold(self, other, what: str, single) -> "Ideal":
+        """Meet of ``single(g)`` over the nonzero divisors g of the
+        polynomial or ideal ``other``; the unit ideal, with a warning,
+        when there are none."""
+        if isinstance(other, Polynomial):
+            if other.context != self.context:
+                raise ValueError(f"{what} divisor from a different ring context")
+            divisors = [other]
+        else:
+            self._check_same_context(other)
+            divisors = other.gens
+        nonzero = [g for g in divisors if not g.is_zero()]
+        if not nonzero:
+            warnings.warn(f"{what} by the zero ideal is the unit ideal")
+            return Ideal(self.context, [self.context.one()])
+        return _meet_all(map(single, nonzero))
 
     def _check_same_context(self, other: "Ideal") -> None:
         if not isinstance(other, Ideal):
@@ -309,6 +274,25 @@ def _meet(a: Ideal, b: Ideal) -> Ideal:
     if a.contains_ideal(b):
         return b
     return a.intersect(b)
+
+
+def _meet_all(ideals: Iterable[Ideal]) -> Ideal:
+    """Left fold of `_meet`, taking each ideal from the iterable only as
+    the fold reaches it."""
+    return reduce(_meet, ideals)
+
+
+def _variable_power(g: Polynomial, idx: int) -> int:
+    """Largest k with x_idx^k dividing the nonzero polynomial g."""
+    return min(e[idx] for e in g.terms)
+
+
+def _divide_variable(g: Polynomial, idx: int, k: int) -> Polynomial:
+    """g / x_idx^k, for g divisible by x_idx^k."""
+    if not k:
+        return g
+    return Polynomial(g.context, {e[:idx] + (e[idx] - k,) + e[idx + 1:]: c
+                                  for e, c in g.terms.items()})
 
 
 def _lift(ext: RingContext, p: Polynomial) -> Polynomial:

@@ -9,7 +9,7 @@ could change results between runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Row = list[Fraction]
 

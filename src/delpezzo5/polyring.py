@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -590,9 +590,14 @@ def parse_polynomial(text: str, context: RingContext) -> Polynomial:
                 break
             kind, value = tokens[i] if i < n else (None, None)
             if kind == "number":
-                coeff *= Fraction(value)
+                try:
+                    coeff *= Fraction(value)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {value!r}") from None
                 i += 1
             elif kind == "name":
+                if value not in context.variables:
+                    raise ValueError(f"unknown variable {value!r}")
                 idx = context.index(value)
                 power = 1
                 i += 1
@@ -606,6 +611,8 @@ def parse_polynomial(text: str, context: RingContext) -> Polynomial:
             else:
                 raise ValueError("expected a factor")
             expect_factor = False
+        if i < n and tokens[i][0] not in ("plus", "minus"):
+            raise ValueError(f"missing '*' before {tokens[i][1]!r}")
         out = out + context.monomial(tuple(exps), coeff)
     return out
 
@@ -662,8 +669,12 @@ def parse_ideal_text(text: str) -> tuple[RingContext, list[Polynomial]]:
         if not line or line.startswith("#"):
             continue
         if line.startswith("ring:"):
+            if ring_line is not None:
+                raise ValueError("repeated ring: line")
             ring_line = line[len("ring:"):].strip()
         elif line.startswith("weights:"):
+            if weights_line is not None:
+                raise ValueError("repeated weights: line")
             weights_line = line[len("weights:"):].strip()
         elif line.startswith("gens:"):
             seen_gens = True

@@ -5,6 +5,12 @@ check.  A check that raises is recorded as a failure rather than
 aborting the suite, so a report always covers every claim it set out to
 verify.  Checks with nothing to compare against (reported-only values)
 carry status "warn" and never fail a suite.
+
+Values that several checks share are built inside the first check that
+reads them: the model by the cached `dp5.build_model`, the censuses
+through memos local to one suite call.  That check's time includes the
+build, and a build that raises fails the checks that need it instead of
+escaping the suite.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
 
 from . import dp5
 from .groebner import reduced_groebner_basis
@@ -131,11 +137,11 @@ def run_suite(name: str, check_degree: int = 8) -> VerificationReport:
 # suites
 
 def _section_2(check_degree: int) -> list[CheckResult]:
-    model = dp5.build_model()
+    model = dp5.build_model
     s = _Suite()
 
     def coordinate_change():
-        out = dp5.coordinate_change_check(model)
+        out = dp5.coordinate_change_check(model())
         factors = ",".join(str(m[2]) if m else "?"
                            for m in out["quadric_matches"])
         return out["passed"], (f"hyperplanes vanish: {out['hyperplanes_vanish']}; "
@@ -150,7 +156,7 @@ def _section_2(check_degree: int) -> list[CheckResult]:
             coordinate_change)
 
     def invariant():
-        out = dp5.invariant_subspace_check(model)
+        out = dp5.invariant_subspace_check(model())
         return out["passed"], (f"chain length {out['chain_length']}, "
                                f"rank {out['dimension']}, "
                                f"span matches: {out['matches']}")
@@ -164,13 +170,15 @@ def _section_2(check_degree: int) -> list[CheckResult]:
 
 
 def _section_3(check_degree: int) -> list[CheckResult]:
-    model = dp5.build_model()
+    model = dp5.build_model
+    conics = cache(lambda: dp5.fixed_conics(model()))
+    cubics = cache(lambda: dp5.fixed_cubics(model()))
     s = _Suite()
 
     hp_x5 = HilbertPolynomial([1, Fraction(8, 3), Fraction(5, 2), Fraction(5, 6)])
 
     def threefold_hp():
-        hp = hilbert_polynomial(model.threefold)
+        hp = hilbert_polynomial(model().threefold)
         deg = hp.variety_degree()
         return (hp == hp_x5 and deg == 5), f"{hp}, degree {deg}"
 
@@ -181,9 +189,10 @@ def _section_3(check_degree: int) -> list[CheckResult]:
 
     def oracle():
         values = []
+        threefold = model().threefold
         for d in range(check_degree + 1):
-            a = hilbert_function(model.threefold, d)
-            b = hilbert_function_direct(model.threefold, d)
+            a = hilbert_function(threefold, d)
+            b = hilbert_function_direct(threefold, d)
             c = hp_x5(d)
             if not (a == b == c):
                 return False, f"degree {d}: basis count {a}, rank count {b}, polynomial {c}"
@@ -198,10 +207,10 @@ def _section_3(check_degree: int) -> list[CheckResult]:
             oracle)
 
     def line_census():
-        records = dp5.fixed_lines(model)
+        records = dp5.fixed_lines(model())
         names = sorted(r.label for r in records)
         ok = (len(records) == 3 and names == ["l0", "l1", "l2"]
-              and all(r.ideal == model.lines[r.label] for r in records))
+              and all(r.ideal == model().lines[r.label] for r in records))
         return ok, f"found {names}"
 
     s.check("line-census",
@@ -213,10 +222,10 @@ def _section_3(check_degree: int) -> list[CheckResult]:
         hp_line = HilbertPolynomial([1, 1])
         parts = []
         ok = True
-        for name in sorted(model.lines):
-            ideal = model.lines[name]
+        for name in sorted(model().lines):
+            ideal = model().lines[name]
             hp = hilbert_polynomial(ideal)
-            tan = tangent_dimension(ideal, within=model.threefold)
+            tan = tangent_dimension(ideal, within=model().threefold)
             ok = ok and hp == hp_line and tan == 2
             parts.append(f"{name}: {hp}, tangent {tan}")
         return ok, "; ".join(parts)
@@ -228,8 +237,8 @@ def _section_3(check_degree: int) -> list[CheckResult]:
             line_invariants)
 
     def line_hyperplanes():
-        counts = {name: dp5.line_section_count(model, name)
-                  for name in sorted(model.lines)}
+        counts = {name: dp5.line_section_count(model(), name)
+                  for name in sorted(model().lines)}
         return all(v == 5 for v in counts.values()), str(counts)
 
     s.check("line-hyperplanes",
@@ -239,8 +248,8 @@ def _section_3(check_degree: int) -> list[CheckResult]:
             line_hyperplanes)
 
     def conic_census():
-        records = dp5.fixed_conics(model)
-        expected = dp5.expected_conic_ideals(model)
+        records = conics()
+        expected = dp5.expected_conic_ideals(model())
         hits = sum(r.ideal == expected[r.details["omitted_weight"]]
                    for r in records)
         return hits == 5 == len(records), f"{hits} of {len(records)} match"
@@ -253,9 +262,9 @@ def _section_3(check_degree: int) -> list[CheckResult]:
     def conic_invariants():
         hp_conic = HilbertPolynomial([1, 2])
         oks, tans = [], []
-        for r in dp5.fixed_conics(model):
+        for r in conics():
             hp = hilbert_polynomial(r.ideal)
-            tan = tangent_dimension(r.ideal, within=model.threefold)
+            tan = tangent_dimension(r.ideal, within=model().threefold)
             oks.append(hp == hp_conic and tan == 4)
             tans.append(tan)
         return all(oks), f"tangents {tans}"
@@ -267,9 +276,9 @@ def _section_3(check_degree: int) -> list[CheckResult]:
             conic_invariants)
 
     def cubic_census():
-        records = dp5.fixed_cubics(model)
+        records = cubics()
         expected = {frozenset(pair): ideal
-                    for pair, ideal, _ in dp5.expected_cubic_rows(model)}
+                    for pair, ideal, _ in dp5.expected_cubic_rows(model())}
         hits = sum(r.ideal == expected[frozenset(r.details["vertex_pair"])]
                    for r in records)
         return hits == 10 == len(records), f"{hits} of {len(records)} match"
@@ -282,9 +291,9 @@ def _section_3(check_degree: int) -> list[CheckResult]:
     def cubic_invariants():
         hp_cubic = HilbertPolynomial([1, 3])
         oks, tans = [], []
-        for r in dp5.fixed_cubics(model):
+        for r in cubics():
             hp = hilbert_polynomial(r.ideal)
-            tan = tangent_dimension(r.ideal, within=model.threefold)
+            tan = tangent_dimension(r.ideal, within=model().threefold)
             oks.append(hp == hp_cubic and tan == 6)
             tans.append(tan)
         return all(oks), f"tangents {tans}"
@@ -298,15 +307,14 @@ def _section_3(check_degree: int) -> list[CheckResult]:
 
 
 def _section_4(check_degree: int) -> list[CheckResult]:
-    model = dp5.build_model()
-    census = dp5.enumerate_fixed_quartics(model)
-    records = census.records
+    model = dp5.build_model
+    records = cache(lambda: dp5.enumerate_fixed_quartics(model()).records)
     s = _Suite()
 
     def section_degrees():
         hp_e = HilbertPolynomial([0, 5])
-        bad = [f"{r.line}{r.pick}" for r in records if r.quintic_hilbert != hp_e]
-        return not bad, (f"5*m at all {len(records)} sections" if not bad
+        bad = [f"{r.line}{r.pick}" for r in records() if r.quintic_hilbert != hp_e]
+        return not bad, (f"5*m at all {len(records())} sections" if not bad
                          else f"wrong at {bad}")
 
     s.check("section-degrees",
@@ -316,8 +324,8 @@ def _section_4(check_degree: int) -> list[CheckResult]:
 
     def residual_degrees():
         hp_c = HilbertPolynomial([1, 4])
-        bad = [f"{r.line}{r.pick}" for r in records if r.curve_hilbert != hp_c]
-        invariants = {r.curve_hilbert.curve_invariants() for r in records}
+        bad = [f"{r.line}{r.pick}" for r in records() if r.curve_hilbert != hp_c]
+        invariants = {r.curve_hilbert.curve_invariants() for r in records()}
         return (not bad and invariants == {(4, 0)}), \
             f"degree-genus pairs {sorted(invariants)}"
 
@@ -329,7 +337,7 @@ def _section_4(check_degree: int) -> list[CheckResult]:
 
     def residual_difference():
         ok = all(_hp_coeff_difference(r.quintic_hilbert, r.curve_hilbert)
-                 == (-1, 1) for r in records)
+                 == (-1, 1) for r in records())
         return ok, "difference m - 1 at all 30 residuals"
 
     s.check("residual-difference",
@@ -339,10 +347,10 @@ def _section_4(check_degree: int) -> list[CheckResult]:
 
     def secants():
         hp_two = HilbertPolynomial([2])
-        with_secant = [r for r in records if r.secant_hilbert is not None]
+        with_secant = [r for r in records() if r.secant_hilbert is not None]
         ok = all(r.secant_hilbert == hp_two for r in with_secant)
         return ok, (f"constant 2 at {len(with_secant)} curves; the line is "
-                    f"a component of the other {len(records) - len(with_secant)}")
+                    f"a component of the other {len(records()) - len(with_secant)}")
 
     s.check("secant-intersections",
             "whenever the cut line is not a component it meets the "
@@ -352,10 +360,10 @@ def _section_4(check_degree: int) -> list[CheckResult]:
 
     def spans():
         ok = True
-        for r in records:
+        for r in records():
             ok = (ok and r.curve.is_torus_fixed()
                   and dp5.linear_span_dimension(r.curve) == 4
-                  and r.curve.contains_ideal(model.threefold))
+                  and r.curve.contains_ideal(model().threefold))
         return ok, "all 30 torus-fixed, spanning a hyperplane, on the threefold"
 
     s.check("residual-spans",
@@ -373,12 +381,13 @@ def _hp_coeff_difference(a: HilbertPolynomial, b: HilbertPolynomial) -> tuple:
 
 
 def _section_5(check_degree: int) -> list[CheckResult]:
-    model = dp5.build_model()
-    census = dp5.enumerate_fixed_quartics(model)
-    records, orbits = census.records, census.orbits
+    model = dp5.build_model
+    census = cache(lambda: dp5.enumerate_fixed_quartics(model()))
+    rnc_out = cache(lambda: dp5.rnc_check(model()))
     s = _Suite()
 
     def census_size():
+        records = census().records
         keys = {r.curve.canonical_key() for r in records}
         return (len(records) == 30 and len(keys) == 30), \
             f"{len(records)} curves, {len(keys)} distinct ideals"
@@ -389,6 +398,7 @@ def _section_5(check_degree: int) -> list[CheckResult]:
             "30 pairwise distinct saturated ideals", census_size)
 
     def involution_classes():
+        orbits = census().orbits
         rows = sorted(o.row for o in orbits if o.row is not None)
         rnc_orbits = [o for o in orbits if o.label == "C4"]
         self_mirror = {(o.label, o.row) for o in orbits if o.self_mirror}
@@ -408,7 +418,7 @@ def _section_5(check_degree: int) -> list[CheckResult]:
             involution_classes)
 
     def quartic_tangents():
-        tans = sorted({r.relative_tangent for r in records})
+        tans = sorted({r.relative_tangent for r in census().records})
         return tans == [8], f"tangent dimensions {tans} across all 30"
 
     s.check("quartic-tangents",
@@ -417,7 +427,7 @@ def _section_5(check_degree: int) -> list[CheckResult]:
             "tangent dimension 8 at all 30 curves", quartic_tangents)
 
     def rnc():
-        out = dp5.rnc_check(model)
+        out = rnc_out()
         ok = (out["determinantal_equal"]
               and out["hilbert"] == HilbertPolynomial([1, 4])
               and out["torus_fixed"] and out["span"] == 4
@@ -434,7 +444,7 @@ def _section_5(check_degree: int) -> list[CheckResult]:
             rnc)
 
     def rnc_tangent():
-        out = dp5.rnc_check(model)
+        out = rnc_out()
         return None, (f"ambient {out['tangent_ambient']}, "
                       f"relative {out['tangent_relative']}")
 
@@ -444,7 +454,7 @@ def _section_5(check_degree: int) -> list[CheckResult]:
             "(reported)", rnc_tangent)
 
     def hom_bound():
-        dim = dp5.vertex_cubic_hom_bound(model)
+        dim = dp5.vertex_cubic_hom_bound(model())
         return dim <= 2, str(dim)
 
     s.check("hom-bound",

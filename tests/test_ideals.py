@@ -121,6 +121,13 @@ class TestQuotient:
         with pytest.raises(ValueError):
             ideal(XY, "x^2 - 1").quotient_variable("x")
 
+    def test_divisor_from_another_ring_rejected(self):
+        # x of another ring: the variable fast path must not look the
+        # name up in the ideal's own ring
+        other = RingContext(("x", "y", "w"))
+        with pytest.raises(ValueError):
+            ideal(XY, "x*y").quotient(other.variable("x"))
+
 
 class TestSaturation:
     def test_power_of_element(self):

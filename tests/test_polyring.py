@@ -210,6 +210,20 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_ideal_text("ring: x\nx^2\ngens:\n")
 
+    # juxtaposed factors (a missing '*'), a zero denominator, an unknown variable
+    @pytest.mark.parametrize("text", ["x y", "2x", "x^2 y", "x*y z", "1/0*x", "x*w"])
+    def test_malformed_polynomial_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_polynomial(text, XYZ)
+
+    @pytest.mark.parametrize("text", [
+        "ring: x\nring: x, y\ngens:\nx\n",
+        "ring: x, y\nweights: 1, 2\nweights: 2, 1\ngens:\nx\n",
+    ], ids=["ring", "weights"])
+    def test_repeated_header_line_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_ideal_text(text)
+
     def test_formatting_deterministic(self):
         q = parse_polynomial("a6*am2 - 4*a4*a0 + 3*a2^2", ORBIT)
         # grevlex-descending term listing, independent of input spelling

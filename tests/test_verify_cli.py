@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from delpezzo5 import cli
+from delpezzo5 import cli, dp5
 from delpezzo5.verify import (CheckResult, VerificationReport, emit_json,
                               emit_text, parse_json, run_suite)
 
@@ -30,6 +30,17 @@ class TestReports:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suite("section-99")
+
+    def test_census_crash_is_a_failed_check(self, monkeypatch):
+        def broken(model):
+            raise RuntimeError("census unavailable")
+
+        monkeypatch.setattr(dp5, "enumerate_fixed_quartics", broken)
+        rep = run_suite("section-4")
+        assert rep.status == "fail"
+        assert len(rep.checks) == 5
+        assert all(c.status == "fail" and "census unavailable" in c.actual
+                   for c in rep.checks)
 
     def test_json_round_trip(self):
         rep = run_suite("section-2")
@@ -216,7 +227,21 @@ class TestCLI:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_malformed_ideal_file_exit_two(self, tmp_path, capsys):
-        path = tmp_path / "bad.txt"
-        path.write_text("gens:\nx + y\n")
-        assert cli.main(["gb", str(path)]) == 2
+        good = tmp_path / "good.txt"
+        good.write_text("ring: x, y\ngens:\nx*y\n")
+        bad = [
+            "gens:\nx + y\n",                                      # no ring line
+            "ring: x, y\ngens:\n1/0*x\n",                         # zero denominator
+            "ring: x, y\ngens:\nx*z\n",                           # unknown variable
+            "ring: x, y\ngens:\nx y\n",                           # missing '*'
+            "ring: x\nring: x, y\ngens:\nx\n",                   # repeated ring line
+            "ring: x, y\nweights: 1, 2\nweights: 2, 1\ngens:\nx\n",  # repeated weights
+        ]
+        for k, text in enumerate(bad):
+            path = tmp_path / f"bad{k}.txt"
+            path.write_text(text)
+            for argv in (["gb", str(path)], ["compare", str(path), str(good)]):
+                assert cli.main(argv) == 2, (argv[0], text)
+                assert capsys.readouterr().err.startswith("error:")
+        assert cli.main(["eliminate", str(good), "--vars", "z"]) == 2
         assert capsys.readouterr().err.startswith("error:")
