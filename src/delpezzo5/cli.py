@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
+from functools import partial
 
 from . import dp5, verify
 from .hilbert import hilbert_polynomial
@@ -52,6 +54,14 @@ def _ideal_payload(ideal: Ideal, order: MonomialOrder) -> dict:
         "weights": list(ctx.weights) if ctx.weights is not None else None,
         "gens": [format_polynomial(g, order) for g in gens],
     }
+
+
+def _noting_warnings(compute) -> tuple[Ideal, tuple[str, ...]]:
+    """Run ``compute()``; the library's warnings become output notes."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = compute()
+    return result, tuple(str(w.message) for w in caught)
 
 
 def _print_ideal(ideal: Ideal, args, notes: tuple[str, ...] = ()) -> None:
@@ -108,22 +118,24 @@ def _cmd_quotient(args) -> int:
     divisor = _read_ideal(args.divisor)
     if numerator.context != divisor.context:
         raise ValueError("the two ideals live in different rings")
-    _print_ideal(numerator.quotient(divisor), args)
+    result, notes = _noting_warnings(partial(numerator.quotient, divisor))
+    _print_ideal(result, args, notes)
     return 0
 
 
 def _cmd_saturate(args) -> int:
     ideal = _read_ideal(args.file)
     if args.by is None:
-        result = ideal.saturate_irrelevant()
+        compute = ideal.saturate_irrelevant
         note = "saturated by the irrelevant maximal ideal"
     else:
         other = _read_ideal(args.by)
         if ideal.context != other.context:
             raise ValueError("the two ideals live in different rings")
-        result = ideal.saturate(other)
+        compute = partial(ideal.saturate, other)
         note = "saturated by the second ideal"
-    _print_ideal(result, args, notes=(note,))
+    result, warned = _noting_warnings(compute)
+    _print_ideal(result, args, notes=(note,) + warned)
     return 0
 
 

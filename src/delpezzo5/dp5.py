@@ -11,11 +11,12 @@ compared against.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from . import tables
 from .hilbert import HilbertPolynomial, hilbert_function, hilbert_polynomial
@@ -37,23 +38,25 @@ class DP5Model:
     threefold: Ideal          # five quadrics in orbit coordinates
     grassmannian: Ideal       # five Pluecker relations
     hyperplanes: tuple        # three linear forms cutting the threefold
-    images: dict              # orbit image of each Pluecker variable
-    lines: dict               # torus-fixed lines, keyed l0/l1/l2
+    images: Mapping           # orbit image of each Pluecker variable
+    lines: Mapping            # torus-fixed lines, keyed l0/l1/l2
 
 
 @lru_cache(maxsize=1)
 def build_model() -> DP5Model:
     orbit = RingContext(tables.ORBIT_VARIABLES, tables.ORBIT_WEIGHTS)
     plucker = RingContext(tables.PLUCKER_VARIABLES, tables.PLUCKER_WEIGHTS)
-    threefold = Ideal(orbit, [parse_polynomial(s, orbit)
-                              for s in tables.QUINTIC_THREEFOLD_GENS])
+    threefold = _catalog_ideal(orbit, tables.QUINTIC_THREEFOLD_GENS)
     grassmannian = Ideal(plucker, _plucker_relations(plucker))
     hyperplanes = tuple(parse_polynomial(s, plucker)
                         for s in tables.PLUCKER_LINEAR_FORMS)
-    images = {name: parse_polynomial(tables.COORDINATE_CHANGE[name], orbit)
-              for name in tables.PLUCKER_VARIABLES}
-    lines = {name: Ideal(orbit, [orbit.variable(v) for v in gens])
-             for name, gens in tables.LINE_GENS.items()}
+    # read-only views: the model is cached and shared by every caller
+    images = MappingProxyType(
+        {name: parse_polynomial(tables.COORDINATE_CHANGE[name], orbit)
+         for name in tables.PLUCKER_VARIABLES})
+    lines = MappingProxyType(
+        {name: Ideal(orbit, [orbit.variable(v) for v in gens])
+         for name, gens in tables.LINE_GENS.items()})
     return DP5Model(orbit, plucker, threefold, grassmannian, hyperplanes,
                     images, lines)
 
@@ -174,12 +177,12 @@ def invariant_subspace_check(model: DP5Model) -> dict:
     expected = [_wedge_row({pair: Fraction(c) for pair, c in v.items()})
                 for v in tables.INVARIANT_WEDGE_BASIS]
     dim = rank(rows)
+    matches = row_space_equal(rows, expected)
     return {
         "chain_length": len(chain),
         "dimension": dim,
-        "matches": row_space_equal(rows, expected),
-        "passed": len(chain) == 7 and dim == 7
-                  and row_space_equal(rows, expected),
+        "matches": matches,
+        "passed": len(chain) == 7 and dim == 7 and matches,
     }
 
 
@@ -320,7 +323,7 @@ def fixed_cubics(model: DP5Model) -> list[FixedCurveRecord]:
 # ---------------------------------------------------------------------------
 # fixed quartics: residuals of hyperplane sections through a line
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ResidualQuartic:
     line: str                      # name of the fixed line L
     pick: tuple[int, int]          # which two generators of I_L cut the section
@@ -337,10 +340,12 @@ class ResidualQuartic:
 
 def residual_quartic(model: DP5Model, line: str, pick: Sequence[int]) -> ResidualQuartic:
     """Cut the threefold with two coordinate hyperplanes through the
-    line, saturate, remove the line by an ideal quotient, and saturate
-    again.  Records the section and residual ideals and their Hilbert
-    polynomials, plus the Hilbert polynomial of the scheme intersection
-    with the line when the line is not a component."""
+    line, saturate the section, then remove the line by an ideal
+    quotient; the quotient of a saturated ideal is saturated, since
+    (I : J) : m^inf = (I : m^inf) : J.  Records the section and residual
+    ideals and their Hilbert polynomials, plus the Hilbert polynomial of
+    the scheme intersection with the line when the line is not a
+    component."""
     if line not in tables.LINE_GENS:
         raise ValueError(f"unknown fixed line {line!r}")
     i, j = sorted(pick)
@@ -352,7 +357,7 @@ def residual_quartic(model: DP5Model, line: str, pick: Sequence[int]) -> Residua
     quintic = (model.threefold
                + Ideal(model.orbit, (s1, s2))).saturate_irrelevant()
     line_ideal = model.lines[line]
-    curve = quintic.quotient(line_ideal).saturate_irrelevant()
+    curve = quintic.quotient(line_ideal)
     secant = None
     if not line_ideal.contains_ideal(curve):
         # Hilbert polynomials ignore irrelevant components, so the raw
@@ -377,7 +382,7 @@ def mirror_ideal(model: DP5Model, ideal: Ideal) -> Ideal:
                   for g in ideal.gens])
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class QuarticOrbit:
     keys: tuple                   # canonical keys of the member ideals
     members: tuple                # indices into the census records
@@ -386,10 +391,10 @@ class QuarticOrbit:
     self_mirror: bool
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class QuarticCensus:
-    records: list
-    orbits: list
+    records: tuple                # ResidualQuartic, census fields set
+    orbits: tuple                 # QuarticOrbit, in order of first member
 
 
 @lru_cache(maxsize=2)
@@ -399,74 +404,67 @@ def enumerate_fixed_quartics(model: DP5Model) -> QuarticCensus:
     against the census (the fifteen reducible rows plus the rational
     normal quartic), and attaches tangent dimensions.  Cached: the
     census is shared by the verification suites."""
-    records = [residual_quartic(model, line, pick)
-               for line in sorted(tables.LINE_GENS)
-               for pick in combinations(range(5), 2)]
-
+    residuals = [residual_quartic(model, line, pick)
+                 for line in sorted(tables.LINE_GENS)
+                 for pick in combinations(range(5), 2)]
+    keys = [r.curve.canonical_key() for r in residuals]
     mirror_keys = [mirror_ideal(model, r.curve).canonical_key()
-                   for r in records]
-    expected = expected_quartic_rows(model)
+                   for r in residuals]
     expected_keys = [(ideal.canonical_key(), label, row)
-                     for row, (ideal, label) in enumerate(expected, start=1)]
+                     for row, (ideal, label)
+                     in enumerate(expected_quartic_rows(model), start=1)]
     rnc_key = rnc_ideal(model).canonical_key()
 
     orbits: list[QuarticOrbit] = []
-    seen: set[str] = set()
-    for k, rec in enumerate(records):
-        key = rec.curve.canonical_key()
-        if key in seen:
+    orbit_of: dict[tuple, int] = {}
+    for key, partner_key in zip(keys, mirror_keys):
+        if key in orbit_of:
             continue
-        partner_key = mirror_keys[k]
-        keys = (key,) if partner_key == key else (key, partner_key)
-        seen.update(keys)
-        members = tuple(m for m, r in enumerate(records)
-                        if r.curve.canonical_key() in keys)
-        label, row = "unmatched", None
-        if key == rnc_key or partner_key == rnc_key:
-            label = "C4"
+        orbit_keys = (key,) if partner_key == key else (key, partner_key)
+        if rnc_key in orbit_keys:
+            label, row = "C4", None
         else:
-            for ekey, elabel, erow in expected_keys:
-                if ekey in keys:
-                    label, row = elabel, erow
-                    break
-        orbit = QuarticOrbit(keys=keys, members=members, label=label,
-                             row=row, self_mirror=len(keys) == 1)
-        orbits.append(orbit)
-        for m in members:
-            records[m].label = label
-            records[m].orbit_index = len(orbits) - 1
+            label, row = next(((elabel, erow) for ekey, elabel, erow
+                               in expected_keys if ekey in orbit_keys),
+                              ("unmatched", None))
+        orbit_of.update(dict.fromkeys(orbit_keys, len(orbits)))
+        orbits.append(QuarticOrbit(
+            keys=orbit_keys, label=label, row=row, self_mirror=len(orbit_keys) == 1,
+            members=tuple(m for m, k in enumerate(keys) if k in orbit_keys)))
 
-    for rec in records:
-        rec.relative_tangent = tangent_dimension(rec.curve,
-                                                 within=model.threefold)
-    return QuarticCensus(records=records, orbits=orbits)
+    records = tuple(replace(rec, label=orbits[orbit_of[key]].label,
+                            orbit_index=orbit_of[key],
+                            relative_tangent=tangent_dimension(
+                                rec.curve, within=model.threefold))
+                    for rec, key in zip(residuals, keys))
+    return QuarticCensus(records=records, orbits=tuple(orbits))
 
 
 # ---------------------------------------------------------------------------
 # expected census ideals, parsed from the catalog
 
+def _catalog_ideal(ctx: RingContext, texts: Sequence[str]) -> Ideal:
+    """The ideal of catalog polynomials, generators in catalog order."""
+    return Ideal(ctx, [parse_polynomial(s, ctx) for s in texts])
+
+
 def expected_conic_ideals(model: DP5Model) -> dict[int, Ideal]:
-    return {omitted: Ideal(model.orbit,
-                           [parse_polynomial(s, model.orbit) for s in gens])
+    return {omitted: _catalog_ideal(model.orbit, gens)
             for omitted, gens in tables.CONIC_ROWS}
 
 
 def expected_cubic_rows(model: DP5Model) -> list[tuple[tuple[int, int], Ideal, str]]:
-    return [(pair,
-             Ideal(model.orbit, [parse_polynomial(s, model.orbit) for s in gens]),
-             label)
+    return [(pair, _catalog_ideal(model.orbit, gens), label)
             for pair, gens, label in tables.CUBIC_ROWS]
 
 
 def expected_quartic_rows(model: DP5Model) -> list[tuple[Ideal, str]]:
-    return [(Ideal(model.orbit, [parse_polynomial(s, model.orbit) for s in gens]),
-             label)
+    return [(_catalog_ideal(model.orbit, gens), label)
             for gens, label in tables.QUARTIC_ROWS]
 
 
 def rnc_ideal(model: DP5Model) -> Ideal:
-    return Ideal(model.orbit,
-                 [parse_polynomial(s, model.orbit) for s in tables.RNC_GENS])
+    return _catalog_ideal(model.orbit, tables.RNC_GENS)
 
 
 def fixed_curves(model: DP5Model, degree: int) -> list[FixedCurveRecord]:

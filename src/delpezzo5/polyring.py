@@ -293,11 +293,12 @@ def variable_last_order(nvars: int, last: int) -> BlockOrder:
 
     Used by the saturation fast path: for a standard-homogeneous
     polynomial the lead term is divisible by the last variable only if
-    the whole polynomial is.
+    the whole polynomial is.  With no other variable it is the one
+    order of a one-variable ring.
     """
     rest = tuple(i for i in range(nvars) if i != last)
     if not rest:
-        raise ValueError("need at least two variables")
+        return BlockOrder(((last,),), (LEX,))
     return BlockOrder((rest, (last,)), (GREVLEX, LEX))
 
 

@@ -1,5 +1,6 @@
 """The threefold model end to end: coordinate change, invariant
 subspace, fixed-point combinatorics, curve censuses, residuals."""
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations
 
@@ -45,6 +46,12 @@ class TestModel:
 
     def test_model_is_cached(self):
         assert dp5.build_model() is MODEL
+
+    def test_model_maps_are_read_only(self):
+        with pytest.raises(TypeError):
+            MODEL.images[tables.PLUCKER_VARIABLES[0]] = MODEL.orbit.zero()
+        with pytest.raises(TypeError):
+            MODEL.lines["l0"] = MODEL.threefold
 
 
 class TestCoordinateChange:
@@ -190,6 +197,11 @@ class TestResidualQuartic:
         assert rq.quintic_hilbert == HP_SECTION
         assert rq.curve_hilbert == HP_QUARTIC
 
+    def test_residual_is_saturated(self):
+        # the quotient of the saturated section needs no second saturation
+        curve = dp5.residual_quartic(MODEL, "l2", (1, 3)).curve
+        assert curve.saturate_irrelevant() == curve
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             dp5.residual_quartic(MODEL, "l3", (0, 1))
@@ -262,6 +274,17 @@ class TestQuarticCensus:
         assert len(secants) == 10
         assert all(r.secant_hilbert == HilbertPolynomial([2])
                    for r in secants)
+
+    def test_cached_census_is_frozen(self):
+        census = self.census()
+        label = census.records[0].label
+        with pytest.raises(FrozenInstanceError):
+            census.records[0].label = "tampered"
+        with pytest.raises(FrozenInstanceError):
+            census.orbits[0].label = "tampered"
+        assert isinstance(census.records, tuple)
+        assert isinstance(census.orbits, tuple)
+        assert dp5.enumerate_fixed_quartics(MODEL).records[0].label == label
 
     def test_dispatcher_returns_census_details(self):
         records = dp5.fixed_curves(MODEL, 4)

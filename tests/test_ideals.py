@@ -9,6 +9,7 @@ from delpezzo5.ideals import Ideal
 from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext,
                                 parse_polynomial)
 
+X = RingContext(("x",))
 XY = RingContext(("x", "y"))
 XYZ = RingContext(("x", "y", "z"))
 ORBIT = RingContext(("a6", "a4", "a2", "a0", "am2", "am4", "am6"),
@@ -121,6 +122,11 @@ class TestQuotient:
         with pytest.raises(ValueError):
             ideal(XY, "x^2 - 1").quotient_variable("x")
 
+    def test_one_variable_ring(self):
+        I = ideal(X, "x^2")
+        assert I.quotient(ideal(X, "x")) == ideal(X, "x") \
+            == I._quotient_poly(X.variable("x"))
+
     def test_divisor_from_another_ring_rejected(self):
         # x of another ring: the variable fast path must not look the
         # name up in the ideal's own ring
@@ -174,6 +180,20 @@ class TestSaturation:
         # projective point, so the same ideal is already saturated
         I = ideal(XYZ, "x^2", "x*y")
         assert I.saturate_irrelevant() == I
+
+    def test_one_variable_ring(self):
+        I = ideal(X, "x^2")
+        assert I.saturate_irrelevant() == ideal(X, "1") \
+            == I._saturate_poly(X.variable("x"))
+
+    def test_quotient_of_saturated_ideal_is_saturated(self):
+        # (I : J) : m^inf = (I : m^inf) : J, so a quotient keeps saturation
+        rng = random.Random(89)
+        for ctx in (XY, XYZ):
+            for _ in range(6):
+                I = random_ideal(rng, ctx, homogeneous=True).saturate_irrelevant()
+                Q = I.quotient(random_ideal(rng, ctx, homogeneous=True))
+                assert Q.saturate_irrelevant() == Q
 
     def test_conic_saturation_from_threefold(self):
         cut = x5() + ideal(ORBIT, "a6", "a4", "a2", "a0")

@@ -167,6 +167,34 @@ class TestCLI:
         # (x^2, x*y) : (x) = (x, y)
         assert out.splitlines()[-2:] == ["x", "y"]
 
+    def test_zero_divisor_is_a_note(self, tmp_path, capsys):
+        path = tmp_path / "i.txt"
+        path.write_text("ring: x, y\ngens:\nx^2\nx*y\n")
+        zero = tmp_path / "z.txt"
+        zero.write_text("ring: x, y\ngens:\n0\n")
+        assert cli.main(["quotient", str(path), str(zero)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[0] == \
+            "# quotient by the zero ideal is the unit ideal"
+        assert captured.out.splitlines()[-1] == "1"
+        assert cli.main(["saturate", str(path), str(zero), "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["gens"] == ["1"]
+        assert "saturation by the zero ideal is the unit ideal" in payload["notes"]
+
+    def test_one_variable_ring(self, tmp_path, capsys):
+        path = tmp_path / "i.txt"
+        path.write_text("ring: x\ngens:\nx^2\n")
+        assert cli.main(["saturate", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "1"
+        divisor = tmp_path / "x.txt"
+        divisor.write_text("ring: x\ngens:\nx\n")
+        assert cli.main(["quotient", str(path), str(divisor)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "x"
+
     def test_saturate_defaults_to_the_irrelevant_ideal(self, tmp_path, capsys):
         path = tmp_path / "i.txt"
         path.write_text("ring: x, y, z\nweights: 1, 1, 1\ngens:\nx^2\nx*y\nx*z\n")
