@@ -1,15 +1,16 @@
 """Buchberger engine with cofactor tracking and Schreyer syzygies.
 
-Everything here is deterministic: pairs are selected by (lcm degree,
-lcm order key, index pair), the reducer is always the first basis
-element in list order whose lead divides the target term, and the
-final basis is the unique reduced Groebner basis sorted by decreasing
-lead monomial.
+Everything here is deterministic: pairs come from a heap ordered by
+(lcm degree, lcm order key, index pair), each entry built once when its
+pair is formed, the reducer is always the first basis element in list
+order whose lead divides the target term, and the final basis is the
+unique reduced Groebner basis sorted by decreasing lead monomial.
 """
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .polyring import (
@@ -40,7 +41,7 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOr
             raise ValueError("zero divisor in normal form")
         if d.context != p.context:
             raise ValueError("ring context mismatch")
-    divs = [(d.lead_monomial(order), d.lead_coefficient(order), d.terms) for d in divisors]
+    divs = [d.lead_term(order) + (d.terms,) for d in divisors]
     key = order.key
     work = dict(p.terms)
     remainder: dict[Exponents, Fraction] = {}
@@ -48,9 +49,11 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOr
     if with_quotients:
         quotients = [{} for _ in divisors]
 
-    agenda = sorted(work, key=key)  # ascending; pop() takes the largest
+    # (order key, monomial), ascending; pop() takes the largest.  Order keys
+    # are injective, so the monomial never decides a comparison.
+    agenda = sorted((key(m), m) for m in work)
     while agenda:
-        m = agenda.pop()
+        _, m = agenda.pop()
         c = work.get(m)
         if not c:
             continue
@@ -78,7 +81,7 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOr
             acc = work.get(t, 0) - factor * ce
             if acc:
                 if t not in work:
-                    insort(agenda, t, key=key)
+                    insort(agenda, (key(t), t))
                 work[t] = acc
             else:
                 work.pop(t, None)
@@ -142,15 +145,6 @@ class GroebnerBasis:
         return f"GroebnerBasis([{inner}], order={self.order!r})"
 
 
-def _select_pair(pairs: set[tuple[int, int]], leads: list[Exponents], order: MonomialOrder):
-    def pair_key(pair):
-        i, j = pair
-        lcm = mono_lcm(leads[i], leads[j])
-        return (mono_degree(lcm), order.key(lcm), i, j)
-
-    return min(pairs, key=pair_key)
-
-
 def _s_pair(G: Sequence[Polynomial], leads: list[Exponents], i: int, j: int,
             order: MonomialOrder, track: bool):
     """Remainder of the S-pair x^mi G[i] - x^mj G[j] by G and, with ``track``,
@@ -171,10 +165,10 @@ def _s_pair(G: Sequence[Polynomial], leads: list[Exponents], i: int, j: int,
     return r, lift
 
 
-def _unit_row(context: RingContext, n: int, k: int, scale) -> list[Polynomial]:
-    """The cofactor row scale * e_k of length n."""
+def _unit_row(context: RingContext, n: int, k: int) -> list[Polynomial]:
+    """The cofactor row e_k of length n."""
     row = [context.zero()] * n
-    row[k] = context.constant(scale)
+    row[k] = context.one()
     return row
 
 
@@ -204,18 +198,31 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
         return GroebnerBasis(context, order, (), gens, () if track_cofactors else None)
 
     G: list[Polynomial] = []
+    leads: list[Exponents] = []
     rows: list[list[Polynomial]] = []  # aligned with G when tracking
-    for k, g in nonzero:
-        lc = g.lead_coefficient(order)
+    # the open pairs, as a set for the chain criterion and as a heap of
+    # (lcm degree, lcm order key, i, j) for selection; a pair leaves both
+    # only when popped, so they always hold the same pairs
+    pairs: set[tuple[int, int]] = set()
+    queue: list[tuple] = []
+
+    def add_element(g: Polynomial, row) -> None:
+        lead, lc = g.lead_term(order)
+        new = len(G)
         G.append(g / lc)
+        leads.append(lead)
         if track_cofactors:
-            rows.append(_unit_row(context, len(gens), k, Fraction(1) / lc))
+            rows.append([a / lc for a in row])
+        for k in range(new):
+            lcm = mono_lcm(leads[k], lead)
+            heappush(queue, (mono_degree(lcm), order.key(lcm), k, new))
+            pairs.add((k, new))
 
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-    leads = [g.lead_monomial(order) for g in G]
+    for k, g in nonzero:
+        add_element(g, _unit_row(context, len(gens), k) if track_cofactors else None)
 
-    while pairs:
-        i, j = _select_pair(pairs, leads, order)
+    while queue:
+        _, _, i, j = heappop(queue)
         pairs.discard((i, j))
         lcm = mono_lcm(leads[i], leads[j])
         if lcm == mono_mul(leads[i], leads[j]):
@@ -230,15 +237,8 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
         if chain:
             continue
         r, lift = _s_pair(G, leads, i, j, order, track_cofactors)
-        if r.is_zero():
-            continue
-        lc = r.lead_coefficient(order)
-        G.append(r / lc)
-        if track_cofactors:
-            rows.append([a / lc for a in lift(rows)])
-        new = len(G) - 1
-        leads.append(r.lead_monomial(order))
-        pairs.update((k, new) for k in range(new))
+        if not r.is_zero():
+            add_element(r, lift(rows) if track_cofactors else None)
 
     # minimal generating set of the lead ideal
     by_lead = sorted(range(len(G)), key=lambda k: order.key(leads[k]))
@@ -258,10 +258,10 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
         else:
             final[idx] = normal_form(final[idx], others, order)
 
-    order_desc = sorted(range(len(final)),
-                        key=lambda k: order.key(final[k].lead_monomial(order)), reverse=True)
-    elements = [final[k] for k in order_desc]
-    cof = [final_rows[k] for k in order_desc] if track_cofactors else None
+    # kept is ascending in lead order and interreduction keeps the leads,
+    # so reversing sorts the basis by decreasing lead monomial
+    elements = final[::-1]
+    cof = final_rows[::-1] if track_cofactors else None
     return GroebnerBasis(context, order, elements, gens, cof)
 
 
@@ -317,7 +317,7 @@ def syzygy_columns(gb: GroebnerBasis) -> list[list[Polynomial]]:
             push(lift(A))
 
     for i, g in enumerate(gens):
-        unit = _unit_row(gb.context, len(gens), i, 1)
+        unit = _unit_row(gb.context, len(gens), i)
         if g.is_zero():
             push(unit)
             continue

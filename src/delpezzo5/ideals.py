@@ -215,8 +215,17 @@ class Ideal:
 
         Equals the intersection of the single-variable saturations; a
         pigeonhole argument on monomials in m^k shows the intersection
-        is no larger than (I : m^inf)."""
-        return _meet_all(map(self.saturate_variable, self.context.variables))
+        is no larger than (I : m^inf).  A variable x in I gives
+        (I : x^inf) = (1), which the intersection ignores, so it is left
+        out.  A proper ideal holds x exactly when its reduced grevlex
+        basis holds x itself; the unit ideal, whose basis is (1), goes
+        through the fold and comes out as (1)."""
+        basis = self.groebner().elements
+        outside = [name for name, x in zip(self.context.variables, self.context.gens())
+                   if x not in basis]
+        if not outside:
+            return Ideal(self.context, [self.context.one()])
+        return _meet_all(map(self.saturate_variable, outside))
 
     def eliminate(self, names: Sequence[str]) -> "Ideal":
         """Contract to the subring without the named variables."""

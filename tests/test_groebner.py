@@ -1,17 +1,20 @@
 """Groebner bases: reduction, Buchberger criterion, cofactors, syzygies."""
 import random
+from bisect import insort
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from delpezzo5.groebner import (normal_form, reduced_groebner_basis,
+from delpezzo5 import groebner
+from delpezzo5.groebner import (GroebnerBasis, normal_form, reduced_groebner_basis,
                                 syzygy_basis, syzygy_columns)
 from delpezzo5.hilbert import degree_monomials
 from delpezzo5.linalg import SparseEchelon
 from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext,
-                                mono_div, mono_divides, mono_lcm,
-                                parse_polynomial)
+                                block_split, mono_degree, mono_div,
+                                mono_divides, mono_lcm, mono_mul,
+                                parse_polynomial, variable_last_order)
 
 XY = RingContext(("x", "y"))
 XYZ = RingContext(("x", "y", "z"))
@@ -241,6 +244,151 @@ class TestSyzygies:
                             row[(i, exps)] = coeff
                     span.add_row(row)
             assert span.rank == kernel
+
+
+def reference_normal_form(p, divisors, order=GREVLEX, with_quotients=False):
+    """Division with the agenda kept sorted by ``insort(..., key=order.key)``,
+    which recomputes the key of every element the bisection touches."""
+    divs = [(d.lead_monomial(order), d.lead_coefficient(order), d.terms) for d in divisors]
+    key = order.key
+    work = dict(p.terms)
+    remainder = {}
+    quotients = [{} for _ in divisors]
+    agenda = sorted(work, key=key)
+    while agenda:
+        m = agenda.pop()
+        c = work.get(m)
+        if not c:
+            continue
+        hit = next((j for j, (lm, _, _) in enumerate(divs) if mono_divides(lm, m)), -1)
+        if hit < 0:
+            remainder[m] = c
+            del work[m]
+            continue
+        lm, lc, dterms = divs[hit]
+        shift = mono_div(m, lm)
+        factor = c / lc
+        q = quotients[hit]
+        acc = q.get(shift, 0) + factor
+        if acc:
+            q[shift] = acc
+        else:
+            q.pop(shift, None)
+        for e, ce in dterms.items():
+            t = mono_mul(shift, e)
+            acc = work.get(t, 0) - factor * ce
+            if acc:
+                if t not in work:
+                    insort(agenda, t, key=key)
+                work[t] = acc
+            else:
+                work.pop(t, None)
+    r = Polynomial(p.context, remainder)
+    if not with_quotients:
+        return r
+    return r, [Polynomial(p.context, q) for q in quotients]
+
+
+def reference_basis(gens, order):
+    """Buchberger with cofactors, selecting at each step the open pair with
+    the smallest (lcm degree, lcm order key, i, j) by a linear ``min()``.
+    S-pairs are reduced by ``groebner.normal_form``, which the caller
+    replaces by `reference_normal_form`."""
+    context = gens[0].context
+    G, rows = [], []
+    for k, g in enumerate(gens):
+        if g.is_zero():
+            continue
+        lc = g.lead_coefficient(order)
+        G.append(g / lc)
+        row = [context.zero()] * len(gens)
+        row[k] = context.constant(1 / lc)
+        rows.append(row)
+    leads = [g.lead_monomial(order) for g in G]
+    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+
+    def pair_key(pair):
+        lcm = mono_lcm(leads[pair[0]], leads[pair[1]])
+        return (mono_degree(lcm), order.key(lcm), *pair)
+
+    def open_pair(a, b):
+        return (min(a, b), max(a, b)) in pairs
+
+    while pairs:
+        i, j = min(pairs, key=pair_key)
+        pairs.discard((i, j))
+        lcm = mono_lcm(leads[i], leads[j])
+        if lcm == mono_mul(leads[i], leads[j]):
+            continue
+        if any(k not in (i, j) and mono_divides(leads[k], lcm)
+               and not open_pair(i, k) and not open_pair(j, k) for k in range(len(G))):
+            continue
+        r, lift = groebner._s_pair(G, leads, i, j, order, True)
+        if r.is_zero():
+            continue
+        lc = r.lead_coefficient(order)
+        G.append(r / lc)
+        rows.append([a / lc for a in lift(rows)])
+        leads.append(r.lead_monomial(order))
+        pairs.update((k, len(G) - 1) for k in range(len(G) - 1))
+
+    kept = []
+    for k in sorted(range(len(G)), key=lambda k: order.key(leads[k])):
+        if not any(mono_divides(leads[t], leads[k]) for t in kept):
+            kept.append(k)
+    final = [G[k] for k in kept]
+    final_rows = [rows[k] for k in kept]
+    for idx in range(len(final)):
+        final[idx], q = reference_normal_form(final[idx], final[:idx] + final[idx + 1:],
+                                              order, with_quotients=True)
+        final_rows[idx] = groebner._lift(final_rows[idx], q,
+                                         final_rows[:idx] + final_rows[idx + 1:])
+    desc = sorted(range(len(final)), key=lambda k: order.key(final[k].lead_monomial(order)),
+                  reverse=True)
+    return GroebnerBasis(context, order, [final[k] for k in desc], gens,
+                         [final_rows[k] for k in desc])
+
+
+def random_form(rng, ctx, degree, n_terms=3):
+    """A form of the given degree with up to n_terms random terms."""
+    terms = {}
+    for _ in range(n_terms):
+        exps = [0] * ctx.nvars
+        for _ in range(degree):
+            exps[rng.randrange(ctx.nvars)] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-3, 3))
+    return Polynomial(ctx, terms)
+
+
+class TestReferenceSelection:
+    """Cofactor rows and syzygy columns depend on the reduction path, so
+    equal rows pin the order in which pairs are selected and terms reduced."""
+
+    @pytest.mark.parametrize("nvars, linear_term", [(3, False), (3, True), (4, False)],
+                             ids=["3vars-homogeneous", "3vars-inhomogeneous", "4vars-homogeneous"])
+    def test_matches_linear_selection(self, nvars, linear_term, monkeypatch):
+        ctx = RingContext(("x", "y", "z", "w")[:nvars])
+        orders = [GREVLEX, LEX, block_split(nvars, 1), variable_last_order(nvars, 0)]
+        rng = random.Random(97 + nvars)
+        cases = []
+        for _ in range(8):
+            gens = [random_form(rng, ctx, rng.randint(1, 3))
+                    + (random_form(rng, ctx, 1, 1) if linear_term else ctx.zero())
+                    for _ in range(rng.randint(2, 4))]
+            if all(g.is_zero() for g in gens):
+                continue
+            for order in orders:
+                gb = reduced_groebner_basis(gens, order, track_cofactors=True)
+                assert reduced_groebner_basis(gens, order).elements == gb.elements
+                syz = syzygy_columns(gb) if all(not g.is_zero() for g in gens) else None
+                cases.append((gens, order, gb, syz))
+        monkeypatch.setattr(groebner, "normal_form", reference_normal_form)
+        for gens, order, gb, syz in cases:
+            ref = reference_basis(gens, order)
+            assert ref.elements == gb.elements
+            assert ref.cofactors == gb.cofactors
+            if syz is not None:
+                assert syzygy_columns(ref) == syz
 
 
 class TestGroebnerBasisObject:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from delpezzo5.ideals import Ideal
+from delpezzo5.ideals import Ideal, _meet_all
 from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext,
                                 parse_polynomial)
 
@@ -194,6 +194,26 @@ class TestSaturation:
                 I = random_ideal(rng, ctx, homogeneous=True).saturate_irrelevant()
                 Q = I.quotient(random_ideal(rng, ctx, homogeneous=True))
                 assert Q.saturate_irrelevant() == Q
+
+    def test_variables_in_the_ideal_are_skipped(self, monkeypatch):
+        # a section X + (s1, s2) holds s1 and s2, whose saturations are (1)
+        section = x5() + ideal(ORBIT, "a6", "am6")
+        every = _meet_all(map(section.saturate_variable, ORBIT.variables))
+        seen = []
+        plain = Ideal.saturate_variable
+
+        def counted(self, name):
+            seen.append(name)
+            return plain(self, name)
+
+        monkeypatch.setattr(Ideal, "saturate_variable", counted)
+        skipped = section.saturate_irrelevant()
+        assert skipped.groebner().elements == every.groebner().elements
+        assert seen == [v for v in ORBIT.variables if v not in ("a6", "am6")]
+
+    def test_ideal_holding_every_variable_saturates_to_unit(self):
+        I = ideal(XYZ, "x", "y + x^2", "z - y")
+        assert I.saturate_irrelevant().groebner().elements == (XYZ.one(),)
 
     def test_conic_saturation_from_threefold(self):
         cut = x5() + ideal(ORBIT, "a6", "a4", "a2", "a0")
