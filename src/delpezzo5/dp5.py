@@ -492,14 +492,15 @@ def fixed_curves(model: DP5Model, degree: int) -> list[FixedCurveRecord]:
 def rnc_check(model: DP5Model) -> dict:
     """The rational normal quartic: its printed ideal must agree with
     the determinantal presentation, have the right Hilbert polynomial,
-    be torus-fixed, span a hyperplane, and lie on the threefold."""
+    be torus-fixed, span a hyperplane, and lie on the threefold; "passed"
+    says whether it does.  The tangent dimensions are reported only."""
     ctx = model.orbit
     rows = [[parse_polynomial(s, ctx) for s in row] for row in tables.RNC_MATRIX]
     minors = [rows[0][c1] * rows[1][c2] - rows[0][c2] * rows[1][c1]
               for c1, c2 in combinations(range(4), 2)]
     built = Ideal(ctx, [ctx.variable("a6"), ctx.variable("am6")] + minors)
     printed = rnc_ideal(model)
-    return {
+    out = {
         "determinantal_equal": built == printed,
         "hilbert": hilbert_polynomial(printed),
         "torus_fixed": printed.is_torus_fixed(),
@@ -509,6 +510,11 @@ def rnc_check(model: DP5Model) -> dict:
         "tangent_relative": tangent_dimension(printed,
                                               within=model.threefold),
     }
+    out["passed"] = (out["determinantal_equal"]
+                     and out["hilbert"] == HilbertPolynomial([1, 4])
+                     and out["torus_fixed"] and out["span"] == 4
+                     and out["on_threefold"])
+    return out
 
 
 def linear_span_dimension(ideal: Ideal) -> int:

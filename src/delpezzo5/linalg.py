@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Dense routines for small matrices (row reduction, rank, row-space
-comparison) and an incremental sparse echelon form used by the graded
-Hom solver and the Hilbert-function rank oracle.  All entries are
-Fractions; there is no floating point and no pivoting heuristics that
-could change results between runs.
+One incremental sparse echelon form, used by the graded Hom solver and
+the Hilbert-function rank oracle, with reduced row echelon form, rank
+and row-space comparison of small dense matrices built on it.  All
+entries are Fractions; there is no floating point and no pivoting
+heuristics that could change results between runs.
 """
 from __future__ import annotations
 
@@ -15,33 +15,27 @@ Row = list[Fraction]
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form and pivot columns."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
+    """Reduced row echelon form and pivot columns: the rows go through
+    one SparseEchelon, whose pivot rows are then back-substituted, last
+    pivot first."""
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [row for row in mat if any(row)], pivots
+    ncols = len(rows[0])
+    ech = SparseEchelon()
+    for row in rows:
+        ech.add_row(dict(enumerate(row)))
+    pivots = sorted(ech._pivots)
+    reduced: dict[int, Row] = {}
+    for col in reversed(pivots):
+        row = [Fraction(0)] * ncols
+        for c, v in ech._pivots[col].items():
+            row[c] = v
+        for done_col, done in reduced.items():
+            f = row[done_col]
+            if f:
+                row = [x - f * y for x, y in zip(row, done)]
+        reduced[col] = row
+    return [reduced[c] for c in pivots], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:

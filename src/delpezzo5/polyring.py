@@ -314,7 +314,8 @@ class Polynomial:
         clean: dict[Exponents, Fraction] = {}
         n = context.nvars
         for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if not coeff:
                 continue
             if len(exps) != n or any(e < 0 for e in exps):
@@ -345,9 +346,6 @@ class Polynomial:
     def coefficient(self, exps: Exponents) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get(self.context.zero_exponents(), Fraction(0))
-
     def variables_occurring(self) -> set[str]:
         names = self.context.variables
         out: set[str] = set()
@@ -370,14 +368,6 @@ class Polynomial:
 
     def lead_coefficient(self, order: MonomialOrder = GREVLEX) -> Fraction:
         return self.lead_term(order)[1]
-
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        if not self.terms:
-            return self
-        c = self.lead_coefficient(order)
-        if c == 1:
-            return self
-        return self / c
 
     # arithmetic ------------------------------------------------------------
     def _check_context(self, other: "Polynomial") -> None:

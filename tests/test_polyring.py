@@ -33,6 +33,23 @@ def random_poly(rng, ctx, max_terms=4, max_deg=3):
     return Polynomial(ctx, {m: c for m, c in terms.items() if c})
 
 
+class TestConstruction:
+    def test_int_coefficients_become_fractions(self):
+        q = Polynomial(XYZ, {(1, 0, 0): 2, (0, 0, 0): -1, (0, 1, 0): 0})
+        assert q.terms == {(1, 0, 0): Fraction(2), (0, 0, 0): Fraction(-1)}
+        assert all(type(c) is Fraction for c in q.terms.values())
+
+    def test_fraction_keeps_its_value(self):
+        q = Polynomial(XYZ, {(0, 2, 1): Fraction(-3, 7)})
+        assert q.terms == {(0, 2, 1): Fraction(-3, 7)}
+        assert type(q.terms[(0, 2, 1)]) is Fraction
+
+    @pytest.mark.parametrize("exps", [(1, 0), (1, 0, 0, 0), (0, -1, 2)])
+    def test_bad_exponent_vector_rejected(self, exps):
+        with pytest.raises(ValueError):
+            Polynomial(XYZ, {exps: Fraction(1)})
+
+
 class TestArithmetic:
     def test_additive_inverse(self):
         assert (p("x") + p("-x")).is_zero()

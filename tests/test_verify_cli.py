@@ -5,6 +5,7 @@ import json
 import pytest
 
 from delpezzo5 import cli, dp5
+from delpezzo5.hilbert import HilbertPolynomial
 from delpezzo5.verify import (CheckResult, VerificationReport, emit_json,
                               emit_text, parse_json, run_suite)
 
@@ -41,6 +42,22 @@ class TestReports:
         assert len(rep.checks) == 5
         assert all(c.status == "fail" and "census unavailable" in c.actual
                    for c in rep.checks)
+
+    def test_rnc_verdict_comes_from_the_check_dict(self, monkeypatch):
+        # every piece of evidence looks right, but the check dict says no
+        def rejected(model):
+            return {"determinantal_equal": True, "hilbert": HilbertPolynomial([1, 4]),
+                    "torus_fixed": True, "span": 4, "on_threefold": True,
+                    "tangent_ambient": 31, "tangent_relative": 8, "passed": False}
+
+        def no_census(model):
+            raise RuntimeError("census not needed here")
+
+        monkeypatch.setattr(dp5, "rnc_check", rejected)
+        monkeypatch.setattr(dp5, "enumerate_fixed_quartics", no_census)
+        status = {c.id: c.status for c in run_suite("section-5").checks}
+        assert status["rnc-determinantal"] == "fail"
+        assert status["rnc-tangent"] == "warn"
 
     def test_json_round_trip(self):
         rep = run_suite("section-2")
