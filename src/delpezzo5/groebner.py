@@ -27,21 +27,34 @@ from .polyring import (
 )
 
 
+Triple = tuple  # (lead monomial, lead coefficient, terms) of one divisor
+
+
+def divisor_triples(divisors: Sequence[Polynomial], order: MonomialOrder) -> list[Triple]:
+    """The ``(lead, lc, terms)`` triple of each divisor, as `normal_form` reads them."""
+    triples = []
+    for d in divisors:
+        if d.is_zero():
+            raise ValueError("zero divisor in normal form")
+        triples.append(d.lead_term(order) + (d.terms,))
+    return triples
+
+
 def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
-                with_quotients: bool = False):
+                with_quotients: bool = False, triples: Sequence[Triple] | None = None):
     """Full remainder of p on division by the list of divisors.
 
     Reduces the largest reducible term by the first divisor in list
     order whose lead divides it, until no term is reducible.  With
     ``with_quotients`` returns ``(r, quotients)`` satisfying
-    ``p == sum(q_i * divisors_i) + r`` exactly.
+    ``p == sum(q_i * divisors_i) + r`` exactly.  ``triples``, when
+    given, are the divisors' `divisor_triples` under ``order``, held by
+    a caller that divides by the same list many times.
     """
     for d in divisors:
-        if d.is_zero():
-            raise ValueError("zero divisor in normal form")
         if d.context != p.context:
             raise ValueError("ring context mismatch")
-    divs = [d.lead_term(order) + (d.terms,) for d in divisors]
+    divs = divisor_triples(divisors, order) if triples is None else triples
     key = order.key
     work = dict(p.terms)
     remainder: dict[Exponents, Fraction] = {}
@@ -98,21 +111,25 @@ class GroebnerBasis:
 
     ``cofactors[i]`` expresses ``elements[i]`` as a combination of the
     input generators: ``elements[i] == sum(cofactors[i][k] * input_gens[k])``.
+    ``triples`` holds each element's ``(lead, lc, terms)``, so that
+    dividing by the basis never recomputes a lead term.
     """
 
-    __slots__ = ("context", "order", "elements", "input_gens", "cofactors")
+    __slots__ = ("context", "order", "elements", "input_gens", "cofactors", "triples")
 
     def __init__(self, context: RingContext, order: MonomialOrder,
                  elements: Sequence[Polynomial], input_gens: Sequence[Polynomial],
-                 cofactors=None):
+                 cofactors=None, triples: Sequence[Triple] | None = None):
         self.context = context
         self.order = order
         self.elements = tuple(elements)
         self.input_gens = tuple(input_gens)
         self.cofactors = None if cofactors is None else tuple(tuple(r) for r in cofactors)
+        self.triples = tuple(divisor_triples(self.elements, order) if triples is None
+                             else triples)
 
     def normal_form(self, p: Polynomial, with_quotients: bool = False):
-        return normal_form(p, self.elements, self.order, with_quotients)
+        return normal_form(p, self.elements, self.order, with_quotients, self.triples)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
@@ -129,7 +146,7 @@ class GroebnerBasis:
         return _lift(start, [-qt for qt in q], self.cofactors)
 
     def lead_monomials(self) -> list[Exponents]:
-        return [g.lead_monomial(self.order) for g in self.elements]
+        return [lead for lead, _, _ in self.triples]
 
     def is_weight_homogeneous(self) -> bool:
         return all(g.is_weight_homogeneous() for g in self.elements)
@@ -145,17 +162,19 @@ class GroebnerBasis:
         return f"GroebnerBasis([{inner}], order={self.order!r})"
 
 
-def _s_pair(G: Sequence[Polynomial], leads: list[Exponents], i: int, j: int,
+def _s_pair(G: Sequence[Polynomial], triples: Sequence[Triple], i: int, j: int,
             order: MonomialOrder, track: bool):
-    """Remainder of the S-pair x^mi G[i] - x^mj G[j] by G and, with ``track``,
-    the map from cofactor rows aligned with G to the remainder's row."""
-    lcm = mono_lcm(leads[i], leads[j])
-    mi = mono_div(lcm, leads[i])
-    mj = mono_div(lcm, leads[j])
+    """Remainder of the S-pair x^mi G[i] - x^mj G[j] by G, whose divisor
+    triples are given, and, with ``track``, the map from cofactor rows
+    aligned with G to the remainder's row."""
+    lead_i, lead_j = triples[i][0], triples[j][0]
+    lcm = mono_lcm(lead_i, lead_j)
+    mi = mono_div(lcm, lead_i)
+    mj = mono_div(lcm, lead_j)
     s = G[i].term_multiple(mi, Fraction(1)) - G[j].term_multiple(mj, Fraction(1))
     if not track:
-        return normal_form(s, G, order), None
-    r, q = normal_form(s, G, order, with_quotients=True)
+        return normal_form(s, G, order, False, triples), None
+    r, q = normal_form(s, G, order, True, triples)
 
     def lift(rows):
         row = [a.term_multiple(mi, Fraction(1)) - b.term_multiple(mj, Fraction(1))
@@ -199,6 +218,7 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
 
     G: list[Polynomial] = []
     leads: list[Exponents] = []
+    triples: list[Triple] = []        # divisor triples of G
     rows: list[list[Polynomial]] = []  # aligned with G when tracking
     # the open pairs, as a set for the chain criterion and as a heap of
     # (lcm degree, lcm order key, i, j) for selection; a pair leaves both
@@ -209,8 +229,10 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
     def add_element(g: Polynomial, row) -> None:
         lead, lc = g.lead_term(order)
         new = len(G)
-        G.append(g / lc)
+        monic = g / lc
+        G.append(monic)
         leads.append(lead)
+        triples.append((lead, monic.terms[lead], monic.terms))
         if track_cofactors:
             rows.append([a / lc for a in row])
         for k in range(new):
@@ -236,7 +258,7 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
                 break
         if chain:
             continue
-        r, lift = _s_pair(G, leads, i, j, order, track_cofactors)
+        r, lift = _s_pair(G, triples, i, j, order, track_cofactors)
         if not r.is_zero():
             add_element(r, lift(rows) if track_cofactors else None)
 
@@ -247,22 +269,27 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
         if not any(mono_divides(leads[t], leads[k]) for t in kept):
             kept.append(k)
 
-    # interreduce tails; leads are pairwise indivisible so they survive
+    # interreduce tails; leads are pairwise indivisible so they survive,
+    # and so does each lead coefficient
     final = [G[k] for k in kept]
+    final_triples = [triples[k] for k in kept]
     final_rows = [list(rows[k]) for k in kept] if track_cofactors else None
     for idx in range(len(final)):
         others = final[:idx] + final[idx + 1:]
+        other_triples = final_triples[:idx] + final_triples[idx + 1:]
         if track_cofactors:
-            final[idx], q = normal_form(final[idx], others, order, with_quotients=True)
+            final[idx], q = normal_form(final[idx], others, order, True, other_triples)
             final_rows[idx] = _lift(final_rows[idx], q, final_rows[:idx] + final_rows[idx + 1:])
         else:
-            final[idx] = normal_form(final[idx], others, order)
+            final[idx] = normal_form(final[idx], others, order, False, other_triples)
+        lead, lc, _ = final_triples[idx]
+        final_triples[idx] = (lead, lc, final[idx].terms)
 
     # kept is ascending in lead order and interreduction keeps the leads,
     # so reversing sorts the basis by decreasing lead monomial
     elements = final[::-1]
     cof = final_rows[::-1] if track_cofactors else None
-    return GroebnerBasis(context, order, elements, gens, cof)
+    return GroebnerBasis(context, order, elements, gens, cof, final_triples[::-1])
 
 
 class SyzygyBasis:
@@ -307,10 +334,9 @@ def syzygy_columns(gb: GroebnerBasis) -> list[list[Polynomial]]:
         if any(not c.is_zero() for c in col):
             columns.append(col)
 
-    leads = [g.lead_monomial(order) for g in G]
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
-            r, lift = _s_pair(G, leads, i, j, order, True)
+            r, lift = _s_pair(G, gb.triples, i, j, order, True)
             if not r.is_zero():
                 raise AssertionError("S-pair of a Groebner basis must reduce to zero")
             # tau = x^mi e_i - x^mj e_j - q, a syzygy of G; push tau * A
@@ -321,7 +347,7 @@ def syzygy_columns(gb: GroebnerBasis) -> list[list[Polynomial]]:
         if g.is_zero():
             push(unit)
             continue
-        r, b = normal_form(g, G, order, with_quotients=True)
+        r, b = gb.normal_form(g, with_quotients=True)
         if not r.is_zero():
             raise AssertionError("generator must reduce to zero against its own basis")
         push(_lift(unit, b, A))

@@ -20,7 +20,7 @@ from .groebner import syzygy_columns
 from .hilbert import standard_monomials
 from .ideals import Ideal
 from .linalg import SparseEchelon
-from .polyring import GREVLEX, Polynomial
+from .polyring import GREVLEX, Exponents, Polynomial, mono_mul
 
 
 def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
@@ -55,15 +55,19 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     tgb = target.groebner(GREVLEX)
     gens = gb.input_gens
 
-    # one unknown per (generator, standard monomial of matching degree)
-    unknown_index: dict[tuple[int, tuple[int, ...]], int] = {}
-    bases: list[list[tuple[int, ...]] | None] = []
+    # one unknown per (generator, standard monomial of matching degree);
+    # the standard monomials of each degree are listed once
+    unknown_index: dict[tuple[int, Exponents], int] = {}
+    bases: list[list[Exponents] | None] = []
+    by_degree: dict[int, list[Exponents]] = {}
     for i, g in enumerate(gens):
         if g.is_zero():
             bases.append(None)
             continue
         d = g.total_degree() + twist
-        basis = standard_monomials(target, d) if d >= 0 else []
+        if d not in by_degree:
+            by_degree[d] = standard_monomials(target, d) if d >= 0 else []
+        basis = by_degree[d]
         bases.append(basis)
         for m in basis:
             unknown_index[(i, m)] = len(unknown_index)
@@ -71,21 +75,34 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
         return 0
 
     ech = SparseEchelon()
+    # Normal form is linear: NF(c * x^m) is the sum of c_e * NF(x^(e+m))
+    # over the terms c_e * x^e of c.  So each monomial is reduced once per
+    # solve, and the memo dies with it.
+    reduced: dict[Exponents, dict[Exponents, Fraction]] = {}
+
+    def reduce_monomial(t: Exponents) -> dict[Exponents, Fraction]:
+        nf = reduced.get(t)
+        if nf is None:
+            nf = reduced[t] = tgb.normal_form(target.context.monomial(t)).terms
+        return nf
 
     def impose(coeffs: list[Polynomial]) -> None:
         """One equation block: sum_i coeffs[i] * phi(g_i) = 0 in S/target."""
-        rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
+        rows: dict[Exponents, dict[int, Fraction]] = {}
         for i, c in enumerate(coeffs):
             if c.is_zero() or bases[i] is None:
                 continue
             for m in bases[i]:
-                reduced = tgb.normal_form(c.term_multiple(m, Fraction(1)))
                 u = unknown_index[(i, m)]
-                for mono, value in reduced.terms.items():
-                    row = rows.setdefault(mono, {})
-                    row[u] = row.get(u, Fraction(0)) + value
+                for e, ce in c.terms.items():
+                    for mono, value in reduce_monomial(mono_mul(e, m)).items():
+                        row = rows.setdefault(mono, {})
+                        row[u] = row.get(u, 0) + ce * value
+        # entries that cancelled are dropped, and a row left empty is skipped
         for row in rows.values():
-            ech.add_row(row)
+            row = {u: v for u, v in row.items() if v}
+            if row:
+                ech.add_row(row)
 
     for column in syzygy_columns(gb):
         impose(list(column))

@@ -66,8 +66,10 @@ class SparseEchelon:
         return len(self._pivots)
 
     def add_row(self, row: dict) -> bool:
-        """Insert a row; True when it enlarged the row space."""
-        work = {c: Fraction(v) for c, v in row.items() if v}
+        """Insert a row; True when it enlarged the row space.  A value
+        whose class is exactly Fraction is kept as it is; any other is
+        converted, so that no pivot is inverted as a float."""
+        work = {c: v if type(v) is Fraction else Fraction(v) for c, v in row.items() if v}
         while work:
             col = min(work)
             pivot = self._pivots.get(col)
@@ -77,7 +79,7 @@ class SparseEchelon:
                 return True
             factor = work[col]
             for c, v in pivot.items():
-                acc = work.get(c, Fraction(0)) - factor * v
+                acc = work.get(c, 0) - factor * v
                 if acc:
                     work[c] = acc
                 else:

@@ -246,9 +246,10 @@ class TestSyzygies:
             assert span.rank == kernel
 
 
-def reference_normal_form(p, divisors, order=GREVLEX, with_quotients=False):
+def reference_normal_form(p, divisors, order=GREVLEX, with_quotients=False, triples=None):
     """Division with the agenda kept sorted by ``insort(..., key=order.key)``,
-    which recomputes the key of every element the bisection touches."""
+    which recomputes the key of every element the bisection touches.  Any
+    held ``triples`` are ignored: every divisor's lead is recomputed."""
     divs = [(d.lead_monomial(order), d.lead_coefficient(order), d.terms) for d in divisors]
     key = order.key
     work = dict(p.terms)
@@ -323,7 +324,7 @@ def reference_basis(gens, order):
         if any(k not in (i, j) and mono_divides(leads[k], lcm)
                and not open_pair(i, k) and not open_pair(j, k) for k in range(len(G))):
             continue
-        r, lift = groebner._s_pair(G, leads, i, j, order, True)
+        r, lift = groebner._s_pair(G, groebner.divisor_triples(G, order), i, j, order, True)
         if r.is_zero():
             continue
         lc = r.lead_coefficient(order)
@@ -392,6 +393,24 @@ class TestReferenceSelection:
 
 
 class TestGroebnerBasisObject:
+    @pytest.mark.parametrize("nvars", [3, 4])
+    def test_held_triples_match_a_fresh_division(self, nvars):
+        ctx = RingContext(("x", "y", "z", "w")[:nvars])
+        orders = [GREVLEX, LEX, block_split(nvars, 1), variable_last_order(nvars, 0)]
+        rng = random.Random(131 + nvars)
+        for _ in range(6):
+            gens = [random_form(rng, ctx, rng.randint(1, 3)) for _ in range(rng.randint(2, 4))]
+            if all(g.is_zero() for g in gens):
+                continue
+            for order in orders:
+                for track in (False, True):
+                    gb = reduced_groebner_basis(gens, order, track_cofactors=track)
+                    assert gb.triples == tuple(groebner.divisor_triples(gb.elements, order))
+                    for _ in range(4):
+                        p = random_form(rng, ctx, rng.randint(1, 4), 4)
+                        assert gb.normal_form(p, with_quotients=True) \
+                            == normal_form(p, gb.elements, gb.order, True)
+
     def test_lead_monomials_listed(self):
         gb = reduced_groebner_basis([p2("x*y - 1"), p2("y^2 - 1")], LEX)
         assert sorted(gb.lead_monomials()) == [(0, 2), (1, 0)]

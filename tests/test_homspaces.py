@@ -1,13 +1,17 @@
 """Graded Hom dimensions and Hilbert-scheme tangent spaces."""
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from delpezzo5.hilbert import degree_monomials
+from delpezzo5 import dp5, homspaces
+from delpezzo5.groebner import syzygy_columns
+from delpezzo5.hilbert import degree_monomials, standard_monomials
 from delpezzo5.homspaces import graded_hom_dimension, tangent_dimension
 from delpezzo5.ideals import Ideal
-from delpezzo5.polyring import Polynomial, RingContext, parse_polynomial
+from delpezzo5.linalg import SparseEchelon
+from delpezzo5.polyring import GREVLEX, Polynomial, RingContext, parse_polynomial
 
 XY = RingContext(("x", "y"))
 P3 = RingContext(("x", "y", "z", "w"))
@@ -115,3 +119,96 @@ class TestPresentationIndependence:
     def random_ideal(self, rng):
         return Ideal(P3, [self.random_form(rng, rng.randint(1, 2))
                           for _ in range(rng.randint(1, 2))])
+
+
+def reference_hom_rows(source, target, twist=0, within=None):
+    """The unknowns and equation rows of the graded Hom solve, each product
+    c * x^m reduced on its own by the target's basis, as before the solve
+    reduced each monomial once; None when the solve stops before any row."""
+    if target.is_unit():
+        return None
+    gb = source.groebner(GREVLEX, track_cofactors=True)
+    if len(gb) == 0:
+        return None
+    tgb = target.groebner(GREVLEX)
+    unknown_index, bases = {}, []
+    for i, g in enumerate(gb.input_gens):
+        if g.is_zero():
+            bases.append(None)
+            continue
+        d = g.total_degree() + twist
+        bases.append(standard_monomials(target, d) if d >= 0 else [])
+        for m in bases[-1]:
+            unknown_index[(i, m)] = len(unknown_index)
+    if not unknown_index:
+        return None
+    blocks = [list(column) for column in syzygy_columns(gb)]
+    if within is not None:
+        blocks += [gb.express(w) for w in within.gens if not w.is_zero()]
+    all_rows = []
+    for coeffs in blocks:
+        rows = {}
+        for i, c in enumerate(coeffs):
+            if c.is_zero() or bases[i] is None:
+                continue
+            for m in bases[i]:
+                reduced = tgb.normal_form(c.term_multiple(m, Fraction(1)))
+                u = unknown_index[(i, m)]
+                for mono, value in reduced.terms.items():
+                    row = rows.setdefault(mono, {})
+                    row[u] = row.get(u, Fraction(0)) + value
+        all_rows += rows.values()
+    return len(unknown_index), all_rows
+
+
+def row_multiset(rows):
+    return Counter(frozenset(row.items()) for row in rows)
+
+
+class TestReferenceSolve:
+    """The per-solve monomial memo must feed the echelon exactly the rows
+    that reducing every product c * x^m on its own gives."""
+
+    def check(self, monkeypatch, source, target, twist=0, within=None):
+        fed = []
+
+        class Recording(SparseEchelon):
+            def add_row(self, row):
+                fed.append(dict(row))
+                return super().add_row(row)
+
+        monkeypatch.setattr(homspaces, "SparseEchelon", Recording)
+        dim = graded_hom_dimension(source, target, twist, within)
+        ref = reference_hom_rows(source, target, twist, within)
+        if ref is None:
+            assert dim == 0 and fed == []
+            return
+        unknowns, rows = ref
+        ech = SparseEchelon()
+        for row in rows:
+            ech.add_row(row)
+        assert dim == unknowns - ech.rank
+        assert row_multiset(fed) == row_multiset(rows)
+
+    def test_seeded_ideals(self, monkeypatch):
+        rng = random.Random(211)
+        helper = TestPresentationIndependence()
+        for _ in range(6):
+            source = helper.random_ideal(rng)
+            target = helper.random_ideal(rng)
+            within = Ideal(P3, [g * helper.random_form(rng, 1) for g in source.gens])
+            for twist in (-1, 0, 1):
+                self.check(monkeypatch, source, target, twist)
+                self.check(monkeypatch, source, target, twist, within)
+
+    def test_catalogued_curves(self, monkeypatch):
+        model = dp5.build_model()
+        curves = [
+            model.lines[sorted(model.lines)[0]],
+            next(iter(dp5.expected_conic_ideals(model).values())),
+            dp5.expected_cubic_rows(model)[0][1],
+            dp5.expected_quartic_rows(model)[0][0],
+        ]
+        for curve in curves:
+            self.check(monkeypatch, curve, curve)
+            self.check(monkeypatch, curve, curve, within=model.threefold)

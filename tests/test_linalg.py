@@ -3,7 +3,7 @@ against a dense Gauss-Jordan reference kept here for that purpose."""
 import random
 from fractions import Fraction
 
-from delpezzo5.linalg import rank, row_space_equal, rref
+from delpezzo5.linalg import SparseEchelon, rank, row_space_equal, rref
 
 
 def dense_rref(rows):
@@ -83,3 +83,12 @@ def test_row_space_equal_matches_reference():
         for other in others + [rows[::-1], []]:
             expected = dense_rref(rows)[0] == dense_rref(other)[0]
             assert row_space_equal(rows, other) == expected
+
+
+def test_integer_rows_give_exact_pivots():
+    # an int pivot inverted as 1 / 3 would be a float
+    ech = SparseEchelon()
+    assert ech.add_row({0: 3, 1: 1})
+    assert not ech.add_row({0: Fraction(6), 1: 2})
+    assert ech._pivots == {0: {0: 1, 1: Fraction(1, 3)}}
+    assert all(type(v) is Fraction for v in ech._pivots[0].values())
