@@ -1,4 +1,4 @@
-"""Buchberger engine with cofactor tracking and Schreyer syzygies.
+"""Buchberger engine, S-pair syzygies, and opt-in cofactor tracking.
 
 Everything here is deterministic: pairs come from a heap ordered by
 (lcm degree, lcm order key, index pair), each entry built once when its
@@ -31,9 +31,12 @@ Triple = tuple  # (lead monomial, lead coefficient, terms) of one divisor
 
 
 def divisor_triples(divisors: Sequence[Polynomial], order: MonomialOrder) -> list[Triple]:
-    """The ``(lead, lc, terms)`` triple of each divisor, as `normal_form` reads them."""
+    """The ``(lead, lc, terms)`` triple of each divisor, as `normal_form`
+    reads them; the divisors must share one ring context."""
     triples = []
     for d in divisors:
+        if d.context != divisors[0].context:
+            raise ValueError("ring context mismatch")
         if d.is_zero():
             raise ValueError("zero divisor in normal form")
         triples.append(d.lead_term(order) + (d.terms,))
@@ -51,9 +54,8 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOr
     given, are the divisors' `divisor_triples` under ``order``, held by
     a caller that divides by the same list many times.
     """
-    for d in divisors:
-        if d.context != p.context:
-            raise ValueError("ring context mismatch")
+    if divisors and divisors[0].context != p.context:
+        raise ValueError("ring context mismatch")
     divs = divisor_triples(divisors, order) if triples is None else triples
     key = order.key
     work = dict(p.terms)
@@ -134,17 +136,6 @@ class GroebnerBasis:
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
 
-    def express(self, p: Polynomial) -> list[Polynomial]:
-        """Coefficients c with ``p == sum(c[k] * input_gens[k])``, for p
-        in the ideal; needs a basis computed with cofactor tracking."""
-        if self.cofactors is None:
-            raise ValueError("expressing needs a basis computed with cofactor tracking")
-        r, q = self.normal_form(p, with_quotients=True)
-        if not r.is_zero():
-            raise ValueError("polynomial is not in the ideal")
-        start = [self.context.zero()] * len(self.input_gens)
-        return _lift(start, [-qt for qt in q], self.cofactors)
-
     def lead_monomials(self) -> list[Exponents]:
         return [lead for lead, _, _ in self.triples]
 
@@ -163,25 +154,23 @@ class GroebnerBasis:
 
 
 def _s_pair(G: Sequence[Polynomial], triples: Sequence[Triple], i: int, j: int,
-            order: MonomialOrder, track: bool):
-    """Remainder of the S-pair x^mi G[i] - x^mj G[j] by G, whose divisor
-    triples are given, and, with ``track``, the map from cofactor rows
-    aligned with G to the remainder's row."""
+            order: MonomialOrder, with_syzygy: bool):
+    """Remainder r of the S-pair x^mi G[i] - x^mj G[j] by G, whose divisor
+    triples are given, and, with ``with_syzygy``, the list
+    tau = x^mi e_i - x^mj e_j - q, where q are the reduction's quotients,
+    so that ``sum(tau[t] * G[t]) == r``; when r is zero, tau is a syzygy of G."""
     lead_i, lead_j = triples[i][0], triples[j][0]
     lcm = mono_lcm(lead_i, lead_j)
     mi = mono_div(lcm, lead_i)
     mj = mono_div(lcm, lead_j)
     s = G[i].term_multiple(mi, Fraction(1)) - G[j].term_multiple(mj, Fraction(1))
-    if not track:
+    if not with_syzygy:
         return normal_form(s, G, order, False, triples), None
     r, q = normal_form(s, G, order, True, triples)
-
-    def lift(rows):
-        row = [a.term_multiple(mi, Fraction(1)) - b.term_multiple(mj, Fraction(1))
-               for a, b in zip(rows[i], rows[j])]
-        return _lift(row, q, rows)
-
-    return r, lift
+    tau = [-qt for qt in q]
+    tau[i] = tau[i] + s.context.monomial(mi)
+    tau[j] = tau[j] - s.context.monomial(mj)
+    return r, tau
 
 
 def _unit_row(context: RingContext, n: int, k: int) -> list[Polynomial]:
@@ -191,13 +180,29 @@ def _unit_row(context: RingContext, n: int, k: int) -> list[Polynomial]:
     return row
 
 
-def _lift(row: list[Polynomial], quotients: Sequence[Polynomial], rows) -> list[Polynomial]:
-    """row - sum(quotients[t] * rows[t]): the cofactor row of the remainder
-    of p == sum(quotients[t] * divisors[t]) + r, from the rows of p and the divisors."""
-    for qt, other in zip(quotients, rows):
-        if not qt.is_zero():
-            row = [a - qt * b for a, b in zip(row, other)]
+def _combine(coeffs: Sequence[Polynomial], rows, start: list[Polynomial]) -> list[Polynomial]:
+    """start + sum(coeffs[t] * rows[t]), entry by entry, skipping the zero
+    coefficients: with tau from `_s_pair` and the cofactor rows of G, the
+    cofactor row of the remainder, or a syzygy of the input generators."""
+    row = start
+    for c, other in zip(coeffs, rows):
+        if not c.is_zero():
+            row = [a + c * b for a, b in zip(row, other)]
     return row
+
+
+def basis_syzygies(gb: GroebnerBasis) -> list[list[Polynomial]]:
+    """The S-pair syzygy tau of each pair i < j of ``gb.elements``; by
+    Schreyer's theorem they generate all relations among the elements."""
+    G = gb.elements
+    syzygies = []
+    for i in range(len(G)):
+        for j in range(i + 1, len(G)):
+            r, tau = _s_pair(G, gb.triples, i, j, gb.order, True)
+            if not r.is_zero():
+                raise AssertionError("S-pair of a Groebner basis must reduce to zero")
+            syzygies.append(tau)
+    return syzygies
 
 
 def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
@@ -219,7 +224,8 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
     G: list[Polynomial] = []
     leads: list[Exponents] = []
     triples: list[Triple] = []        # divisor triples of G
-    rows: list[list[Polynomial]] = []  # aligned with G when tracking
+    rows: list[list[Polynomial]] = []  # cofactor rows aligned with G, when tracking
+    zero_row = [context.zero()] * len(gens)
     # the open pairs, as a set for the chain criterion and as a heap of
     # (lcm degree, lcm order key, i, j) for selection; a pair leaves both
     # only when popped, so they always hold the same pairs
@@ -258,9 +264,9 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
                 break
         if chain:
             continue
-        r, lift = _s_pair(G, triples, i, j, order, track_cofactors)
+        r, tau = _s_pair(G, triples, i, j, order, track_cofactors)
         if not r.is_zero():
-            add_element(r, lift(rows) if track_cofactors else None)
+            add_element(r, _combine(tau, rows, zero_row) if track_cofactors else None)
 
     # minimal generating set of the lead ideal
     by_lead = sorted(range(len(G)), key=lambda k: order.key(leads[k]))
@@ -279,7 +285,8 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
         other_triples = final_triples[:idx] + final_triples[idx + 1:]
         if track_cofactors:
             final[idx], q = normal_form(final[idx], others, order, True, other_triples)
-            final_rows[idx] = _lift(final_rows[idx], q, final_rows[:idx] + final_rows[idx + 1:])
+            rest = final_rows[:idx] + final_rows[idx + 1:]
+            final_rows[idx] = _combine([-qt for qt in q], rest, final_rows[idx])
         else:
             final[idx] = normal_form(final[idx], others, order, False, other_triples)
         lead, lc, _ = final_triples[idx]
@@ -315,18 +322,17 @@ class SyzygyBasis:
 def syzygy_columns(gb: GroebnerBasis) -> list[list[Polynomial]]:
     """Schreyer syzygies of ``gb.input_gens``, one relation per list entry.
 
-    Lifts every S-pair reduction of the basis through the cofactor
-    matrix, then adds the columns e_i - sum_j B[i][j] A[j] accounting
-    for the generators' own reductions.  A zero input generator yields
-    the trivial relation e_i, which any generating set of relations
-    must contain.
+    Maps every S-pair syzygy tau of the basis through the cofactor
+    matrix A, as tau * A, then adds the columns e_i - sum_j B[i][j] A[j]
+    accounting for the generators' own reductions.  A zero input
+    generator yields the trivial relation e_i, which any generating set
+    of relations must contain.
     """
     if gb.cofactors is None:
         raise ValueError("syzygies need a basis computed with cofactor tracking")
     gens = gb.input_gens
-    order = gb.order
-    G = gb.elements
     A = gb.cofactors
+    zero_row = [gb.context.zero()] * len(gens)
 
     columns: list[list[Polynomial]] = []
 
@@ -334,13 +340,8 @@ def syzygy_columns(gb: GroebnerBasis) -> list[list[Polynomial]]:
         if any(not c.is_zero() for c in col):
             columns.append(col)
 
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            r, lift = _s_pair(G, gb.triples, i, j, order, True)
-            if not r.is_zero():
-                raise AssertionError("S-pair of a Groebner basis must reduce to zero")
-            # tau = x^mi e_i - x^mj e_j - q, a syzygy of G; push tau * A
-            push(lift(A))
+    for tau in basis_syzygies(gb):
+        push(_combine(tau, A, zero_row))
 
     for i, g in enumerate(gens):
         unit = _unit_row(gb.context, len(gens), i)
@@ -350,7 +351,7 @@ def syzygy_columns(gb: GroebnerBasis) -> list[list[Polynomial]]:
         r, b = gb.normal_form(g, with_quotients=True)
         if not r.is_zero():
             raise AssertionError("generator must reduce to zero against its own basis")
-        push(_lift(unit, b, A))
+        push(_combine([-bt for bt in b], A, unit))
 
     return columns
 

@@ -1,12 +1,13 @@
 """Graded Hom spaces and Hilbert-scheme tangent spaces.
 
 A degree-t homomorphism phi: I -> S/J is pinned down by the images
-phi(g_i) in (S/J)_{deg g_i + t}, one unknown coefficient per standard
-monomial; the relations are exactly that every syzygy of the g_i must
-map to zero.  Restricting to homomorphisms that kill a smaller ideal
-I_X (for curves inside a fixed ambient variety X) adds one equation
-block per generator of I_X, written in terms of the g_i by the source's
-Groebner basis.
+phi(g_i) in (S/J)_{deg g_i + t} of the elements g_i of I's reduced
+grevlex basis (Hom does not depend on the generators), one unknown per
+standard monomial; the relations are that the basis's S-pair syzygies,
+which generate all syzygies of the g_i (Schreyer), map to zero.
+Restricting to homomorphisms that kill a smaller ideal I_X (for curves
+inside a fixed ambient variety X) adds one equation block per
+generator of I_X: the quotients of its division by the basis.
 
 The dimension of the degree-0 part of Hom(I_C, S/I_C) is the tangent
 space to the Hilbert scheme of the ambient projective space at [C];
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .groebner import syzygy_columns
+from .groebner import basis_syzygies
 from .hilbert import standard_monomials
 from .ideals import Ideal
 from .linalg import SparseEchelon
@@ -49,21 +50,17 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     if target.is_unit():
         return 0
 
-    gb = source.groebner(GREVLEX, track_cofactors=True)
+    gb = source.groebner(GREVLEX)
     if len(gb) == 0:
         return 0
     tgb = target.groebner(GREVLEX)
-    gens = gb.input_gens
 
-    # one unknown per (generator, standard monomial of matching degree);
-    # the standard monomials of each degree are listed once
+    # one unknown per (basis element, standard monomial of matching
+    # degree); the standard monomials of each degree are listed once
     unknown_index: dict[tuple[int, Exponents], int] = {}
-    bases: list[list[Exponents] | None] = []
+    bases: list[list[Exponents]] = []
     by_degree: dict[int, list[Exponents]] = {}
-    for i, g in enumerate(gens):
-        if g.is_zero():
-            bases.append(None)
-            continue
+    for i, g in enumerate(gb):
         d = g.total_degree() + twist
         if d not in by_degree:
             by_degree[d] = standard_monomials(target, d) if d >= 0 else []
@@ -90,7 +87,7 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
         """One equation block: sum_i coeffs[i] * phi(g_i) = 0 in S/target."""
         rows: dict[Exponents, dict[int, Fraction]] = {}
         for i, c in enumerate(coeffs):
-            if c.is_zero() or bases[i] is None:
+            if c.is_zero():
                 continue
             for m in bases[i]:
                 u = unknown_index[(i, m)]
@@ -104,13 +101,15 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
             if row:
                 ech.add_row(row)
 
-    for column in syzygy_columns(gb):
-        impose(list(column))
+    for tau in basis_syzygies(gb):
+        impose(tau)
 
     if within is not None:
         for w in within.gens:
-            if not w.is_zero():
-                impose(gb.express(w))
+            r, q = gb.normal_form(w, with_quotients=True)
+            if not r.is_zero():
+                raise AssertionError("ambient generator must reduce to zero by the source basis")
+            impose(q)
 
     return len(unknown_index) - ech.rank
 

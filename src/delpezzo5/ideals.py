@@ -41,16 +41,12 @@ class Ideal:
     # ------------------------------------------------------------------
     # Groebner bases and membership
 
-    def groebner(self, order: MonomialOrder = GREVLEX, track_cofactors: bool = False) -> GroebnerBasis:
-        cached = self._gb_cache.get(order)
-        if cached is not None and (not track_cofactors or cached.cofactors is not None):
-            return cached
-        if self.gens:
-            gb = reduced_groebner_basis(self.gens, order, track_cofactors)
-        else:
-            gb = GroebnerBasis(self.context, order, (), (),
-                               () if track_cofactors else None)
-        self._gb_cache[order] = gb
+    def groebner(self, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
+        gb = self._gb_cache.get(order)
+        if gb is None:
+            gb = reduced_groebner_basis(self.gens, order) if self.gens \
+                else GroebnerBasis(self.context, order, (), ())
+            self._gb_cache[order] = gb
         return gb
 
     def normal_form(self, p: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
@@ -215,17 +211,10 @@ class Ideal:
 
         Equals the intersection of the single-variable saturations; a
         pigeonhole argument on monomials in m^k shows the intersection
-        is no larger than (I : m^inf).  A variable x in I gives
-        (I : x^inf) = (1), which the intersection ignores, so it is left
-        out.  A proper ideal holds x exactly when its reduced grevlex
-        basis holds x itself; the unit ideal, whose basis is (1), goes
-        through the fold and comes out as (1)."""
-        basis = self.groebner().elements
-        outside = [name for name, x in zip(self.context.variables, self.context.gens())
-                   if x not in basis]
-        if not outside:
-            return Ideal(self.context, [self.context.one()])
-        return _meet_all(map(self.saturate_variable, outside))
+        is no larger than (I : m^inf).  The fold leaves out the
+        variables that lie in I."""
+        return self._fold(Ideal(self.context, self.context.gens()), "saturation",
+                          lambda x: self.saturate_variable(_as_variable(x)))
 
     def eliminate(self, names: Sequence[str]) -> "Ideal":
         """Contract to the subring without the named variables."""
@@ -240,8 +229,10 @@ class Ideal:
 
     def _fold(self, other, what: str, single) -> "Ideal":
         """Meet of ``single(g)`` over the nonzero divisors g of the
-        polynomial or ideal ``other``; the unit ideal, with a warning,
-        when there are none."""
+        polynomial or ideal ``other`` that I does not contain: for g in I,
+        (I : g) = (I : g^inf) = (1), which the meet ignores.  The unit
+        ideal when no divisor is left, with a warning when ``other`` has
+        no nonzero divisor at all."""
         if isinstance(other, Polynomial):
             if other.context != self.context:
                 raise ValueError(f"{what} divisor from a different ring context")
@@ -252,8 +243,10 @@ class Ideal:
         nonzero = [g for g in divisors if not g.is_zero()]
         if not nonzero:
             warnings.warn(f"{what} by the zero ideal is the unit ideal")
+        outside = [g for g in nonzero if not self.contains(g)]
+        if not outside:
             return Ideal(self.context, [self.context.one()])
-        return _meet_all(map(single, nonzero))
+        return _meet_all(map(single, outside))
 
     def _check_same_context(self, other: "Ideal") -> None:
         if not isinstance(other, Ideal):

@@ -114,7 +114,10 @@ class _Suite:
 
 
 def run_suite(name: str, check_degree: int = 8) -> VerificationReport:
-    """Run one named suite, or all of them concatenated."""
+    """Run one named suite, or all of them concatenated.  A window below
+    degree 1 is rejected: hilbert-oracle promises 7 sections there."""
+    if check_degree < 1:
+        raise ValueError(f"check degree must be at least 1, got {check_degree}")
     builders = {
         "section-2": _section_2,
         "section-3": _section_3,

@@ -10,7 +10,7 @@ from delpezzo5 import dp5, tables
 from delpezzo5.hilbert import (HilbertPolynomial, hilbert_function,
                                hilbert_polynomial)
 from delpezzo5.homspaces import tangent_dimension
-from delpezzo5.ideals import Ideal
+from delpezzo5.ideals import Ideal, _meet_all
 from delpezzo5.polyring import parse_polynomial
 
 MODEL = dp5.build_model()
@@ -201,6 +201,24 @@ class TestResidualQuartic:
         # the quotient of the saturated section needs no second saturation
         curve = dp5.residual_quartic(MODEL, "l2", (1, 3)).curve
         assert curve.saturate_irrelevant() == curve
+
+    def test_picked_forms_are_not_divided_out(self, monkeypatch):
+        # the section holds the two picked forms, so (I : s) = (1) for
+        # them and the quotient by the line skips them
+        names = tables.LINE_GENS["l2"]
+        quintic = dp5.residual_quartic(MODEL, "l2", (1, 3)).quintic
+        every = _meet_all(map(quintic.quotient_variable, names))
+        seen = []
+        plain = Ideal.quotient_variable
+
+        def counted(self, name):
+            seen.append(name)
+            return plain(self, name)
+
+        monkeypatch.setattr(Ideal, "quotient_variable", counted)
+        curve = dp5.residual_quartic(MODEL, "l2", (1, 3)).curve
+        assert seen == [n for k, n in enumerate(names) if k not in (1, 3)]
+        assert curve.groebner().elements == every.groebner().elements
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

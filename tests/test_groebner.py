@@ -290,6 +290,12 @@ def reference_normal_form(p, divisors, order=GREVLEX, with_quotients=False, trip
     return r, [Polynomial(p.context, q) for q in quotients]
 
 
+def combine_rows(coeffs, rows, start):
+    """start + sum(coeffs[t] * rows[t]), entry by entry."""
+    return [a + sum((c * row[k] for c, row in zip(coeffs, rows)), a.context.zero())
+            for k, a in enumerate(start)]
+
+
 def reference_basis(gens, order):
     """Buchberger with cofactors, selecting at each step the open pair with
     the smallest (lcm degree, lcm order key, i, j) by a linear ``min()``.
@@ -324,12 +330,12 @@ def reference_basis(gens, order):
         if any(k not in (i, j) and mono_divides(leads[k], lcm)
                and not open_pair(i, k) and not open_pair(j, k) for k in range(len(G))):
             continue
-        r, lift = groebner._s_pair(G, groebner.divisor_triples(G, order), i, j, order, True)
+        r, tau = groebner._s_pair(G, groebner.divisor_triples(G, order), i, j, order, True)
         if r.is_zero():
             continue
         lc = r.lead_coefficient(order)
         G.append(r / lc)
-        rows.append([a / lc for a in lift(rows)])
+        rows.append([a / lc for a in combine_rows(tau, rows, [context.zero()] * len(gens))])
         leads.append(r.lead_monomial(order))
         pairs.update((k, len(G) - 1) for k in range(len(G) - 1))
 
@@ -342,8 +348,8 @@ def reference_basis(gens, order):
     for idx in range(len(final)):
         final[idx], q = reference_normal_form(final[idx], final[:idx] + final[idx + 1:],
                                               order, with_quotients=True)
-        final_rows[idx] = groebner._lift(final_rows[idx], q,
-                                         final_rows[:idx] + final_rows[idx + 1:])
+        final_rows[idx] = combine_rows([-qt for qt in q], final_rows[:idx] + final_rows[idx + 1:],
+                                       final_rows[idx])
     desc = sorted(range(len(final)), key=lambda k: order.key(final[k].lead_monomial(order)),
                   reverse=True)
     return GroebnerBasis(context, order, [final[k] for k in desc], gens,
@@ -390,6 +396,32 @@ class TestReferenceSelection:
             assert ref.cofactors == gb.cofactors
             if syz is not None:
                 assert syzygy_columns(ref) == syz
+
+
+class TestContextChecks:
+    def test_foreign_divisor_rejected(self):
+        p = parse_polynomial("x^2*y", XY)
+        for divisors in ([parse_polynomial("x", XY), parse_polynomial("y", XYZ)],
+                         [parse_polynomial("y", XYZ), parse_polynomial("x", XY)]):
+            with pytest.raises(ValueError, match="ring context"):
+                normal_form(p, divisors)
+
+    def test_foreign_polynomial_rejected_by_a_basis(self):
+        gb = reduced_groebner_basis([parse_polynomial("x", XY), parse_polynomial("y^2", XY)])
+        with pytest.raises(ValueError, match="ring context"):
+            gb.normal_form(parse_polynomial("x*z", XYZ))
+
+
+class TestBasisSyzygies:
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    def test_one_syzygy_per_pair(self, order):
+        gb = reduced_groebner_basis(ORBIT_QUADRICS, order)
+        syzygies = groebner.basis_syzygies(gb)
+        n = len(gb)
+        assert len(syzygies) == n * (n - 1) // 2
+        for tau in syzygies:
+            assert len(tau) == n
+            assert sum((t * g for t, g in zip(tau, gb.elements)), ORBIT.zero()).is_zero()
 
 
 class TestGroebnerBasisObject:

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from delpezzo5 import dp5, homspaces
-from delpezzo5.groebner import syzygy_columns
+from delpezzo5.groebner import normal_form, reduced_groebner_basis, syzygy_columns
 from delpezzo5.hilbert import degree_monomials, standard_monomials
 from delpezzo5.homspaces import graded_hom_dimension, tangent_dimension
 from delpezzo5.ideals import Ideal
 from delpezzo5.linalg import SparseEchelon
-from delpezzo5.polyring import GREVLEX, Polynomial, RingContext, parse_polynomial
+from delpezzo5.polyring import (GREVLEX, Polynomial, RingContext, mono_div, mono_lcm,
+                                parse_polynomial)
 
 XY = RingContext(("x", "y"))
 P3 = RingContext(("x", "y", "z", "w"))
@@ -121,18 +122,11 @@ class TestPresentationIndependence:
                           for _ in range(rng.randint(1, 2))])
 
 
-def reference_hom_rows(source, target, twist=0, within=None):
-    """The unknowns and equation rows of the graded Hom solve, each product
-    c * x^m reduced on its own by the target's basis, as before the solve
-    reduced each monomial once; None when the solve stops before any row."""
-    if target.is_unit():
-        return None
-    gb = source.groebner(GREVLEX, track_cofactors=True)
-    if len(gb) == 0:
-        return None
-    tgb = target.groebner(GREVLEX)
+def presentation_unknowns(gens, target, twist):
+    """Standard-monomial lists per generator (None for a zero one) and the
+    index of each unknown (generator, standard monomial)."""
     unknown_index, bases = {}, []
-    for i, g in enumerate(gb.input_gens):
+    for i, g in enumerate(gens):
         if g.is_zero():
             bases.append(None)
             continue
@@ -140,11 +134,12 @@ def reference_hom_rows(source, target, twist=0, within=None):
         bases.append(standard_monomials(target, d) if d >= 0 else [])
         for m in bases[-1]:
             unknown_index[(i, m)] = len(unknown_index)
-    if not unknown_index:
-        return None
-    blocks = [list(column) for column in syzygy_columns(gb)]
-    if within is not None:
-        blocks += [gb.express(w) for w in within.gens if not w.is_zero()]
+    return unknown_index, bases
+
+
+def product_rows(blocks, unknown_index, bases, tgb):
+    """The equation rows of each block sum_i c_i * phi(g_i) = 0, every
+    product c_i * x^m reduced on its own by the target's basis."""
     all_rows = []
     for coeffs in blocks:
         rows = {}
@@ -158,7 +153,71 @@ def reference_hom_rows(source, target, twist=0, within=None):
                     row = rows.setdefault(mono, {})
                     row[u] = row.get(u, Fraction(0)) + value
         all_rows += rows.values()
-    return len(unknown_index), all_rows
+    return all_rows
+
+
+def s_pair_syzygies(gb):
+    """tau = x^mi e_i - x^mj e_j - q for each pair i < j of basis elements,
+    formed here from a division of the S-pair by the basis."""
+    G, ctx, leads = gb.elements, gb.context, gb.lead_monomials()
+    blocks = []
+    for i in range(len(G)):
+        for j in range(i + 1, len(G)):
+            lcm = mono_lcm(leads[i], leads[j])
+            xi, xj = ctx.monomial(mono_div(lcm, leads[i])), ctx.monomial(mono_div(lcm, leads[j]))
+            r, q = normal_form(xi * G[i] - xj * G[j], G, GREVLEX, with_quotients=True)
+            assert r.is_zero()
+            tau = [-qt for qt in q]
+            tau[i] += xi
+            tau[j] -= xj
+            blocks.append(tau)
+    return blocks
+
+
+def reference_hom_rows(source, target, twist=0, within=None):
+    """The unknowns and equation rows of the graded Hom solve on the
+    source's reduced basis, each product c * x^m reduced on its own by the
+    target's basis, as before the solve reduced each monomial once; None
+    when the solve stops before any row."""
+    if target.is_unit():
+        return None
+    gb = source.groebner(GREVLEX)
+    if len(gb) == 0:
+        return None
+    unknown_index, bases = presentation_unknowns(gb.elements, target, twist)
+    if not unknown_index:
+        return None
+    blocks = s_pair_syzygies(gb)
+    if within is not None:
+        blocks += [gb.normal_form(w, with_quotients=True)[1] for w in within.gens]
+    return len(unknown_index), product_rows(blocks, unknown_index, bases,
+                                            target.groebner(GREVLEX))
+
+
+def input_generator_hom_dimension(source, target, twist=0, within=None):
+    """The Hom dimension on the input generators of the source instead of
+    its reduced basis: their Schreyer syzygies, and each ambient generator
+    written in them through the cofactors of a tracked basis."""
+    if target.is_unit():
+        return 0
+    gb = reduced_groebner_basis(source.gens, GREVLEX, track_cofactors=True)
+    if len(gb) == 0:
+        return 0
+    unknown_index, bases = presentation_unknowns(gb.input_gens, target, twist)
+
+    def express(p):
+        r, q = gb.normal_form(p, with_quotients=True)
+        assert r.is_zero()
+        return [sum((qt * row[k] for qt, row in zip(q, gb.cofactors)), source.context.zero())
+                for k in range(len(gb.input_gens))]
+
+    blocks = [list(column) for column in syzygy_columns(gb)]
+    if within is not None:
+        blocks += [express(w) for w in within.gens]
+    ech = SparseEchelon()
+    for row in product_rows(blocks, unknown_index, bases, target.groebner(GREVLEX)):
+        ech.add_row(row)
+    return len(unknown_index) - ech.rank
 
 
 def row_multiset(rows):
@@ -167,7 +226,9 @@ def row_multiset(rows):
 
 class TestReferenceSolve:
     """The per-solve monomial memo must feed the echelon exactly the rows
-    that reducing every product c * x^m on its own gives."""
+    that reducing every product c * x^m on its own gives, and the solve on
+    the reduced basis must give the dimension of the solve on the input
+    generators."""
 
     def check(self, monkeypatch, source, target, twist=0, within=None):
         fed = []
@@ -179,6 +240,7 @@ class TestReferenceSolve:
 
         monkeypatch.setattr(homspaces, "SparseEchelon", Recording)
         dim = graded_hom_dimension(source, target, twist, within)
+        assert dim == input_generator_hom_dimension(source, target, twist, within)
         ref = reference_hom_rows(source, target, twist, within)
         if ref is None:
             assert dim == 0 and fed == []

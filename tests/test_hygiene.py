@@ -1,5 +1,6 @@
 """Source hygiene: every module of the package uses each name it imports,
-and every name the benchmark's tracer rebinds still exists."""
+imports no private name of another package module, and every name the
+benchmark's tracer rebinds still exists."""
 import ast
 import importlib
 import importlib.util
@@ -33,6 +34,29 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names imported from a module of the package,
+    by a relative import or by the package's absolute name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == PACKAGE.name):
+            found += [a.name for a in node.names if a.name.startswith("_")]
+    return sorted(found)
+
+
+def test_detector_flags_a_private_import():
+    source = ("from .groebner import _s_pair, normal_form\n"
+              "from delpezzo5.ideals import _meet\n"
+              "from os import _exit\n")
+    assert private_imports(source) == ["_meet", "_s_pair"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def load_spans():

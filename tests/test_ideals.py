@@ -1,6 +1,7 @@
 """Ideal calculus: sum, product, intersection, quotient, saturation,
 elimination, comparison, and torus-fixedness."""
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,34 @@ class TestQuotient:
         I = ideal(X, "x^2")
         assert I.quotient(ideal(X, "x")) == ideal(X, "x") \
             == I._quotient_poly(X.variable("x"))
+
+    def test_divisors_in_the_ideal_are_skipped(self, monkeypatch):
+        # (I : x) = (1) for x in I, which the meet ignores
+        I = ideal(XYZ, "x", "y*z")
+        seen = []
+        plain = Ideal.quotient_variable
+
+        def counted(self, name):
+            seen.append(name)
+            return plain(self, name)
+
+        monkeypatch.setattr(Ideal, "quotient_variable", counted)
+        assert I.quotient(ideal(XYZ, "x", "y")) == ideal(XYZ, "x", "z")
+        assert seen == ["y"]
+
+    def test_every_divisor_in_the_ideal_gives_unit_without_warning(self, monkeypatch):
+        I = ideal(XYZ, "x^2 - y*z", "y^3")
+
+        def refuse(self, f):
+            raise AssertionError("a divisor in the ideal was divided out")
+
+        monkeypatch.setattr(Ideal, "_quotient_single", refuse)
+        monkeypatch.setattr(Ideal, "_saturate_poly", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Q = I.quotient(ideal(XYZ, "y^3", "x^2*y - y^2*z"))
+            S = I.saturate(parse_polynomial("y^4", XYZ))
+        assert Q.gens == S.gens == (XYZ.one(),)
 
     def test_divisor_from_another_ring_rejected(self):
         # x of another ring: the variable fast path must not look the

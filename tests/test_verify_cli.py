@@ -32,6 +32,13 @@ class TestReports:
         with pytest.raises(ValueError):
             run_suite("section-99")
 
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_vacuous_check_degree_rejected(self, degree):
+        # hilbert-oracle promises 7 sections in degree 1; an empty or
+        # degree-0 window would pass it without looking
+        with pytest.raises(ValueError, match="check degree"):
+            run_suite("section-3", check_degree=degree)
+
     def test_census_crash_is_a_failed_check(self, monkeypatch):
         def broken(model):
             raise RuntimeError("census unavailable")
@@ -266,6 +273,12 @@ class TestCLI:
         missing = str(tmp_path / "nope.txt")
         assert cli.main(["gb", missing]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_vacuous_check_degree_exit_two(self, capsys):
+        assert cli.main(["suite", "all", "--check-degree", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: check degree")
 
     def test_bad_pick_exit_two(self, capsys):
         assert cli.main(["residual", "--line", "l0", "--pick", "0,7"]) == 2
