@@ -131,6 +131,9 @@ class GroebnerBasis:
                              else triples)
 
     def normal_form(self, p: Polynomial, with_quotients: bool = False):
+        # checked here too: the zero ideal has no element to check against
+        if p.context != self.context:
+            raise ValueError("ring context mismatch")
         return normal_form(p, self.elements, self.order, with_quotients, self.triples)
 
     def contains(self, p: Polynomial) -> bool:

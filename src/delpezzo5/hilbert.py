@@ -10,7 +10,7 @@ sufficiently large degree, and the tests insist on it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterator, Sequence
 
 from .ideals import Ideal
@@ -120,7 +120,9 @@ def hilbert_function(ideal: Ideal, d: int, order: MonomialOrder = GREVLEX) -> in
 
 def hilbert_function_direct(ideal: Ideal, d: int) -> int:
     """Groebner-free oracle: dim S_d minus the rank of all degree-d
-    multiples of the generators, by sparse row reduction."""
+    multiples of the generators, by sparse row reduction.  Each
+    generator is scaled once to integer coefficients, which leaves the
+    row space unchanged."""
     if d < 0:
         return 0
     context = ideal.context
@@ -134,8 +136,10 @@ def hilbert_function_direct(ideal: Ideal, d: int) -> int:
         gd = g.total_degree()
         if g.is_zero() or gd > d:
             continue
+        den = lcm(*(c.denominator for c in g.terms.values()))
+        terms = [(m, c.numerator * (den // c.denominator)) for m, c in g.terms.items()]
         for shift in degree_monomials(n, d - gd):
-            row = {col[tuple(a + b for a, b in zip(shift, m))]: c for m, c in g.terms.items()}
+            row = {col[tuple(a + b for a, b in zip(shift, m))]: c for m, c in terms}
             ech.add_row(row)
     return comb(d + n - 1, n - 1) - ech.rank
 

@@ -2,13 +2,17 @@
 
 One incremental sparse echelon form, used by the graded Hom solver and
 the Hilbert-function rank oracle, with reduced row echelon form, rank
-and row-space comparison of small dense matrices built on it.  All
-entries are Fractions; there is no floating point and no pivoting
-heuristics that could change results between runs.
+and row-space comparison of small dense matrices built on it.  The
+echelon holds each pivot row as an exact integer multiple of itself
+(fraction-free elimination, cf. Bareiss 1968), so its rank is exact over
+the rationals with Python ints alone; `rref` returns Fractions.  There
+is no floating point, no modulus and no pivoting heuristic that could
+change results between runs.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Row = list[Fraction]
@@ -16,8 +20,8 @@ Row = list[Fraction]
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form and pivot columns: the rows go through
-    one SparseEchelon, whose pivot rows are then back-substituted, last
-    pivot first."""
+    one SparseEchelon, whose pivot rows, divided by their leads, are
+    then back-substituted, last pivot first."""
     if not rows:
         return [], []
     ncols = len(rows[0])
@@ -27,9 +31,11 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
     pivots = sorted(ech._pivots)
     reduced: dict[int, Row] = {}
     for col in reversed(pivots):
+        pivot = ech._pivots[col]
+        lead = pivot[col]
         row = [Fraction(0)] * ncols
-        for c, v in ech._pivots[col].items():
-            row[c] = v
+        for c, v in pivot.items():
+            row[c] = Fraction(v, lead)
         for done_col, done in reduced.items():
             f = row[done_col]
             if f:
@@ -50,12 +56,37 @@ def row_space_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fracti
     return ra == rb
 
 
+def _integer_row(row: dict) -> dict:
+    """The nonzero entries of a row, scaled by the lcm of their
+    denominators to ints.  An int is kept; any other value is read as
+    a Fraction first, so that a float is never used inexactly."""
+    ints: dict = {}
+    fracs: dict = {}
+    for c, v in row.items():
+        if v:
+            if type(v) is int:
+                ints[c] = v
+            else:
+                fracs[c] = v if type(v) is Fraction else Fraction(v)
+    if not fracs:
+        return ints
+    den = lcm(*(v.denominator for v in fracs.values()))
+    if den != 1:
+        ints = {c: v * den for c, v in ints.items()}
+    for c, v in fracs.items():
+        ints[c] = v.numerator * (den // v.denominator)
+    return ints
+
+
 class SparseEchelon:
     """Incremental echelon form on sparse rows {column: coefficient}.
 
     Rows are reduced against stored pivots as they arrive; the running
     rank is the number of stored pivot rows.  Column keys only need to
-    be hashable and totally ordered.
+    be hashable and totally ordered.  Values may be ints, Fractions or
+    anything `Fraction` accepts; each row is scaled to ints on arrival,
+    and each stored pivot row is primitive (its entries are ints with
+    gcd 1) with a positive lead, so no entry is ever a Fraction.
     """
 
     def __init__(self):
@@ -66,20 +97,29 @@ class SparseEchelon:
         return len(self._pivots)
 
     def add_row(self, row: dict) -> bool:
-        """Insert a row; True when it enlarged the row space.  A value
-        whose class is exactly Fraction is kept as it is; any other is
-        converted, so that no pivot is inverted as a float."""
-        work = {c: v if type(v) is Fraction else Fraction(v) for c, v in row.items() if v}
+        """Insert a row; True when it enlarged the row space.  Against a
+        pivot with lead a, a row whose entry in that column is b becomes
+        (a/g)*row - (b/g)*pivot with g = gcd(a, b), which changes the
+        row only by a nonzero factor."""
+        work = _integer_row(row)
         while work:
             col = min(work)
             pivot = self._pivots.get(col)
             if pivot is None:
-                inv = 1 / work[col]
-                self._pivots[col] = {c: v * inv for c, v in work.items()}
+                g = gcd(*work.values())
+                if work[col] < 0:
+                    g = -g
+                if g != 1:
+                    work = {c: v // g for c, v in work.items()}
+                self._pivots[col] = work
                 return True
-            factor = work[col]
+            a, b = pivot[col], work[col]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                work = {c: v * a for c, v in work.items()}
             for c, v in pivot.items():
-                acc = work.get(c, 0) - factor * v
+                acc = work.get(c, 0) - b * v
                 if acc:
                     work[c] = acc
                 else:

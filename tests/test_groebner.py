@@ -10,6 +10,7 @@ from delpezzo5 import groebner
 from delpezzo5.groebner import (GroebnerBasis, normal_form, reduced_groebner_basis,
                                 syzygy_basis, syzygy_columns)
 from delpezzo5.hilbert import degree_monomials
+from delpezzo5.ideals import Ideal
 from delpezzo5.linalg import SparseEchelon
 from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext,
                                 block_split, mono_degree, mono_div,
@@ -410,6 +411,14 @@ class TestContextChecks:
         gb = reduced_groebner_basis([parse_polynomial("x", XY), parse_polynomial("y^2", XY)])
         with pytest.raises(ValueError, match="ring context"):
             gb.normal_form(parse_polynomial("x*z", XYZ))
+
+    def test_foreign_polynomial_rejected_by_the_zero_ideal(self):
+        zero = Ideal(XY, [XY.zero()])
+        x_z = parse_polynomial("x*z", XYZ)
+        with pytest.raises(ValueError, match="ring context"):
+            zero.contains(x_z)
+        with pytest.raises(ValueError, match="ring context"):
+            zero.groebner().normal_form(x_z)
 
 
 class TestBasisSyzygies:

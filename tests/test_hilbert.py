@@ -63,6 +63,27 @@ class TestHilbertFunction:
             for d in range(7):
                 assert hilbert_function(I, d) == hilbert_function_direct(I, d)
 
+    @pytest.mark.parametrize("variables", [("x", "y", "z"), ("x", "y", "z", "w")])
+    def test_direct_clears_denominators(self, variables):
+        # rational coefficients and a zero generator, which the direct
+        # oracle scales to integer rows or skips; the last two generators
+        # depend rationally on the quadrics, so a wrongly scaled
+        # coefficient would raise the rank
+        ctx = RingContext(variables)
+        rng = random.Random(len(variables))
+        coeffs = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-7, 6), 3)
+        for _ in range(6):
+            gens = [ctx.zero()]
+            for d in (1, 2, 2, 3):
+                picks = rng.sample(list(degree_monomials(ctx.nvars, d)), k=3)
+                gens.append(Polynomial(ctx, {m: rng.choice(coeffs) for m in picks}))
+            a, b = gens[2], gens[3]
+            gens += [a * Fraction(-2, 3), a * Fraction(5, 7) - b * Fraction(1, 2)]
+            rng.shuffle(gens)
+            I = Ideal(ctx, gens)
+            for d in range(7):
+                assert hilbert_function_direct(I, d) == hilbert_function(I, d)
+
     def test_generating_set_independence(self):
         rng = random.Random(97)
         for _ in range(8):

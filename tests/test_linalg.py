@@ -1,5 +1,6 @@
 """Reduced row echelon form, rank and row-space comparison, checked
 against a dense Gauss-Jordan reference kept here for that purpose."""
+import math
 import random
 from fractions import Fraction
 
@@ -86,9 +87,64 @@ def test_row_space_equal_matches_reference():
 
 
 def test_integer_rows_give_exact_pivots():
-    # an int pivot inverted as 1 / 3 would be a float
-    ech = SparseEchelon()
-    assert ech.add_row({0: 3, 1: 1})
-    assert not ech.add_row({0: Fraction(6), 1: 2})
-    assert ech._pivots == {0: {0: 1, 1: Fraction(1, 3)}}
-    assert all(type(v) is Fraction for v in ech._pivots[0].values())
+    # an int lead inverted as 1 / 3 would be a float
+    reduced, pivots = rref([[3, 1], [6, 2]])
+    assert (reduced, pivots) == ([[1, Fraction(1, 3)]], [0])
+    assert all(type(x) is Fraction for x in reduced[0])
+
+
+def integer_matrix(rng):
+    """Rows of each kind the echelon scales to ints on arrival: non-unit
+    denominators, ints mixed with Fractions, negative leads, entries
+    near 10**30 and exactly representable floats."""
+    ncols = rng.randint(1, 6)
+    big = 10 ** 30
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.2:
+            return 0
+        if kind < 0.4:
+            return rng.randint(-9, 9)
+        if kind < 0.6:
+            return Fraction(rng.randint(-9, 9), rng.choice((2, 3, 7, 12, 35)))
+        if kind < 0.75:
+            return rng.randint(-big, big)
+        if kind < 0.85:
+            return Fraction(rng.randint(-big, big), rng.randint(1, big))
+        return rng.choice((0.5, -0.25, 1.5, 3.0, -0.125))
+
+    # entries of both signs, so leads of both signs
+    rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, 6))]
+    if len(rows) >= 2 and rng.random() < 0.5:
+        a, b = rng.sample(rows, 2)
+        s = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        rows.append([Fraction(x) * s - Fraction(y) for x, y in zip(a, b)])
+    return rows
+
+
+INTEGER_MATRICES = [integer_matrix(random.Random(seed)) for seed in range(300)]
+
+
+def test_integer_representation_matches_reference():
+    for rows in INTEGER_MATRICES:
+        expected, pivots = dense_rref(rows)
+        assert rref(rows) == (expected, pivots)
+        assert rank(rows) == len(expected)
+        scaled = [[Fraction(x) * 10 ** 30 for x in row] for row in rows[::-1]]
+        assert row_space_equal(rows, scaled)
+        for other in (scaled, rows[1:]):
+            assert row_space_equal(rows, other) == (dense_rref(other)[0] == expected)
+
+
+def test_pivot_rows_are_primitive_integer_rows():
+    for rows in MATRICES + INTEGER_MATRICES:
+        ech = SparseEchelon()
+        for row in rows:
+            ech.add_row(dict(enumerate(row)))
+        assert ech.rank == len(dense_rref(rows)[0])
+        for col, pivot in ech._pivots.items():
+            assert min(pivot) == col
+            assert all(type(v) is int for v in pivot.values())
+            assert math.gcd(*pivot.values()) == 1
+            assert pivot[col] > 0

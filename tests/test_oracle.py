@@ -7,11 +7,13 @@ as sets of {exponents: coefficient} term dicts.
 """
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from delpezzo5 import dp5, verify
 from delpezzo5.groebner import reduced_groebner_basis
+from delpezzo5.hilbert import degree_monomials, hilbert_function_direct
 from delpezzo5.polyring import GREVLEX, LEX
 
 sympy = pytest.importorskip("sympy")
@@ -89,3 +91,26 @@ def test_computed_census(order):
 @pytest.mark.parametrize("order", ORDERS)
 def test_random_ideals(order):
     assert mismatches(random_ideals(), order) == []
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_direct_hilbert_function_against_sympy_rank(d):
+    """The rank oracle's echelon against sympy's: the Macaulay matrix of
+    all degree-d multiples of the threefold's generators, built here."""
+    ideal = MODEL.threefold
+    n = ideal.context.nvars
+    columns = list(degree_monomials(n, d))
+    index = {m: k for k, m in enumerate(columns)}
+    rows = []
+    for g in ideal.gens:
+        gd = g.total_degree()
+        if gd > d:
+            continue
+        for shift in degree_monomials(n, d - gd):
+            row = [0] * len(columns)
+            for m, c in g.terms.items():
+                row[index[tuple(a + b for a, b in zip(shift, m))]] = \
+                    sympy.Rational(c.numerator, c.denominator)
+            rows.append(row)
+    matrix_rank = sympy.Matrix(rows).rank() if rows else 0
+    assert hilbert_function_direct(ideal, d) == comb(d + n - 1, n - 1) - matrix_rank
