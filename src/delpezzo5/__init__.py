@@ -33,7 +33,9 @@ from .groebner import (
 )
 from .ideals import Ideal
 from .hilbert import (
+    CohenMacaulayCertificate,
     HilbertPolynomial,
+    certify_cohen_macaulay,
     hilbert_function,
     hilbert_function_direct,
     hilbert_polynomial,
@@ -56,6 +58,7 @@ __all__ = [
     "GREVLEX",
     "LEX",
     "BlockOrder",
+    "CohenMacaulayCertificate",
     "DP5Model",
     "GrevlexOrder",
     "GroebnerBasis",
@@ -69,6 +72,7 @@ __all__ = [
     "WeightedOrder",
     "block_split",
     "build_model",
+    "certify_cohen_macaulay",
     "coordinate_change_check",
     "elimination_order",
     "enumerate_fixed_quartics",

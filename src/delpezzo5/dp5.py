@@ -13,13 +13,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import tables
-from .hilbert import HilbertPolynomial, hilbert_function, hilbert_polynomial
+from .hilbert import (CohenMacaulayCertificate, HilbertPolynomial, certify_cohen_macaulay,
+                      hilbert_function, hilbert_polynomial)
 from .homspaces import graded_hom_dimension, tangent_dimension
 from .ideals import Ideal
 from .linalg import rank, row_space_equal
@@ -40,6 +41,13 @@ class DP5Model:
     hyperplanes: tuple        # three linear forms cutting the threefold
     images: Mapping           # orbit image of each Pluecker variable
     lines: Mapping            # torus-fixed lines, keyed l0/l1/l2
+
+    @cached_property
+    def threefold_certificate(self) -> CohenMacaulayCertificate:
+        """The threefold's Cohen-Macaulay certificate, computed on first
+        use (the first residual quartic), not by `build_model`, and kept
+        in this model's own dict, so it goes when the model goes."""
+        return certify_cohen_macaulay(self.threefold)
 
 
 @lru_cache(maxsize=1)
@@ -328,11 +336,13 @@ class ResidualQuartic:
     line: str                      # name of the fixed line L
     pick: tuple[int, int]          # which two generators of I_L cut the section
     sections: tuple                # the two linear forms themselves
-    quintic: Ideal                 # saturated curve section X cap s1 cap s2
+    quintic: Ideal                 # saturated curve section X + (s1, s2)
     curve: Ideal                   # residual of L inside the section
     quintic_hilbert: HilbertPolynomial
     curve_hilbert: HilbertPolynomial
     secant_hilbert: HilbertPolynomial | None   # None when L is a component
+    certified_section: bool        # True: certified saturated and kept as cut;
+                                   # False: saturated explicitly
     label: str = ""
     orbit_index: int | None = None
     relative_tangent: int | None = None
@@ -340,12 +350,15 @@ class ResidualQuartic:
 
 def residual_quartic(model: DP5Model, line: str, pick: Sequence[int]) -> ResidualQuartic:
     """Cut the threefold with two coordinate hyperplanes through the
-    line, saturate the section, then remove the line by an ideal
-    quotient; the quotient of a saturated ideal is saturated, since
-    (I : J) : m^inf = (I : m^inf) : J.  Records the section and residual
-    ideals and their Hilbert polynomials, plus the Hilbert polynomial of
-    the scheme intersection with the line when the line is not a
-    component."""
+    line, then remove the line by an ideal quotient.  The section is
+    saturated as it stands when the threefold's Cohen-Macaulay
+    certificate holds and the section is a curve: the two forms are then
+    a regular sequence, and the section ring has positive depth;
+    otherwise the section is saturated explicitly.  The quotient of a
+    saturated ideal is saturated, since (I : J) : m^inf = (I : m^inf) : J.
+    Records the section and residual ideals and their Hilbert
+    polynomials, plus the Hilbert polynomial of the scheme intersection
+    with the line when the line is not a component."""
     if line not in tables.LINE_GENS:
         raise ValueError(f"unknown fixed line {line!r}")
     i, j = sorted(pick)
@@ -354,8 +367,7 @@ def residual_quartic(model: DP5Model, line: str, pick: Sequence[int]) -> Residua
         raise ValueError("pick must be two distinct generator indices")
     s1 = model.orbit.variable(names[i])
     s2 = model.orbit.variable(names[j])
-    quintic = (model.threefold
-               + Ideal(model.orbit, (s1, s2))).saturate_irrelevant()
+    quintic, quintic_hilbert, certified = model.threefold_certificate.section((s1, s2))
     line_ideal = model.lines[line]
     curve = quintic.quotient(line_ideal)
     secant = None
@@ -366,9 +378,10 @@ def residual_quartic(model: DP5Model, line: str, pick: Sequence[int]) -> Residua
     return ResidualQuartic(
         line=line, pick=(i, j), sections=(s1, s2),
         quintic=quintic, curve=curve,
-        quintic_hilbert=hilbert_polynomial(quintic),
+        quintic_hilbert=quintic_hilbert,
         curve_hilbert=hilbert_polynomial(curve),
         secant_hilbert=secant,
+        certified_section=certified,
     )
 
 

@@ -6,16 +6,21 @@ the direct variant row-reduces generator multiples without any Groebner
 step, and the Hilbert polynomial comes from the series numerator of the
 lead-monomial ideal.  For a homogeneous ideal they must agree in every
 sufficiently large degree, and the tests insist on it.
+
+Serre's multiplicity criterion, read off these invariants, certifies
+that S/I is Cohen-Macaulay; a certified ideal's sections by a regular
+sequence are saturated as they stand.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import comb, factorial, lcm
 from typing import Iterator, Sequence
 
 from .ideals import Ideal
 from .linalg import SparseEchelon
-from .polyring import GREVLEX, Exponents, MonomialOrder, mono_divides
+from .polyring import GREVLEX, Exponents, MonomialOrder, Polynomial, mono_divides
 
 
 class HilbertPolynomial:
@@ -122,7 +127,10 @@ def hilbert_function_direct(ideal: Ideal, d: int) -> int:
     """Groebner-free oracle: dim S_d minus the rank of all degree-d
     multiples of the generators, by sparse row reduction.  Each
     generator is scaled once to integer coefficients, which leaves the
-    row space unchanged."""
+    row space unchanged.  Exponent tuples of degree at most d are packed
+    into integers in base d + 1, where multiplying monomials adds their
+    codes without carries; the shifts of each generator degree are
+    listed once."""
     if d < 0:
         return 0
     context = ideal.context
@@ -130,17 +138,26 @@ def hilbert_function_direct(ideal: Ideal, d: int) -> int:
     for g in ideal.gens:
         if not g.is_homogeneous():
             raise ValueError("Hilbert function needs homogeneous generators")
-    col = {m: i for i, m in enumerate(degree_monomials(n, d))}
+
+    def pack(m: Exponents) -> int:
+        code = 0
+        for e in m:
+            code = code * (d + 1) + e
+        return code
+
+    col = {pack(m): i for i, m in enumerate(degree_monomials(n, d))}
+    shifts: dict[int, list[int]] = {}
     ech = SparseEchelon()
     for g in ideal.gens:
         gd = g.total_degree()
         if g.is_zero() or gd > d:
             continue
+        if d - gd not in shifts:
+            shifts[d - gd] = [pack(s) for s in degree_monomials(n, d - gd)]
         den = lcm(*(c.denominator for c in g.terms.values()))
-        terms = [(m, c.numerator * (den // c.denominator)) for m, c in g.terms.items()]
-        for shift in degree_monomials(n, d - gd):
-            row = {col[tuple(a + b for a, b in zip(shift, m))]: c for m, c in terms}
-            ech.add_row(row)
+        terms = [(pack(m), c.numerator * (den // c.denominator)) for m, c in g.terms.items()]
+        for shift in shifts[d - gd]:
+            ech.add_row({col[shift + m]: c for m, c in terms})
     return comb(d + n - 1, n - 1) - ech.rank
 
 
@@ -260,3 +277,67 @@ def hilbert_polynomial(ideal: Ideal, order: MonomialOrder = GREVLEX) -> HilbertP
         for j, c in enumerate(_binomial_poly(n - 1 - k, n - 1)):
             coeffs[j] += nk * c
     return HilbertPolynomial(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Cohen-Macaulay certificate and sections that need no saturation
+
+class CohenMacaulayCertificate:
+    """Whether Serre's multiplicity criterion proved S/I Cohen-Macaulay,
+    with the Hilbert polynomial of S/I it was read from."""
+
+    __slots__ = ("ideal", "hilbert", "proven")
+
+    def __init__(self, ideal: Ideal, hilbert: HilbertPolynomial, proven: bool):
+        self.ideal = ideal
+        self.hilbert = hilbert
+        self.proven = proven
+
+    def section(self, forms: Sequence[Polynomial]) -> tuple[Ideal, HilbertPolynomial, bool]:
+        """(saturation of J, HP(S/J), certified) for J = I + (forms).
+
+        When the certificate is proven and the forms drop the degree of
+        the Hilbert polynomial by their number, leaving it nonnegative,
+        they are a regular sequence on S/I: S/J is Cohen-Macaulay of
+        positive dimension, so it has positive depth and J is returned
+        as it is (certified).  Otherwise J is saturated by the
+        irrelevant ideal, which leaves HP(S/J) as it is."""
+        cut = self.ideal + Ideal(self.ideal.context, forms)
+        hp = hilbert_polynomial(cut)
+        certified = (self.proven and hp.degree >= 0
+                     and hp.degree == self.hilbert.degree - len(forms))
+        return (cut if certified else cut.saturate_irrelevant()), hp, certified
+
+
+def certify_cohen_macaulay(ideal: Ideal) -> CohenMacaulayCertificate:
+    """Serre's multiplicity criterion on a fixed linear system of parameters.
+
+    With r the degree of the Hilbert polynomial, the r + 1 Vandermonde
+    forms theta_k = sum_i (i+1)^k x_i, k = 0..r, are tried as a system
+    of parameters: if S/(I + theta) is Artinian, its length is at least
+    the degree of S/I, with equality exactly when S/I is Cohen-Macaulay
+    (Bruns & Herzog, Cohen-Macaulay Rings, 4.7).  Not proven means S/I
+    is not Cohen-Macaulay, the forms are not a system of parameters, or
+    S/I defines the empty scheme.  The length sums the Hilbert function
+    up to its first zero, after which every value is zero."""
+    hp = hilbert_polynomial(ideal)
+    proven = (hp.degree >= 0
+              and _parameter_length(ideal, hp.degree + 1) == hp.variety_degree())
+    return CohenMacaulayCertificate(ideal, hp, proven)
+
+
+def _parameter_length(ideal: Ideal, k: int) -> int | None:
+    """Length of S/(I + theta_0..theta_{k-1}), or None when it is not Artinian."""
+    context = ideal.context
+    units = [tuple(int(i == j) for j in range(context.nvars)) for i in range(context.nvars)]
+    thetas = [Polynomial(context, {u: (i + 1) ** p for i, u in enumerate(units)})
+              for p in range(k)]
+    cut = ideal + Ideal(context, thetas)
+    if hilbert_polynomial(cut).degree >= 0:
+        return None
+    length = 0
+    for d in count():
+        value = hilbert_function(cut, d)
+        if not value:
+            return length
+        length += value

@@ -1,5 +1,7 @@
 """The threefold model end to end: coordinate change, invariant
 subspace, fixed-point combinatorics, curve censuses, residuals."""
+import gc
+import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations
@@ -7,8 +9,8 @@ from itertools import combinations
 import pytest
 
 from delpezzo5 import dp5, tables
-from delpezzo5.hilbert import (HilbertPolynomial, hilbert_function,
-                               hilbert_polynomial)
+from delpezzo5.hilbert import (CohenMacaulayCertificate, HilbertPolynomial,
+                               hilbert_function, hilbert_polynomial)
 from delpezzo5.homspaces import tangent_dimension
 from delpezzo5.ideals import Ideal, _meet_all
 from delpezzo5.polyring import parse_polynomial
@@ -220,6 +222,35 @@ class TestResidualQuartic:
         assert seen == [n for k, n in enumerate(names) if k not in (1, 3)]
         assert curve.groebner().elements == every.groebner().elements
 
+    def test_threefold_certificate_holds(self):
+        cert = MODEL.threefold_certificate
+        assert cert.proven
+        assert cert.hilbert == hilbert_polynomial(MODEL.threefold)
+        assert MODEL.threefold_certificate is cert
+
+    def test_certificate_is_computed_once_on_the_first_residual(self, monkeypatch):
+        certified = []
+        plain = dp5.certify_cohen_macaulay
+
+        def counted(ideal):
+            certified.append(ideal)
+            return plain(ideal)
+
+        monkeypatch.setattr(dp5, "certify_cohen_macaulay", counted)
+        fresh = dp5.build_model.__wrapped__()
+        assert not certified
+        dp5.residual_quartic(fresh, "l0", (0, 4))
+        dp5.residual_quartic(fresh, "l1", (2, 4))
+        assert certified == [fresh.threefold]
+
+    def test_certificate_goes_with_its_model(self):
+        fresh = dp5.build_model.__wrapped__()
+        assert fresh.threefold_certificate.proven
+        gone = weakref.ref(fresh)
+        del fresh
+        gc.collect()
+        assert gone() is None
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             dp5.residual_quartic(MODEL, "l3", (0, 1))
@@ -292,6 +323,41 @@ class TestQuarticCensus:
         assert len(secants) == 10
         assert all(r.secant_hilbert == HilbertPolynomial([2])
                    for r in secants)
+
+    def test_every_section_is_certified_and_saturated(self):
+        for r in self.census().records:
+            assert r.certified_section
+            assert r.quintic.gens == MODEL.threefold.gens + r.sections
+            assert r.quintic == r.quintic.saturate_irrelevant()
+
+    def test_unproven_certificate_saturates_every_section(self, monkeypatch):
+        def unproven(ideal):
+            return CohenMacaulayCertificate(ideal, hilbert_polynomial(ideal), False)
+
+        saturated = []
+        plain = Ideal.saturate_irrelevant
+
+        def counted(self):
+            saturated.append(self)
+            return plain(self)
+
+        monkeypatch.setattr(dp5, "certify_cohen_macaulay", unproven)
+        monkeypatch.setattr(Ideal, "saturate_irrelevant", counted)
+        fallback = dp5.enumerate_fixed_quartics.__wrapped__(dp5.build_model.__wrapped__())
+        assert len(saturated) == 30
+        census = self.census()
+
+        def summary(rec):
+            return (rec.line, rec.pick, rec.curve.canonical_key(),
+                    rec.quintic.canonical_key(), rec.quintic_hilbert,
+                    rec.curve_hilbert, rec.secant_hilbert, rec.label,
+                    rec.orbit_index, rec.relative_tangent)
+
+        assert not any(r.certified_section for r in fallback.records)
+        assert [summary(r) for r in fallback.records] \
+            == [summary(r) for r in census.records]
+        assert [(o.keys, o.members, o.label, o.row) for o in fallback.orbits] \
+            == [(o.keys, o.members, o.label, o.row) for o in census.orbits]
 
     def test_cached_census_is_frozen(self):
         census = self.census()

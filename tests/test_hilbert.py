@@ -5,10 +5,11 @@ from math import comb
 
 import pytest
 
-from delpezzo5.hilbert import (HilbertPolynomial, degree_monomials,
-                               hilbert_function, hilbert_function_direct,
-                               hilbert_polynomial, hilbert_series_numerator,
-                               standard_monomials)
+from delpezzo5 import hilbert
+from delpezzo5.hilbert import (HilbertPolynomial, certify_cohen_macaulay,
+                               degree_monomials, hilbert_function,
+                               hilbert_function_direct, hilbert_polynomial,
+                               hilbert_series_numerator, standard_monomials)
 from delpezzo5.ideals import Ideal
 from delpezzo5.polyring import Polynomial, RingContext, parse_polynomial
 
@@ -188,3 +189,84 @@ class TestDegreeMonomials:
 
     def test_exponent_sums(self):
         assert all(sum(m) == 3 for m in degree_monomials(4, 3))
+
+
+XYZW = RingContext(("x", "y", "z", "w"))
+SKEW_LINES = ideal(XYZW, "x*z", "x*w", "y*z", "y*w")    # (x, y) cap (z, w)
+TWISTED_CUBIC = ideal(XYZW, "x*z - y^2", "y*w - z^2", "x*w - y*z")
+
+
+def forms(*texts):
+    return [parse_polynomial(t, XYZW) for t in texts]
+
+
+class TestCohenMacaulayCertificate:
+    def test_rejects_skew_lines(self):
+        cert = certify_cohen_macaulay(SKEW_LINES)
+        assert cert.hilbert == HilbertPolynomial([2, 2])
+        assert not cert.proven
+        # the Vandermonde forms are a system of parameters here, so the
+        # rejection is the length test: 3 against degree 2
+        cut = SKEW_LINES + Ideal(XYZW, forms("x + y + z + w",
+                                             "x + 2*y + 3*z + 4*w"))
+        assert hilbert_polynomial(cut) == HilbertPolynomial([])
+        assert [hilbert_function(cut, d) for d in range(4)] == [1, 2, 0, 0]
+
+    def test_accepts_a_complete_intersection(self):
+        ci = ideal(XYZW, "x*y - z^2", "x*w + y*z - w^2")
+        cert = certify_cohen_macaulay(ci)
+        assert cert.hilbert == HilbertPolynomial([0, 4])
+        assert cert.proven
+
+    def test_accepts_the_twisted_cubic(self):
+        assert certify_cohen_macaulay(TWISTED_CUBIC).proven
+
+    def test_accepts_the_threefold(self):
+        cert = certify_cohen_macaulay(x5())
+        assert cert.proven
+        assert cert.hilbert.degree == 3 and cert.hilbert.variety_degree() == 5
+
+    def test_forms_that_are_no_parameters_prove_nothing(self, monkeypatch):
+        # a line through (1:-2:1:0), where both Vandermonde forms vanish:
+        # the cut is not Artinian and the Hilbert function never reaches 0
+        plain = hilbert.hilbert_function
+
+        def bounded(ideal, d, *args):
+            assert d < 32, "summed the Hilbert function of a non-Artinian cut"
+            return plain(ideal, d, *args)
+
+        monkeypatch.setattr(hilbert, "hilbert_function", bounded)
+        assert not certify_cohen_macaulay(ideal(XYZW, "2*x + y", "x - z")).proven
+
+    def test_empty_scheme_proves_nothing(self):
+        assert not certify_cohen_macaulay(ideal(XYZW, "x", "y", "z", "w")).proven
+
+    def test_regular_section_is_used_as_it_is(self, monkeypatch):
+        cert = certify_cohen_macaulay(TWISTED_CUBIC)
+        calls = []
+        monkeypatch.setattr(Ideal, "saturate_irrelevant",
+                            lambda self: calls.append(self) or self)
+        section, hp, certified = cert.section(forms("x"))
+        assert certified and not calls
+        assert hp == HilbertPolynomial([3])
+        assert section.gens == TWISTED_CUBIC.gens + tuple(forms("x"))
+
+    @pytest.mark.parametrize("texts", [("x", "x"), ("x*z - y^2",), ("x", "w")])
+    def test_sections_that_keep_the_dimension_are_saturated(self, texts):
+        # a repeated form and a form in I leave the dimension too high;
+        # two forms that cut the curve to nothing leave depth 0
+        section, hp, certified = certify_cohen_macaulay(TWISTED_CUBIC).section(forms(*texts))
+        cut = TWISTED_CUBIC + Ideal(XYZW, forms(*texts))
+        assert not certified
+        assert hp == hilbert_polynomial(cut)
+        assert section == cut.saturate_irrelevant()
+
+    def test_unproven_certificate_saturates(self):
+        # a hyperplane section of the skew lines is not saturated
+        section, hp, certified = certify_cohen_macaulay(SKEW_LINES).section(
+            forms("x + y + z + w"))
+        cut = SKEW_LINES + Ideal(XYZW, forms("x + y + z + w"))
+        assert not certified
+        assert hp == HilbertPolynomial([2])
+        assert section == cut.saturate_irrelevant()
+        assert section != cut
