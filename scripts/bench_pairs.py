@@ -12,19 +12,26 @@ alternating from pair to pair.  Both sides use the run length that
 are listed.
 
 The result is merged into the ``--out`` file under the key
-``"<workload> seed <seed>"``: each side's runs, median and quartiles per
-end-to-end metric, the pairs the working tree won, whether the median
-moved by more than the metric's bound, and whether the gain rule holds
-(wins in at least nine tenths of the pairs and a median gap larger than
-the parent's interquartile spread).  The exit code is 1 when any run
-failed a check.  Standard library only; nothing in the package or the
-tests imports this script.
+``"<workload> seed <seed>"``: what the working tree measured (``HEAD``,
+a sha256 of ``git diff HEAD --binary`` under ``src/`` and ``tests/`` and
+a sha256 of each untracked file there, taken before the first run, since
+the measured change is usually not committed yet), each side's runs,
+median and quartiles per end-to-end metric, the pairs the working tree
+won, whether the median moved by more than the metric's bound, and
+whether the gain rule holds (wins in at least nine tenths of the pairs
+and a median gap larger than the parent's interquartile spread).  The
+exit code is 1 when any run failed a check.  Standard library only;
+nothing in the package imports this script, and
+``tests/test_bench_pairs.py`` loads it from its file to check its
+verdicts on synthetic runs.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -62,11 +69,30 @@ def export(rev: str, dest: Path) -> None:
             tar.extractall(dest)
 
 
-def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run: its result line plus the detail line before it."""
+def working_tree() -> dict:
+    """The code the working tree runs, beyond ``HEAD``: a sha256 of the
+    uncommitted diff and of each untracked file under src/ and tests/."""
+    paths = ("--", "src", "tests")
+    untracked = git("ls-files", "--others", "--exclude-standard", "-z", *paths)
+    return {
+        "head": git("rev-parse", "HEAD").decode().strip(),
+        "diff_sha256": hashlib.sha256(git("diff", "HEAD", "--binary", *paths)).hexdigest(),
+        "untracked_sha256": {path: hashlib.sha256((ROOT / path).read_bytes()).hexdigest()
+                             for path in untracked.decode().split("\0") if path},
+    }
+
+
+def run(root: Path, workload: str, seed: int, seconds: float, trace: int,
+        pycache: Path) -> dict:
+    """One benchmark run: its result line plus the detail line before it.
+    Bytecode is read from and written to ``pycache`` only, so neither
+    side reuses ``__pycache__`` directories that its tree happens to hold
+    (the exported parent has none), which would tilt ``setup_s``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
     lines = done.stdout.strip().splitlines()
     if len(lines) < 2:
         raise RuntimeError(f"no result from {root}: exit {done.returncode}\n{done.stderr[-2000:]}")
@@ -125,22 +151,24 @@ def main(argv=None) -> int:
         return 2
     seconds = bench["run_seconds"]
     parent_rev = git("rev-parse", "--verify", args.parent + "^{commit}").decode().strip()
+    change = working_tree()
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_root = Path(tmp)
+        parent_root = Path(tmp) / "tree"
         export(parent_rev, parent_root)
         sides = {"parent": parent_root, "change": ROOT}
+        caches = {side: Path(tmp) / "pycache" / side for side in sides}
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         first = []
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             first.append(order[0])
             for side in order:
-                r = run(sides[side], args.workload, args.seed, seconds, trace=0)
+                r = run(sides[side], args.workload, args.seed, seconds, 0, caches[side])
                 runs[side].append(r)
                 pass_s = r["metrics"]["pass_s"]["value"]
                 print(f"pair {k + 1}/{args.pairs} {side}: pass_s {pass_s:.3f}", file=sys.stderr)
-        traced = {side: run(sides[side], args.workload, args.seed, seconds, trace=1)
+        traced = {side: run(sides[side], args.workload, args.seed, seconds, 1, caches[side])
                   for side in ("parent", "change")}
 
     failed = [f"{side} run {i + 1}" for side, rs in runs.items()
@@ -153,7 +181,9 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "first": first,
         "parent_commit": parent_rev,
-        "change_base": git("rev-parse", "HEAD").decode().strip(),
+        "change_base": change["head"],
+        "change_diff_sha256": change["diff_sha256"],
+        "change_untracked_sha256": change["untracked_sha256"],
         "stamp": {k: v for k, v in runs["change"][0]["detail"]["stamp"].items()
                   if k in ("python", "nproc", "cpu")},
         "failed_runs": failed,

@@ -358,7 +358,14 @@ def residual_quartic(model: DP5Model, line: str, pick: Sequence[int]) -> Residua
     saturated ideal is saturated, since (I : J) : m^inf = (I : m^inf) : J.
     Records the section and residual ideals and their Hilbert
     polynomials, plus the Hilbert polynomial of the scheme intersection
-    with the line when the line is not a component."""
+    with the line when the line is not a component.
+
+    s1 and s2 are coordinates, so the kernel computes the quotient and
+    the Hilbert polynomials of the section and the residual in the ring
+    of the other five coordinates, and the secant's in the two
+    coordinates the line leaves (`Ideal.split_variables`); no Groebner
+    basis in all seven is needed beyond the threefold's certificate and
+    the line's own basis."""
     if line not in tables.LINE_GENS:
         raise ValueError(f"unknown fixed line {line!r}")
     i, j = sorted(pick)

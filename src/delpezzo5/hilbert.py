@@ -267,7 +267,15 @@ def _binomial_poly(shift: int, r: int) -> list[Fraction]:
 
 def hilbert_polynomial(ideal: Ideal, order: MonomialOrder = GREVLEX) -> HilbertPolynomial:
     """Exact Hilbert polynomial of S/I from the series numerator:
-    P(m) = sum_k N_k * binom(m - k + n - 1, n - 1)."""
+    P(m) = sum_k N_k * binom(m - k + n - 1, n - 1).
+
+    When some generators of I are bare variables, HP(S/I) = HP(R/Ibar)
+    for Ibar from `Ideal.split_variables` (S/I and R/Ibar are isomorphic
+    graded rings) and is read from Ibar's grevlex basis: the Hilbert
+    polynomial depends on no order."""
+    split = ideal.split_variables()
+    if split is not None:
+        ideal, order = split[0], GREVLEX
     numerator = hilbert_series_numerator(ideal, order)
     n = ideal.context.nvars
     coeffs = [Fraction(0)] * n

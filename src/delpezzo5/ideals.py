@@ -137,7 +137,7 @@ class Ideal:
 
     def quotient(self, other) -> "Ideal":
         """Ideal quotient (I : f) or (I : J)."""
-        return self._fold(other, "quotient", self._quotient_single)
+        return self._fold(other, "quotient", Ideal._quotient_single)
 
     def _quotient_single(self, f: Polynomial) -> "Ideal":
         name = _as_variable(f)
@@ -172,7 +172,7 @@ class Ideal:
 
     def saturate(self, other) -> "Ideal":
         """Saturation (I : f^inf) or (I : J^inf), by Rabinowitsch's trick."""
-        return self._fold(other, "saturation", self._saturate_poly)
+        return self._fold(other, "saturation", Ideal._saturate_poly)
 
     def _saturate_poly(self, f: Polynomial) -> "Ideal":
         ctx = self.context
@@ -212,27 +212,57 @@ class Ideal:
         Equals the intersection of the single-variable saturations; a
         pigeonhole argument on monomials in m^k shows the intersection
         is no larger than (I : m^inf).  The fold leaves out the
-        variables that lie in I."""
+        variables that lie in I, and when some generators of I are bare
+        variables it runs in the ring without them (see `_fold`), where
+        it is the saturation by that ring's irrelevant ideal."""
         return self._fold(Ideal(self.context, self.context.gens()), "saturation",
-                          lambda x: self.saturate_variable(_as_variable(x)))
+                          lambda ideal, x: ideal.saturate_variable(_as_variable(x)))
 
     def eliminate(self, names: Sequence[str]) -> "Ideal":
         """Contract to the subring without the named variables."""
         drop = sorted(self.context.index(n) for n in set(names))
         if not drop:
             return self
-        keep = [i for i in range(self.context.nvars) if i not in set(drop)]
+        keep = _kept(self.context.nvars, drop)
         if not keep:
             raise ValueError("cannot eliminate every variable")
         target = self.context.restricted(keep)
         return _eliminate_to(self.context, list(self.gens), drop=tuple(drop), target=target)
 
+    def split_variables(self) -> "tuple[Ideal, tuple[int, ...]] | None":
+        """(Ibar, dropped) when some generators of I are bare variables
+        (nonzero scalar multiples of one variable) and some variable is
+        not: ``dropped`` are the indices of those variables, and Ibar,
+        in ``context.restricted`` of the other indices, is generated by
+        I's generators with the dropped variables set to 0.  None when
+        no generator is a bare variable or every variable is one.
+
+        S/I and R/Ibar are isomorphic as graded rings, R the ring
+        without the dropped variables: S/I = R[x]/(Ibar + (x)) = R/Ibar
+        for each dropped x, because x lies in I."""
+        context = self.context
+        dropped = sorted({context.index(name) for name in map(_as_variable, self.gens)
+                          if name is not None})
+        if not dropped or len(dropped) == context.nvars:
+            return None
+        keep = _kept(context.nvars, dropped)
+        target = context.restricted(keep)
+        rest = (_restrict(target, g, keep) for g in self.gens)
+        return Ideal(target, [g for g in rest if not g.is_zero()]), tuple(dropped)
+
     def _fold(self, other, what: str, single) -> "Ideal":
-        """Meet of ``single(g)`` over the nonzero divisors g of the
+        """Meet of ``single(I, g)`` over the nonzero divisors g of the
         polynomial or ideal ``other`` that I does not contain: for g in I,
         (I : g) = (I : g^inf) = (1), which the meet ignores.  The unit
         ideal when no divisor is left, with a warning when ``other`` has
-        no nonzero divisor at all."""
+        no nonzero divisor at all.
+
+        When some generators of I are bare variables x, the fold runs on
+        Ibar from `split_variables`, and each divisor g on gbar, g with
+        the x set to 0.  Since S/I = R/Ibar, g lies in I exactly when
+        gbar lies in Ibar, and (I : g) = (Ibar : gbar) + (x) and
+        (I : g^inf) = (Ibar : gbar^inf) + (x), so the meet in R, lifted
+        to S, plus the x is the answer."""
         if isinstance(other, Polynomial):
             if other.context != self.context:
                 raise ValueError(f"{what} divisor from a different ring context")
@@ -243,10 +273,20 @@ class Ideal:
         nonzero = [g for g in divisors if not g.is_zero()]
         if not nonzero:
             warnings.warn(f"{what} by the zero ideal is the unit ideal")
-        outside = [g for g in nonzero if not self.contains(g)]
+        split = self.split_variables()
+        base, dropped = split if split is not None else (self, ())
+        keep = _kept(self.context.nvars, dropped)
+        if dropped:
+            nonzero = [_restrict(base.context, g, keep) for g in nonzero]
+        outside = [g for g in nonzero if not base.contains(g)]
         if not outside:
             return Ideal(self.context, [self.context.one()])
-        return _meet_all(map(single, outside))
+        meet = _meet_all(single(base, g) for g in outside)
+        if not dropped:
+            return meet
+        variables = self.context.gens()
+        return Ideal(self.context, [_lift(self.context, g, keep) for g in meet.gens]
+                     + [variables[i] for i in dropped])
 
     def _check_same_context(self, other: "Ideal") -> None:
         if not isinstance(other, Ideal):
@@ -297,12 +337,36 @@ def _divide_variable(g: Polynomial, idx: int, k: int) -> Polynomial:
                                   for e, c in g.terms.items()})
 
 
-def _lift(ext: RingContext, p: Polynomial) -> Polynomial:
-    """Reinterpret p in a context extended by appended variables."""
+def _lift(ext: RingContext, p: Polynomial, at: Sequence[int] | None = None) -> Polynomial:
+    """Reinterpret p in a context with more variables, p's variables at
+    the indices ``at`` (by default the first ones)."""
     if p.is_zero():
         return ext.zero()
-    extra = (0,) * (ext.nvars - p.context.nvars)
-    return Polynomial(ext, {m + extra: c for m, c in p.terms.items()})
+    if at is None:
+        extra = (0,) * (ext.nvars - p.context.nvars)
+        return Polynomial(ext, {m + extra: c for m, c in p.terms.items()})
+    terms = {}
+    for m, c in p.terms.items():
+        e = [0] * ext.nvars
+        for i, k in zip(at, m):
+            e[i] = k
+        terms[tuple(e)] = c
+    return Polynomial(ext, terms)
+
+
+def _kept(nvars: int, dropped: Sequence[int]) -> list[int]:
+    return [i for i in range(nvars) if i not in dropped]
+
+
+def _restrict(target: RingContext, p: Polynomial, keep: Sequence[int]) -> Polynomial:
+    """p with every variable outside ``keep`` set to 0, in the target
+    context of the kept variables."""
+    terms = {}
+    for e, c in p.terms.items():
+        m = tuple(e[i] for i in keep)
+        if sum(m) == sum(e):
+            terms[m] = c
+    return Polynomial(target, terms)
 
 
 def _lift_all(ext: RingContext, polys: Sequence[Polynomial]) -> list[Polynomial]:
@@ -317,12 +381,10 @@ def _eliminate_to(ctx: RingContext, gens: Sequence[Polynomial], drop: tuple[int,
     order = elimination_order(ctx.nvars, drop)
     gb = reduced_groebner_basis([g for g in gens if not g.is_zero()], order) \
         if any(not g.is_zero() for g in gens) else None
-    keep = [i for i in range(ctx.nvars) if i not in set(drop)]
+    keep = _kept(ctx.nvars, drop)
     kept_polys = []
     if gb is not None:
         for g in gb:
             if all(all(m[i] == 0 for i in drop) for m in g.terms):
-                kept_polys.append(Polynomial(target,
-                                             {tuple(m[i] for i in keep): c
-                                              for m, c in g.terms.items()}))
+                kept_polys.append(_restrict(target, g, keep))
     return Ideal(target, kept_polys)

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from delpezzo5 import dp5, tables
+from delpezzo5 import dp5, ideals, tables
 from delpezzo5.hilbert import (CohenMacaulayCertificate, HilbertPolynomial,
                                hilbert_function, hilbert_polynomial)
 from delpezzo5.homspaces import tangent_dimension
@@ -221,6 +221,29 @@ class TestResidualQuartic:
         curve = dp5.residual_quartic(MODEL, "l2", (1, 3)).curve
         assert seen == [n for k, n in enumerate(names) if k not in (1, 3)]
         assert curve.groebner().elements == every.groebner().elements
+
+    def test_residuals_compute_no_basis_in_the_full_ring(self, monkeypatch):
+        # a deterministic work guard: with the model's certificate and
+        # the line bases warm, the 30 residuals work in the ring without
+        # the two section coordinates (5 variables, 6 with the
+        # intersection's t) or, for the secant, without the line's five
+        # (2 variables), never in all seven
+        model = dp5.build_model.__wrapped__()
+        assert model.threefold_certificate.proven
+        for line in model.lines.values():
+            line.groebner()
+        sizes = []
+        plain = ideals.reduced_groebner_basis
+
+        def counted(gens, order, *args, **kwargs):
+            sizes.append(gens[0].context.nvars)
+            return plain(gens, order, *args, **kwargs)
+
+        monkeypatch.setattr(ideals, "reduced_groebner_basis", counted)
+        for line in sorted(tables.LINE_GENS):
+            for pick in combinations(range(5), 2):
+                dp5.residual_quartic(model, line, pick)
+        assert sizes and max(sizes) <= 6
 
     def test_threefold_certificate_holds(self):
         cert = MODEL.threefold_certificate

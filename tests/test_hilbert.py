@@ -11,7 +11,7 @@ from delpezzo5.hilbert import (HilbertPolynomial, certify_cohen_macaulay,
                                hilbert_function_direct, hilbert_polynomial,
                                hilbert_series_numerator, standard_monomials)
 from delpezzo5.ideals import Ideal
-from delpezzo5.polyring import Polynomial, RingContext, parse_polynomial
+from delpezzo5.polyring import LEX, Polynomial, RingContext, parse_polynomial
 
 XY = RingContext(("x", "y"))
 XYZ = RingContext(("x", "y", "z"))
@@ -178,6 +178,46 @@ class TestHilbertPolynomial:
             hp = hilbert_polynomial(I)
             for d in range(6, 9):
                 assert hp(d) == hilbert_function(I, d)
+
+
+class TestSplitHilbertPolynomial:
+    """HP(S/I) read in the ring without the variables that generate part
+    of I, against the Groebner-free rank oracle in S."""
+
+    def test_matches_the_direct_function_beyond_the_regularity(self):
+        rng = random.Random(107)
+        moved = 0
+        for ctx in (XYZ, RingContext(("x", "y", "z", "w")),
+                    RingContext(("x", "y", "z", "w", "v"))):
+            for _ in range(4):
+                I = random_homogeneous_ideal(rng, ctx)
+                bare = [ctx.constant(rng.choice((3, -1))) * ctx.variable(v)
+                        for v in rng.sample(ctx.variables, rng.randint(1, 2))]
+                I = Ideal(ctx, I.gens + tuple(bare))
+                if I.split_variables() is None:
+                    continue
+                moved += 1
+                hp = hilbert_polynomial(I)
+                assert hilbert_polynomial(I, LEX) == hp
+                # HF(d) = HP(d) from d = deg N - n + 1 on, N the numerator in S
+                start = max(0, len(hilbert_series_numerator(I)) - ctx.nvars)
+                for d in (start, start + 1):
+                    assert hilbert_function_direct(I, d) == hp(d)
+        assert moved >= 8
+
+    def test_two_coordinates_in_the_plane_leave_a_point(self):
+        assert hilbert_polynomial(ideal(XYZ, "x", "-2*y")) == HilbertPolynomial([1])
+
+    def test_every_generator_bare_is_the_empty_scheme(self):
+        assert hilbert_polynomial(ideal(XYZ, "x", "y", "3*z")) == HilbertPolynomial([])
+
+    def test_split_section_of_the_threefold(self):
+        section = x5() + ideal(ORBIT, "a6", "-am6")
+        assert section.split_variables() is not None
+        hp = hilbert_polynomial(section)
+        assert hp == HilbertPolynomial([0, 5])
+        for d in range(2, 5):
+            assert hilbert_function_direct(section, d) == hp(d)
 
 
 class TestDegreeMonomials:

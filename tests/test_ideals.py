@@ -6,13 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from delpezzo5.ideals import Ideal, _meet_all
+from delpezzo5 import ideals
+from delpezzo5.ideals import Ideal, _as_variable, _meet_all
 from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext,
                                 parse_polynomial)
 
 X = RingContext(("x",))
 XY = RingContext(("x", "y"))
 XYZ = RingContext(("x", "y", "z"))
+XYZW = RingContext(("x", "y", "z", "w"))
+XYZWV = RingContext(("x", "y", "z", "w", "v"))
 ORBIT = RingContext(("a6", "a4", "a2", "a0", "am2", "am4", "am6"),
                     (6, 4, 2, 0, -2, -4, -6))
 
@@ -248,6 +251,158 @@ class TestSaturation:
         cut = x5() + ideal(ORBIT, "a6", "a4", "a2", "a0")
         expected = ideal(ORBIT, "a6", "a4", "a2", "a0", "am2^2")
         assert cut.saturate_irrelevant() == expected
+
+
+def split_cases(seed):
+    """(ideal, divisor ideal) pairs in 3-5 variables whose ideal has one
+    or two generators c*x, c a nonzero scalar.  The other generators are
+    the products A*B of a seeded ideal A and B = (l, squares of the
+    variables) for a linear form l, which adds an irrelevant component,
+    or, in the inhomogeneous cases (3-4 variables), B = (l + c, v^2).
+    The divisors are l (or l + c) and a variable, so quotients and
+    saturations do not just give the ideal back."""
+    rng = random.Random(seed)
+    cases = []
+    for ctx, homogeneous in ((XYZ, True), (XYZW, True), (XYZWV, True),
+                             (XYZ, False), (XYZW, False)):
+        for _ in range(3):
+            A = [random_poly(rng, ctx, True, 2) for _ in range(rng.randint(1, 2))]
+            if homogeneous:
+                B = [random_poly(rng, ctx, True, 1)] + [v ** 2 for v in ctx.gens()]
+            else:
+                B = [random_poly(rng, ctx, True, 1) + ctx.constant(rng.choice((1, -2))),
+                     ctx.variable(rng.choice(ctx.variables)) ** 2]
+            gens = [a * b for a in A for b in B]
+            for name in rng.sample(ctx.variables, rng.randint(1, 2)):
+                gens.append(ctx.constant(rng.choice((-2, 1, 3))) * ctx.variable(name))
+            rng.shuffle(gens)
+            divisors = Ideal(ctx, [B[0], ctx.variable(rng.choice(ctx.variables))])
+            cases.append((Ideal(ctx, gens), divisors))
+    return cases
+
+
+def uncut_fold(I, divisors, saturate=False):
+    """The meet of the single quotients or saturations, each computed on
+    I itself in its own ring: the fold without the split."""
+    def single(g):
+        name = _as_variable(g)
+        if saturate:
+            return I.saturate_variable(name) if name else I._saturate_poly(g)
+        if name is not None and I.is_homogeneous():
+            return I.quotient_variable(name)
+        return I._quotient_poly(g)
+
+    return _meet_all(single(g) for g in divisors if not g.is_zero())
+
+
+class TestSplitVariables:
+    def test_split_sets_the_bare_variables_to_zero(self):
+        I = ideal(XYZW, "x^2 + y*z - w^2", "-2*y", "x*w + y^3")
+        cut, dropped = I.split_variables()
+        assert dropped == (1,)
+        assert cut.context.variables == ("x", "z", "w")
+        assert cut.gens == (parse_polynomial("x^2 - w^2", cut.context),
+                            parse_polynomial("x*w", cut.context))
+
+    def test_quotient_matches_the_uncut_fold(self):
+        moved = 0
+        for I, J in split_cases(211):
+            assert I.split_variables() is not None
+            f = J.gens[0]
+            assert I.quotient(f) == uncut_fold(I, [f])
+            Q = I.quotient(J)
+            assert Q == uncut_fold(I, J.gens)
+            moved += Q != I
+        assert moved >= 3
+
+    def test_saturation_matches_the_uncut_fold(self):
+        moved = 0
+        for I, J in split_cases(223):
+            f = J.gens[0]
+            assert I.saturate(f) == uncut_fold(I, [f], saturate=True)
+            S = I.saturate(J)
+            assert S == uncut_fold(I, J.gens, saturate=True)
+            moved += S != I
+        assert moved >= 3
+
+    def test_irrelevant_saturation_matches_the_uncut_fold(self):
+        moved = 0
+        for I, _ in split_cases(227):
+            S = I.saturate_irrelevant()
+            assert S == uncut_fold(I, I.context.gens(), saturate=True)
+            moved += S != I
+        assert moved >= 3
+
+    def test_fold_computes_no_basis_in_the_full_ring(self, monkeypatch):
+        # membership of each divisor is decided by Ibar, the meet in R
+        line = ideal(ORBIT, "a6", "a4", "a2", "a0", "am6")
+        reference = x5() + ideal(ORBIT, "a6", "am6")
+        expected = uncut_fold(reference, line.gens)
+        expected_saturation = uncut_fold(reference, ORBIT.gens(), saturate=True)
+        section = x5() + ideal(ORBIT, "a6", "am6")
+        rings = []
+        plain = ideals.reduced_groebner_basis
+
+        def counted(gens, order, *args, **kwargs):
+            rings.append(gens[0].context.variables)
+            return plain(gens, order, *args, **kwargs)
+
+        monkeypatch.setattr(ideals, "reduced_groebner_basis", counted)
+        curve = section.quotient(line)
+        saturated = section.saturate_irrelevant()
+        assert rings and ORBIT.variables not in rings
+        monkeypatch.undo()
+        assert curve == expected
+        assert saturated == expected_saturation
+
+    def test_no_split_without_a_bare_generator_or_with_only_bare_ones(self):
+        assert ideal(XYZ, "x^2", "y*z", "x + y").split_variables() is None
+        every = ideal(XYZ, "x", "2*y", "-z", "x*y - z^2")
+        assert every.split_variables() is None
+        assert every.saturate_irrelevant().is_unit()
+
+    def test_two_variables_in_three_leave_the_zero_ideal(self):
+        I = ideal(XYZ, "x", "y")
+        cut, dropped = I.split_variables()
+        assert dropped == (0, 1)
+        assert cut.context.variables == ("z",) and cut.gens == ()
+        assert cut.is_zero()
+        assert I.quotient(XYZ.variable("z")) == I
+        assert I.saturate_irrelevant() == I
+
+    def test_scalar_multiple_counts_as_bare_and_weights_survive(self):
+        section = x5() + ideal(ORBIT, "2*a4", "-3*am2")
+        cut, dropped = section.split_variables()
+        assert dropped == (1, 4)
+        assert cut.context.weights == (6, 2, 0, -4, -6)
+        # a6*am2 - 4*a4*a0 + 3*a2^2 with a4 = am2 = 0
+        assert cut.gens[0] == parse_polynomial("3*a2^2", cut.context)
+        residual = section.quotient(ideal(ORBIT, "a6", "a4", "a2", "a0", "am2"))
+        assert residual.is_torus_fixed()
+        assert residual.contains_ideal(section)
+
+    def test_divisor_in_the_dropped_variables_gives_unit_without_warning(self):
+        I = ideal(XYZ, "2*x", "y^2 - y*z")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert I.quotient(ideal(XYZ, "x", "x*y + 3*x*z")).is_unit()
+            assert I.quotient(parse_polynomial("x*z", XYZ)).is_unit()
+            assert I.saturate(XYZ.variable("x")).is_unit()
+
+    def test_zero_divisor_still_warns(self):
+        I = ideal(XYZ, "2*x", "y^2 - y*z")
+        with pytest.warns(UserWarning):
+            assert I.quotient(Ideal(XYZ, [XYZ.zero()])).is_unit()
+        with pytest.warns(UserWarning):
+            assert I.saturate(Ideal(XYZ, [])).is_unit()
+
+    def test_foreign_divisor_still_rejected(self):
+        I = ideal(XYZ, "x", "y*z")
+        other = RingContext(("x", "y", "w"))
+        with pytest.raises(ValueError):
+            I.quotient(other.variable("y"))
+        with pytest.raises(ValueError):
+            I.saturate(Ideal(other, [other.variable("w")]))
 
 
 class TestEliminate:

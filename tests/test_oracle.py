@@ -14,6 +14,7 @@ import pytest
 from delpezzo5 import dp5, verify
 from delpezzo5.groebner import reduced_groebner_basis
 from delpezzo5.hilbert import degree_monomials, hilbert_function_direct
+from delpezzo5.ideals import Ideal
 from delpezzo5.polyring import GREVLEX, LEX
 
 sympy = pytest.importorskip("sympy")
@@ -26,18 +27,38 @@ def term_sets(polys):
     return {frozenset(p.terms.items()) for p in polys}
 
 
-def sympy_basis(ideal, order: str):
+def sympy_exprs(ideal, symbols):
+    return [sympy.Poly.from_dict(
+                {e: sympy.Rational(c.numerator, c.denominator)
+                 for e, c in g.terms.items()}, *symbols).as_expr()
+            for g in ideal.gens]
+
+
+def sympy_basis(ideal, order: str, exprs=None):
     # without domain="QQ" sympy returns primitive integer polynomials,
     # not monic ones
     symbols = sympy.symbols(ideal.context.variables)
-    exprs = [sympy.Poly.from_dict(
-                 {e: sympy.Rational(c.numerator, c.denominator)
-                  for e, c in g.terms.items()}, *symbols).as_expr()
-             for g in ideal.gens]
+    if exprs is None:
+        exprs = sympy_exprs(ideal, symbols)
     basis = sympy.groebner(exprs, *symbols, order=order, domain="QQ")
     return {frozenset((e, Fraction(int(c.p), int(c.q)))
                       for e, c in p.as_dict().items())
             for p in basis.polys}
+
+
+def sympy_divided(ideal, name: str, saturate: bool):
+    """(I : x) or (I : x^inf) of a homogeneous ideal, all in sympy: the
+    grevlex basis with x last, each element divided by x once or by its
+    whole power of x (Bayer-Stillman), then reduced in the ring's order."""
+    symbols = sympy.symbols(ideal.context.variables)
+    x = symbols[ideal.context.index(name)]
+    last = [v for v in symbols if v != x] + [x]
+    basis = sympy.groebner(sympy_exprs(ideal, symbols), *last, order="grevlex", domain="QQ")
+    divided = []
+    for g in basis.exprs:
+        power = min(m[-1] for m in sympy.Poly(g, *last).monoms())
+        divided.append(sympy.cancel(g / x ** (power if saturate else min(power, 1))))
+    return sympy_basis(ideal, "grevlex", exprs=divided)
 
 
 def mismatches(named_ideals, order: str) -> list[str]:
@@ -114,3 +135,32 @@ def test_direct_hilbert_function_against_sympy_rank(d):
             rows.append(row)
     matrix_rank = sympy.Matrix(rows).rank() if rows else 0
     assert hilbert_function_direct(ideal, d) == comb(d + n - 1, n - 1) - matrix_rank
+
+
+def split_ideals():
+    """Seeded homogeneous ideals in 3-4 variables with one or two bare
+    variable generators c*x added, so the kernel computes their
+    quotients and saturations in the ring without those variables."""
+    rng = random.Random(20261019)
+    out = []
+    while len(out) < 12:
+        ctx = verify._random_context(rng)
+        if ctx.nvars < 3:
+            continue
+        I = verify._random_ideal(rng, ctx, 3, homogeneous=True)
+        bare = [ctx.constant(rng.choice((2, -1))) * ctx.variable(v)
+                for v in rng.sample(ctx.variables, rng.randint(1, 2))]
+        I = Ideal(ctx, I.gens + tuple(bare))
+        if I.split_variables() is not None:
+            out.append(I)
+    return out
+
+
+def test_split_quotients_and_saturations_against_sympy():
+    for I in split_ideals():
+        for name in I.context.variables:
+            x = I.context.variable(name)
+            assert term_sets(I.quotient(x).groebner().elements) \
+                == sympy_divided(I, name, saturate=False)
+            assert term_sets(I.saturate(x).groebner().elements) \
+                == sympy_divided(I, name, saturate=True)

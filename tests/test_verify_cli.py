@@ -192,22 +192,24 @@ class TestCLI:
         assert out.splitlines()[-2:] == ["x", "y"]
 
     def test_zero_divisor_is_a_note(self, tmp_path, capsys):
-        path = tmp_path / "i.txt"
-        path.write_text("ring: x, y\ngens:\nx^2\nx*y\n")
-        zero = tmp_path / "z.txt"
-        zero.write_text("ring: x, y\ngens:\n0\n")
-        assert cli.main(["quotient", str(path), str(zero)]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert captured.out.splitlines()[0] == \
-            "# quotient by the zero ideal is the unit ideal"
-        assert captured.out.splitlines()[-1] == "1"
-        assert cli.main(["saturate", str(path), str(zero), "--format", "json"]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        payload = json.loads(captured.out)
-        assert payload["gens"] == ["1"]
-        assert "saturation by the zero ideal is the unit ideal" in payload["notes"]
+        # the second ideal has a bare-variable generator, so it is split
+        for ring, gens in (("x, y", "x^2\nx*y"), ("x, y, z", "2*x\ny*z")):
+            path = tmp_path / "i.txt"
+            path.write_text(f"ring: {ring}\ngens:\n{gens}\n")
+            zero = tmp_path / "z.txt"
+            zero.write_text(f"ring: {ring}\ngens:\n0\n")
+            assert cli.main(["quotient", str(path), str(zero)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert captured.out.splitlines()[0] == \
+                "# quotient by the zero ideal is the unit ideal"
+            assert captured.out.splitlines()[-1] == "1"
+            assert cli.main(["saturate", str(path), str(zero), "--format", "json"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            payload = json.loads(captured.out)
+            assert payload["gens"] == ["1"]
+            assert "saturation by the zero ideal is the unit ideal" in payload["notes"]
 
     def test_one_variable_ring(self, tmp_path, capsys):
         path = tmp_path / "i.txt"
