@@ -5,46 +5,93 @@ Everything here is deterministic: pairs come from a heap ordered by
 pair is formed, the reducer is always the first basis element in list
 order whose lead divides the target term, and the final basis is the
 unique reduced Groebner basis sorted by decreasing lead monomial.
+
+Division, pair selection and interreduction run on packed monomials
+(`polyring.Packing`): a product is an integer sum, divisibility one mask
+test, and an order key one int, the key of a product being the sum of
+the keys.  A product that outgrows its packing restarts the division,
+or the Buchberger run, at a wider one, so no field ever wraps.
 """
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .polyring import (
     GREVLEX,
     Exponents,
     MonomialOrder,
+    Packing,
+    PackingOverflow,
     Polynomial,
     RingContext,
-    mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
 )
 
+ONE = Fraction(1)
 
-Triple = tuple  # (lead monomial, lead coefficient, terms) of one divisor
+Triple = tuple  # (lead, lc, (steps, coefficients)) of one divisor; see `divisor_triples`
 
 
-def divisor_triples(divisors: Sequence[Polynomial], order: MonomialOrder) -> list[Triple]:
-    """The ``(lead, lc, terms)`` triple of each divisor, as `normal_form`
-    reads them; the divisors must share one ring context."""
+class DivisorTriples(tuple):
+    """The `Triple` of each divisor of a list, all under ``packing``, the
+    order's ``key`` on that packing, and the packed leads."""
+
+    def __new__(cls, triples, packing: Packing, key: Callable[[int], int]):
+        self = super().__new__(cls, triples)
+        self.packing = packing
+        self.key = key
+        self.leads = [lead for lead, _, _ in self]
+        return self
+
+
+def _widest(polys: Sequence[Polynomial], context: RingContext) -> Packing:
+    packing = context.packing()
+    for p in polys:
+        if p.packing.bits > packing.bits:
+            packing = p.packing
+    return packing
+
+
+def _triple(packed: dict[int, Fraction], keys: dict[int, int], width: int,
+            lead: int | None = None) -> Triple:
+    """(lead, lc, tail) of one polynomial from its packed terms and their
+    order keys; the lead is the largest key unless given."""
+    if lead is None:
+        lead = max(keys, key=keys.get)
+    top = keys[lead]
+    tail = [(((keys[m] - top) << width) + m - lead, c) for m, c in packed.items() if m != lead]
+    return lead, packed[lead], (tuple(s for s, _ in tail), tuple(c for _, c in tail))
+
+
+def divisor_triples(divisors: Sequence[Polynomial], order: MonomialOrder,
+                    packing: Packing | None = None) -> DivisorTriples:
+    """The ``(lead, lc, tail)`` triple of each divisor, as `normal_form`
+    reads them, under ``packing`` (by default the widest of the
+    divisors'): the packed lead monomial, its coefficient, and the tail:
+    for every other term ``c * x^e`` its coefficient c and its step
+    ``((key(e) - key(lead)) << width) + e - lead``, with e packed and key
+    the order's int key.  A step added to ``(key(m) << width) + m`` for
+    a monomial m that the lead divides gives the same code for the
+    product of m / lead and x^e.  The divisors must share one ring
+    context; an empty list needs the packing."""
+    if packing is None:
+        packing = _widest(divisors, divisors[0].context)
+    key = packing.key(order)
     triples = []
     for d in divisors:
         if d.context != divisors[0].context:
             raise ValueError("ring context mismatch")
         if d.is_zero():
             raise ValueError("zero divisor in normal form")
-        triples.append(d.lead_term(order) + (d.terms,))
-    return triples
+        packed = d.repacked(packing).packed
+        triples.append(_triple(packed, {m: key(m) for m in packed}, packing.width))
+    return DivisorTriples(triples, packing, key)
 
 
 def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
-                with_quotients: bool = False, triples: Sequence[Triple] | None = None):
+                with_quotients: bool = False, triples: DivisorTriples | None = None):
     """Full remainder of p on division by the list of divisors.
 
     Reduces the largest reducible term by the first divisor in list
@@ -52,60 +99,77 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOr
     ``with_quotients`` returns ``(r, quotients)`` satisfying
     ``p == sum(q_i * divisors_i) + r`` exactly.  ``triples``, when
     given, are the divisors' `divisor_triples` under ``order``, held by
-    a caller that divides by the same list many times.
+    a caller that divides by the same list many times.  The results are
+    packed like the triples, or wider when a product outgrows them.
     """
     if divisors and divisors[0].context != p.context:
         raise ValueError("ring context mismatch")
-    divs = divisor_triples(divisors, order) if triples is None else triples
-    key = order.key
-    work = dict(p.terms)
-    remainder: dict[Exponents, Fraction] = {}
-    quotients: list[dict[Exponents, Fraction]] | None = None
-    if with_quotients:
-        quotients = [{} for _ in divisors]
+    if triples is None or triples.packing.bits < p.packing.bits:
+        triples = divisor_triples(divisors, order, _widest([p, *divisors], p.context))
+    packing = triples.packing
+    while True:
+        quotients = [{} for _ in divisors] if with_quotients else None
+        try:
+            remainder = _divide(p.repacked(packing).packed, triples, quotients)
+            break
+        except PackingOverflow:
+            packing = p.context.packing(packing.limit + 1)
+            triples = divisor_triples(divisors, order, packing)
 
-    # (order key, monomial), ascending; pop() takes the largest.  Order keys
-    # are injective, so the monomial never decides a comparison.
-    agenda = sorted((key(m), m) for m in work)
+    r = Polynomial.from_packed(p.context, packing, remainder)
+    if quotients is None:
+        return r
+    return r, [Polynomial.from_packed(p.context, packing, q) for q in quotients]
+
+
+def _divide(work: dict[int, Fraction], triples: DivisorTriples,
+            quotients: list[dict[int, Fraction]] | None) -> dict[int, Fraction]:
+    """The remainder's packed terms, largest first; fills ``quotients``
+    when given.  Raises `PackingOverflow` when a product reaches a guard bit."""
+    work = dict(work)
+    remainder: dict[int, Fraction] = {}
+    key, leads = triples.key, triples.leads
+    guard, width = triples.packing.guard, triples.packing.width
+    low = (1 << width) - 1
+    # the codes (key(m) << width) + m, ascending; pop() takes the largest.
+    # Order keys are injective, so codes sort by key, and m = code & low.
+    agenda = sorted((key(m) << width) + m for m in work)
     while agenda:
-        _, m = agenda.pop()
-        c = work.get(m)
-        if not c:
+        code = agenda.pop()
+        m = code & low
+        c = work.pop(m, None)
+        if c is None:
             continue
-        hit = -1
-        for j, (lm, _, _) in enumerate(divs):
-            if mono_divides(lm, m):
-                hit = j
+        for hit, lead in enumerate(leads):
+            if not (m - lead) & guard:
                 break
-        if hit < 0:
+        else:
             remainder[m] = c
-            del work[m]
             continue
-        lm, lc, dterms = divs[hit]
-        shift = mono_div(m, lm)
-        factor = c / lc
+        _, lc, (steps, coeffs) = triples[hit]
+        factor = c if lc == 1 else c / lc
         if quotients is not None:
             q = quotients[hit]
+            shift = m - lead
             acc = q.get(shift, 0) + factor
             if acc:
                 q[shift] = acc
             else:
                 q.pop(shift, None)
-        for e, ce in dterms.items():
-            t = mono_mul(shift, e)
+        # the lead term cancels m itself; the tail lands at m + (e - lead)
+        for step, ce in zip(steps, coeffs):
+            new = code + step
+            t = new & low
+            if t & guard:
+                raise PackingOverflow
             acc = work.get(t, 0) - factor * ce
             if acc:
                 if t not in work:
-                    insort(agenda, (key(t), t))
+                    insort(agenda, new)
                 work[t] = acc
             else:
-                work.pop(t, None)
-
-    r = Polynomial(p.context, remainder)
-    if quotients is None:
-        return r
-    qpolys = [Polynomial(p.context, q) for q in quotients]
-    return r, qpolys
+                del work[t]
+    return remainder
 
 
 class GroebnerBasis:
@@ -113,22 +177,31 @@ class GroebnerBasis:
 
     ``cofactors[i]`` expresses ``elements[i]`` as a combination of the
     input generators: ``elements[i] == sum(cofactors[i][k] * input_gens[k])``.
-    ``triples`` holds each element's ``(lead, lc, terms)``, so that
-    dividing by the basis never recomputes a lead term.
+    ``triples`` holds each element's ``(lead, lc, tail)``, built on first
+    use, so that dividing by the basis never recomputes a lead term; the
+    elements and the triples share one ``packing``.
     """
 
-    __slots__ = ("context", "order", "elements", "input_gens", "cofactors", "triples")
+    __slots__ = ("context", "order", "elements", "input_gens", "cofactors", "packing",
+                 "_triples")
 
     def __init__(self, context: RingContext, order: MonomialOrder,
                  elements: Sequence[Polynomial], input_gens: Sequence[Polynomial],
-                 cofactors=None, triples: Sequence[Triple] | None = None):
+                 cofactors=None):
+        packing = _widest(elements, context)
         self.context = context
         self.order = order
-        self.elements = tuple(elements)
+        self.elements = tuple(g.repacked(packing) for g in elements)
         self.input_gens = tuple(input_gens)
         self.cofactors = None if cofactors is None else tuple(tuple(r) for r in cofactors)
-        self.triples = tuple(divisor_triples(self.elements, order) if triples is None
-                             else triples)
+        self.packing = packing
+        self._triples = None
+
+    @property
+    def triples(self) -> DivisorTriples:
+        if self._triples is None:
+            self._triples = divisor_triples(self.elements, self.order, self.packing)
+        return self._triples
 
     def normal_form(self, p: Polynomial, with_quotients: bool = False):
         # checked here too: the zero ideal has no element to check against
@@ -140,7 +213,7 @@ class GroebnerBasis:
         return self.normal_form(p).is_zero()
 
     def lead_monomials(self) -> list[Exponents]:
-        return [lead for lead, _, _ in self.triples]
+        return [self.packing.unpack(lead) for lead, _, _ in self.triples]
 
     def is_weight_homogeneous(self) -> bool:
         return all(g.is_weight_homogeneous() for g in self.elements)
@@ -156,23 +229,24 @@ class GroebnerBasis:
         return f"GroebnerBasis([{inner}], order={self.order!r})"
 
 
-def _s_pair(G: Sequence[Polynomial], triples: Sequence[Triple], i: int, j: int,
+def _s_pair(G: Sequence[Polynomial], triples: DivisorTriples, i: int, j: int,
             order: MonomialOrder, with_syzygy: bool):
     """Remainder r of the S-pair x^mi G[i] - x^mj G[j] by G, whose divisor
     triples are given, and, with ``with_syzygy``, the list
     tau = x^mi e_i - x^mj e_j - q, where q are the reduction's quotients,
     so that ``sum(tau[t] * G[t]) == r``; when r is zero, tau is a syzygy of G."""
+    packing, context = triples.packing, G[i].context
     lead_i, lead_j = triples[i][0], triples[j][0]
-    lcm = mono_lcm(lead_i, lead_j)
-    mi = mono_div(lcm, lead_i)
-    mj = mono_div(lcm, lead_j)
-    s = G[i].term_multiple(mi, Fraction(1)) - G[j].term_multiple(mj, Fraction(1))
+    lcm = packing.lcm(lead_i, lead_j)
+    xi = Polynomial.from_packed(context, packing, {lcm - lead_i: ONE})
+    xj = Polynomial.from_packed(context, packing, {lcm - lead_j: ONE})
+    s = G[i] * xi - G[j] * xj
     if not with_syzygy:
         return normal_form(s, G, order, False, triples), None
     r, q = normal_form(s, G, order, True, triples)
     tau = [-qt for qt in q]
-    tau[i] = tau[i] + s.context.monomial(mi)
-    tau[j] = tau[j] - s.context.monomial(mj)
+    tau[i] = tau[i] + xi
+    tau[j] = tau[j] - xj
     return r, tau
 
 
@@ -212,7 +286,9 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
                            track_cofactors: bool = False) -> GroebnerBasis:
     """Buchberger with the normal selection strategy and both of
     Buchberger's pair-elimination criteria; result fully interreduced
-    with monic leads, sorted by decreasing lead monomial."""
+    with monic leads, sorted by decreasing lead monomial.  The run starts
+    at the generators' widest packing and starts over at a wider one
+    whenever a remainder outgrows it."""
     gens = list(gens)
     context = gens[0].context if gens else None
     for g in gens:
@@ -223,10 +299,23 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
         if context is None:
             raise ValueError("cannot infer a ring context from an empty generator list")
         return GroebnerBasis(context, order, (), gens, () if track_cofactors else None)
+    packing = _widest([g for _, g in nonzero], context)
+    while True:
+        try:
+            return _buchberger(context, gens, nonzero, order, track_cofactors, packing)
+        except PackingOverflow:
+            packing = context.packing(packing.limit + 1)
 
+
+def _buchberger(context: RingContext, gens: list[Polynomial], nonzero, order: MonomialOrder,
+                track_cofactors: bool, packing: Packing) -> GroebnerBasis:
+    """`reduced_groebner_basis` at one packing; raises `PackingOverflow` when a
+    remainder comes back wider."""
+    key, degree, guard = packing.key(order), packing.degree, packing.guard
     G: list[Polynomial] = []
-    leads: list[Exponents] = []
-    triples: list[Triple] = []        # divisor triples of G
+    leads: list[int] = []
+    lead_keys: list[int] = []
+    triples = DivisorTriples((), packing, key)   # divisor triples of G
     rows: list[list[Polynomial]] = []  # cofactor rows aligned with G, when tracking
     zero_row = [context.zero()] * len(gens)
     # the open pairs, as a set for the chain criterion and as a heap of
@@ -236,31 +325,39 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
     queue: list[tuple] = []
 
     def add_element(g: Polynomial, row) -> None:
-        lead, lc = g.lead_term(order)
+        nonlocal triples
+        if g.packing.bits != packing.bits:
+            raise PackingOverflow
+        keys = {m: key(m) for m in g.packed}
+        lead = max(keys, key=keys.get)
+        lc = g.packed[lead]
         new = len(G)
         monic = g / lc
         G.append(monic)
         leads.append(lead)
-        triples.append((lead, monic.terms[lead], monic.terms))
+        lead_keys.append(keys[lead])
+        triples = DivisorTriples(triples + (_triple(monic.packed, keys, packing.width, lead),),
+                                 packing, key)
         if track_cofactors:
             rows.append([a / lc for a in row])
         for k in range(new):
-            lcm = mono_lcm(leads[k], lead)
-            heappush(queue, (mono_degree(lcm), order.key(lcm), k, new))
+            lcm = packing.lcm(leads[k], lead)
+            heappush(queue, (degree(lcm), key(lcm), k, new))
             pairs.add((k, new))
 
     for k, g in nonzero:
-        add_element(g, _unit_row(context, len(gens), k) if track_cofactors else None)
+        add_element(g.repacked(packing),
+                    _unit_row(context, len(gens), k) if track_cofactors else None)
 
     while queue:
         _, _, i, j = heappop(queue)
         pairs.discard((i, j))
-        lcm = mono_lcm(leads[i], leads[j])
-        if lcm == mono_mul(leads[i], leads[j]):
+        lcm = packing.lcm(leads[i], leads[j])
+        if lcm == leads[i] + leads[j]:
             continue  # coprime leads reduce to zero
         chain = False
         for k in range(len(G)):
-            if k in (i, j) or not mono_divides(leads[k], lcm):
+            if k in (i, j) or (lcm - leads[k]) & guard:
                 continue
             if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
                 chain = True
@@ -272,10 +369,10 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
             add_element(r, _combine(tau, rows, zero_row) if track_cofactors else None)
 
     # minimal generating set of the lead ideal
-    by_lead = sorted(range(len(G)), key=lambda k: order.key(leads[k]))
+    by_lead = sorted(range(len(G)), key=lead_keys.__getitem__)
     kept: list[int] = []
     for k in by_lead:
-        if not any(mono_divides(leads[t], leads[k]) for t in kept):
+        if all((leads[k] - leads[t]) & guard for t in kept):
             kept.append(k)
 
     # interreduce tails; leads are pairwise indivisible so they survive,
@@ -285,21 +382,24 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
     final_rows = [list(rows[k]) for k in kept] if track_cofactors else None
     for idx in range(len(final)):
         others = final[:idx] + final[idx + 1:]
-        other_triples = final_triples[:idx] + final_triples[idx + 1:]
+        other_triples = DivisorTriples(final_triples[:idx] + final_triples[idx + 1:], packing, key)
         if track_cofactors:
             final[idx], q = normal_form(final[idx], others, order, True, other_triples)
             rest = final_rows[:idx] + final_rows[idx + 1:]
             final_rows[idx] = _combine([-qt for qt in q], rest, final_rows[idx])
         else:
             final[idx] = normal_form(final[idx], others, order, False, other_triples)
-        lead, lc, _ = final_triples[idx]
-        final_triples[idx] = (lead, lc, final[idx].terms)
+        if final[idx].packing.bits != packing.bits:
+            raise PackingOverflow
+        lead = final_triples[idx][0]
+        final_triples[idx] = _triple(final[idx].packed, {m: key(m) for m in final[idx].packed},
+                                     packing.width, lead)
 
     # kept is ascending in lead order and interreduction keeps the leads,
     # so reversing sorts the basis by decreasing lead monomial
     elements = final[::-1]
     cof = final_rows[::-1] if track_cofactors else None
-    return GroebnerBasis(context, order, elements, gens, cof, final_triples[::-1])
+    return GroebnerBasis(context, order, elements, gens, cof)
 
 
 class SyzygyBasis:

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 from .ideals import Ideal
 from .linalg import SparseEchelon
-from .polyring import GREVLEX, Exponents, MonomialOrder, Polynomial, mono_divides
+from .polyring import GREVLEX, Exponents, MonomialOrder, Packing, Polynomial, mono_divides
 
 
 class HilbertPolynomial:
@@ -109,10 +109,38 @@ def degree_monomials(nvars: int, d: int) -> Iterator[Exponents]:
 
 
 def standard_monomials(ideal: Ideal, d: int, order: MonomialOrder = GREVLEX) -> list[Exponents]:
-    """Degree-d monomials not in the lead ideal: a basis of (S/I)_d."""
+    """Degree-d monomials not in the lead ideal: a basis of (S/I)_d, in
+    the order of `degree_monomials`.
+
+    A variable that is itself a lead monomial divides every monomial it
+    occurs in, so only monomials in the other variables are listed, and
+    each is tested against the packed leads of degree at most d that
+    involve none of the excluded variables."""
+    if d < 0:
+        return []
+    n = ideal.context.nvars
     leads = ideal.groebner(order).lead_monomials()
-    return [m for m in degree_monomials(ideal.context.nvars, d)
-            if not any(mono_divides(g, m) for g in leads)]
+    excluded = {g.index(1) for g in leads if sum(g) == 1}
+    free = [i for i in range(n) if i not in excluded]
+    packing = Packing(len(free), Packing.bits_holding(d))
+    pack, guard = packing.pack, packing.guard
+    live = [pack(tuple(g[i] for i in free)) for g in leads
+            if sum(g) <= d and not any(g[i] for i in excluded)]
+    if free:
+        candidates = degree_monomials(len(free), d)
+    else:
+        candidates = [()] if d == 0 else []
+    out = []
+    for r in candidates:
+        m = pack(r)
+        if all((m - g) & guard for g in live):
+            if excluded:
+                e = [0] * n
+                for i, k in zip(free, r):
+                    e[i] = k
+                r = tuple(e)
+            out.append(r)
+    return out
 
 
 def hilbert_function(ideal: Ideal, d: int, order: MonomialOrder = GREVLEX) -> int:

@@ -21,7 +21,9 @@ from .groebner import basis_syzygies
 from .hilbert import standard_monomials
 from .ideals import Ideal
 from .linalg import SparseEchelon
-from .polyring import GREVLEX, Exponents, Polynomial, mono_mul
+from .polyring import GREVLEX, Exponents, Packing, PackingOverflow, Polynomial
+
+ONE = Fraction(1)
 
 
 def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
@@ -30,7 +32,8 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     homomorphisms vanishing on it (Hom over the coordinate ring of X).
 
     Everything must be homogeneous; ``within`` must sit inside
-    ``source``.
+    ``source``.  The solve runs on packed monomials, at the target
+    basis's packing or wider when a monomial needs it.
     """
     if source.context != target.context:
         raise ValueError("source and target live in different ring contexts")
@@ -57,42 +60,78 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
 
     # one unknown per (basis element, standard monomial of matching
     # degree); the standard monomials of each degree are listed once
-    unknown_index: dict[tuple[int, Exponents], int] = {}
     bases: list[list[Exponents]] = []
     by_degree: dict[int, list[Exponents]] = {}
-    for i, g in enumerate(gb):
+    for g in gb:
         d = g.total_degree() + twist
         if d not in by_degree:
             by_degree[d] = standard_monomials(target, d) if d >= 0 else []
-        basis = by_degree[d]
-        bases.append(basis)
-        for m in basis:
-            unknown_index[(i, m)] = len(unknown_index)
-    if not unknown_index:
+        bases.append(by_degree[d])
+    unknowns = sum(map(len, bases))
+    if not unknowns:
         return 0
+
+    # one equation block per S-pair syzygy, and per ambient generator
+    # the quotients of its division by the basis
+    blocks = basis_syzygies(gb)
+    if within is not None:
+        for w in within.gens:
+            r, q = gb.normal_form(w, with_quotients=True)
+            if not r.is_zero():
+                raise AssertionError("ambient generator must reduce to zero by the source basis")
+            blocks.append(q)
+
+    packing = max(tgb.packing, gb.packing, target.context.packing(max(by_degree)),
+                  key=lambda k: k.bits)
+    while True:
+        try:
+            return unknowns - _rank(tgb, bases, blocks, packing)
+        except PackingOverflow:
+            packing = target.context.packing(packing.limit + 1)
+
+
+def _rank(tgb, bases: list[list[Exponents]], blocks: list[list[Polynomial]],
+          packing: Packing) -> int:
+    """Rank of the equations sum_i coeffs[i] * phi(g_i) = 0 in S/target,
+    one block of coefficients at a time, with every monomial packed by
+    ``packing``; raises `PackingOverflow` when one outgrows it."""
+    context, guard = tgb.context, packing.guard
+    columns = []  # (first unknown, packed standard monomials) per basis element
+    first = 0
+    for basis in bases:
+        columns.append((first, [packing.pack(m) for m in basis]))
+        first += len(basis)
 
     ech = SparseEchelon()
     # Normal form is linear: NF(c * x^m) is the sum of c_e * NF(x^(e+m))
     # over the terms c_e * x^e of c.  So each monomial is reduced once per
     # solve, and the memo dies with it.
-    reduced: dict[Exponents, dict[Exponents, Fraction]] = {}
+    reduced: dict[int, dict[int, Fraction]] = {}
 
-    def reduce_monomial(t: Exponents) -> dict[Exponents, Fraction]:
-        nf = reduced.get(t)
-        if nf is None:
-            nf = reduced[t] = tgb.normal_form(target.context.monomial(t)).terms
-        return nf
+    def reduce_monomial(t: int) -> dict[int, Fraction]:
+        nf = tgb.normal_form(Polynomial.from_packed(context, packing, {t: ONE}))
+        if nf.packing.bits != packing.bits:
+            raise PackingOverflow
+        reduced[t] = nf.packed
+        return nf.packed
 
-    def impose(coeffs: list[Polynomial]) -> None:
-        """One equation block: sum_i coeffs[i] * phi(g_i) = 0 in S/target."""
-        rows: dict[Exponents, dict[int, Fraction]] = {}
-        for i, c in enumerate(coeffs):
+    for coeffs in blocks:
+        rows: dict[int, dict[int, Fraction]] = {}
+        for (start, basis), c in zip(columns, coeffs):
             if c.is_zero():
                 continue
-            for m in bases[i]:
-                u = unknown_index[(i, m)]
-                for e, ce in c.terms.items():
-                    for mono, value in reduce_monomial(mono_mul(e, m)).items():
+            if c.packing.bits > packing.bits:
+                raise PackingOverflow
+            cterms = c.repacked(packing).packed
+            for u, m in enumerate(basis, start):
+                for e, ce in cterms.items():
+                    t = e + m
+                    if t & guard:
+                        raise PackingOverflow
+                    nf = reduced.get(t)
+                    if nf is None:
+                        nf = reduce_monomial(t)
+                    for mono, value in nf.items():
                         row = rows.setdefault(mono, {})
                         row[u] = row.get(u, 0) + ce * value
         # entries that cancelled are dropped, and a row left empty is skipped
@@ -100,18 +139,7 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
             row = {u: v for u, v in row.items() if v}
             if row:
                 ech.add_row(row)
-
-    for tau in basis_syzygies(gb):
-        impose(tau)
-
-    if within is not None:
-        for w in within.gens:
-            r, q = gb.normal_form(w, with_quotients=True)
-            if not r.is_zero():
-                raise AssertionError("ambient generator must reduce to zero by the source basis")
-            impose(q)
-
-    return len(unknown_index) - ech.rank
+    return ech.rank
 
 
 def tangent_dimension(curve: Ideal, within: Ideal | None = None) -> int:

@@ -300,7 +300,7 @@ class Ideal:
 
 def _as_variable(f: Polynomial) -> str | None:
     """The variable name when f is a scalar multiple of one, else None."""
-    if len(f.terms) != 1:
+    if len(f.packed) != 1:
         return None
     (exps,) = f.terms
     if sum(exps) != 1:
@@ -326,15 +326,17 @@ def _meet_all(ideals: Iterable[Ideal]) -> Ideal:
 
 def _variable_power(g: Polynomial, idx: int) -> int:
     """Largest k with x_idx^k dividing the nonzero polynomial g."""
-    return min(e[idx] for e in g.terms)
+    shift, mask = idx * g.packing.bits, g.packing.limit
+    return min((m >> shift) & mask for m in g.packed)
 
 
 def _divide_variable(g: Polynomial, idx: int, k: int) -> Polynomial:
     """g / x_idx^k, for g divisible by x_idx^k."""
     if not k:
         return g
-    return Polynomial(g.context, {e[:idx] + (e[idx] - k,) + e[idx + 1:]: c
-                                  for e, c in g.terms.items()})
+    step = k << (idx * g.packing.bits)
+    return Polynomial.from_packed(g.context, g.packing,
+                                  {m - step: c for m, c in g.packed.items()})
 
 
 def _lift(ext: RingContext, p: Polynomial, at: Sequence[int] | None = None) -> Polynomial:
@@ -384,7 +386,8 @@ def _eliminate_to(ctx: RingContext, gens: Sequence[Polynomial], drop: tuple[int,
     keep = _kept(ctx.nvars, drop)
     kept_polys = []
     if gb is not None:
+        fields = sum(gb.packing.limit << (i * gb.packing.bits) for i in drop)
         for g in gb:
-            if all(all(m[i] == 0 for i in drop) for m in g.terms):
+            if not any(m & fields for m in g.packed):
                 kept_polys.append(_restrict(target, g, keep))
     return Ideal(target, kept_polys)

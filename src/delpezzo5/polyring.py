@@ -1,9 +1,21 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A monomial is a tuple of non-negative exponents indexed by the variable
+A monomial is a vector of non-negative exponents indexed by the variable
 list of a RingContext.  Polynomials are immutable sparse maps from
-exponent tuples to nonzero Fractions.  No floats anywhere: every
-coefficient is an exact rational.
+monomials to nonzero Fractions.  No floats anywhere: every coefficient is
+an exact rational.
+
+Inside a polynomial each monomial is packed into one int (a `Packing`):
+exponent i fills field i, of ``bits`` bits, whose top bit is a guard
+that no stored monomial sets.  A product of monomials is then the sum of
+their ints, a divides b exactly when ``(b - a) & guard == 0``, and every
+monomial order is a linear form in the exponents, so its key is one int
+and the key of a product is the sum of the keys (Bachmann & Schoenemann,
+"Monomial representations for Groebner bases computations", ISSAC 1998).
+Fields start at 8 bits (exponents up to 127) and double when a larger
+exponent is built or parsed: a sum that reaches a guard bit is redone at
+the wider packing, never wrapped.  The tuple-keyed ``terms`` of a
+polynomial is the public view, decoded from the packed terms.
 
 The module also hosts the plain-text ideal format used by the CLI::
 
@@ -21,17 +33,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from operator import mul
+from typing import Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
 # monomial helpers (exponent tuples)
-
-def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
-
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
     """True when the monomial a divides b."""
@@ -47,14 +56,94 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a: Exponents) -> int:
-    return sum(a)
+# ---------------------------------------------------------------------------
+# packed monomials
+
+class PackingOverflow(Exception):
+    """A packed product set a guard bit: the work is redone at a wider packing."""
+
+
+class Packing:
+    """Exponent vectors of ``nvars`` variables packed into ints.
+
+    Exponent i is the field ``(m >> (i * bits)) & (2**(bits - 1) - 1)``;
+    the field's top bit is its guard, clear in every packed monomial, so
+    no exponent exceeds ``limit``.  Sums of two packed monomials never
+    carry from one field into the next: a field that overflows sets its
+    guard, which ``m & guard`` detects.  ``bits`` is a power of two, at
+    least 8.
+    """
+
+    __slots__ = ("nvars", "bits", "width", "limit", "guard", "pack", "fields", "unpack",
+                 "degree")
+
+    def __init__(self, nvars: int, bits: int):
+        self.nvars = nvars
+        self.bits = bits
+        self.width = nvars * bits  # every packed monomial lies below 2**width
+        self.limit = (1 << (bits - 1)) - 1
+        self.guard = sum(1 << (i * bits + bits - 1) for i in range(nvars))
+        if bits == 8:
+            # one byte per field: bytes() and int.from_bytes do the work
+            def pack(exps: Exponents) -> int:
+                return int.from_bytes(bytes(exps), "little")
+
+            def fields(m: int):
+                return m.to_bytes(nvars, "little")
+        else:
+            shifts = tuple(range(0, nvars * bits, bits))
+            mask = self.limit
+
+            def pack(exps: Exponents) -> int:
+                return sum(e << s for e, s in zip(exps, shifts))
+
+            def fields(m: int):
+                return [(m >> s) & mask for s in shifts]
+
+        self.pack = pack          # exponent tuple -> packed int, entries <= limit
+        self.fields = fields      # packed int -> its exponents, an iterable of ints
+        self.unpack = lambda m: tuple(fields(m))
+        self.degree = lambda m: sum(fields(m))
+
+    def __reduce__(self):
+        # the closures above do not pickle; the two numbers rebuild them
+        return Packing, (self.nvars, self.bits)
+
+    @staticmethod
+    def bits_holding(top: int) -> int:
+        """The narrowest field width whose fields hold exponents up to ``top``."""
+        bits = 8
+        while top >= 1 << (bits - 1):
+            bits *= 2
+        return bits
+
+    def lcm(self, a: int, b: int) -> int:
+        """Least common multiple of two packed monomials, field by field."""
+        guard = self.guard
+        ge = ((a | guard) - b) & guard      # guard bit set where a_i >= b_i
+        take = ge - (ge >> (self.bits - 1))  # those fields' value bits
+        return (a & take) | (b & ~take)
+
+    def key(self, order: "MonomialOrder") -> Callable[[int], int]:
+        """The int order key of a packed monomial under ``order``: the
+        order's `MonomialOrder.linear_form` in base ``2**bits``, so the
+        key of a product is the sum of the keys."""
+        n, top = self.nvars, self.width
+        if type(order) is GrevlexOrder:
+            # sum e_i * (B^n - B^i) = degree * B^n - m
+            degree = self.degree
+            return lambda m: (degree(m) << top) - m
+        if type(order) is LexOrder and self.bits == 8:
+            # sum e_i * B^(n-1-i): the fields in reverse
+            return lambda m: int.from_bytes(m.to_bytes(n, "little"), "big")
+        form, fields = order.linear_form(n, 1 << self.bits), self.fields
+        return lambda m: sum(map(mul, form, fields(m)))
 
 
 class RingContext:
     """Variable names, in order, with optional integer torus weights."""
 
-    __slots__ = ("variables", "weights", "_index")
+    __slots__ = ("variables", "weights", "_index", "_packings")
 
     def __init__(self, variables: Sequence[str], weights: Sequence[int] | None = None):
         variables = tuple(variables)
@@ -72,6 +161,7 @@ class RingContext:
         self.variables = variables
         self.weights = weights
         self._index = {name: i for i, name in enumerate(variables)}
+        self._packings: dict[int, Packing] = {}
 
     @property
     def nvars(self) -> int:
@@ -82,6 +172,15 @@ class RingContext:
             return self._index[name]
         except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
+
+    def packing(self, top: int = 0) -> Packing:
+        """The narrowest packing of this ring whose fields hold exponents
+        up to ``top``; one object per width."""
+        bits = Packing.bits_holding(top)
+        packing = self._packings.get(bits)
+        if packing is None:
+            packing = self._packings[bits] = Packing(self.nvars, bits)
+        return packing
 
     def zero_exponents(self) -> Exponents:
         return (0,) * self.nvars
@@ -131,7 +230,7 @@ class RingContext:
         return f"{stem}{k}"
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, RingContext)
             and self.variables == other.variables
             and self.weights == other.weights
@@ -159,16 +258,22 @@ class MonomialOrder:
     def key(self, exps: Exponents):
         raise NotImplementedError
 
+    def linear_form(self, nvars: int, base: int) -> tuple[int, ...]:
+        """Integer weights c with key(a) < key(b) exactly when
+        sum(c_i * a_i) < sum(c_i * b_i), for exponent vectors whose
+        entries are all below ``base``."""
+        raise NotImplementedError
+
     def greater(self, a: Exponents, b: Exponents) -> bool:
         return self.key(a) > self.key(b)
-
-    def sort_desc(self, monomials: Iterable[Exponents]) -> list[Exponents]:
-        return sorted(monomials, key=self.key, reverse=True)
 
 
 class LexOrder(MonomialOrder):
     def key(self, exps: Exponents):
         return exps
+
+    def linear_form(self, nvars: int, base: int) -> tuple[int, ...]:
+        return tuple(base ** (nvars - 1 - i) for i in range(nvars))
 
     def __repr__(self):
         return "lex"
@@ -185,6 +290,11 @@ class GrevlexOrder(MonomialOrder):
 
     def key(self, exps: Exponents):
         return (sum(exps), tuple(-e for e in reversed(exps)))
+
+    def linear_form(self, nvars: int, base: int) -> tuple[int, ...]:
+        # the degree, then the reversed exponents negated, as base-B digits
+        top = base ** nvars
+        return tuple(top - base ** i for i in range(nvars))
 
     def __repr__(self):
         return "grevlex"
@@ -211,6 +321,12 @@ class WeightedOrder(MonomialOrder):
 
     def key(self, exps: Exponents):
         return (sum(w * e for w, e in zip(self.weights, exps)), self.tiebreak.key(exps))
+
+    def linear_form(self, nvars: int, base: int) -> tuple[int, ...]:
+        inner = self.tiebreak.linear_form(nvars, base)
+        scale = _span(inner, base)
+        weights = self.weights[:nvars] + (0,) * (nvars - len(self.weights))
+        return tuple(w * scale + c for w, c in zip(weights, inner))
 
     def __repr__(self):
         return f"weighted({self.weights}, {self.tiebreak!r})"
@@ -253,6 +369,17 @@ class BlockOrder(MonomialOrder):
             for group, inner in zip(self.groups, self.inners)
         )
 
+    def linear_form(self, nvars: int, base: int) -> tuple[int, ...]:
+        # mixed radix: each group's key outweighs every later group's range
+        form = [0] * nvars
+        scale = 1
+        for group, inner in reversed(tuple(zip(self.groups, self.inners))):
+            sub = inner.linear_form(len(group), base)
+            for i, c in zip(group, sub):
+                form[i] = c * scale
+            scale *= _span(sub, base)
+        return tuple(form)
+
     def __repr__(self):
         return f"block({self.groups}, {self.inners!r})"
 
@@ -265,6 +392,12 @@ class BlockOrder(MonomialOrder):
 
     def __hash__(self):
         return hash(("block", self.groups, self.inners))
+
+
+def _span(form: Sequence[int], base: int) -> int:
+    """One more than the largest difference of the linear form between two
+    exponent vectors with entries below ``base``."""
+    return sum(abs(c) for c in form) * (base - 1) + 1
 
 
 LEX = LexOrder()
@@ -306,42 +439,86 @@ def variable_last_order(nvars: int, last: int) -> BlockOrder:
 # polynomials
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with Fraction coefficients.
 
-    __slots__ = ("context", "terms", "_hash")
+    ``packed`` maps each monomial, packed by ``packing``, to its nonzero
+    coefficient; ``terms`` is the same map keyed by exponent tuples.
+    """
+
+    __slots__ = ("context", "packing", "packed", "_hash")
 
     def __init__(self, context: RingContext, terms: Mapping[Exponents, Fraction]):
         clean: dict[Exponents, Fraction] = {}
         n = context.nvars
+        top = 0
         for exps, coeff in terms.items():
             if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
             if not coeff:
                 continue
-            if len(exps) != n or any(e < 0 for e in exps):
+            exps = tuple(exps)
+            if len(exps) != n or min(exps) < 0:
                 raise ValueError(f"bad exponent vector {exps!r}")
-            clean[tuple(exps)] = coeff
+            top = max(top, *exps)
+            clean[exps] = coeff
+        packing = context.packing(top)
+        pack = packing.pack
         self.context = context
-        self.terms = clean
+        self.packing = packing
+        self.packed = {pack(e): c for e, c in clean.items()}
         self._hash = None
+
+    @classmethod
+    def from_packed(cls, context: RingContext, packing: Packing,
+                    packed: dict[int, Fraction]) -> "Polynomial":
+        """The polynomial with these packed terms, taken as they are: the
+        caller guarantees nonzero Fractions and monomials of ``packing``."""
+        p = object.__new__(cls)
+        p.context = context
+        p.packing = packing
+        p.packed = packed
+        p._hash = None
+        return p
+
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """The terms keyed by exponent tuples, in the order of ``packed``;
+        decoded on each access."""
+        unpack = self.packing.unpack
+        return {unpack(m): c for m, c in self.packed.items()}
+
+    def repacked(self, packing: Packing) -> "Polynomial":
+        """The same polynomial under another packing whose fields hold its
+        exponents."""
+        if packing.bits == self.packing.bits:
+            return self
+        pack, unpack = packing.pack, self.packing.unpack
+        return Polynomial.from_packed(self.context, packing,
+                                      {pack(unpack(m)): c for m, c in self.packed.items()})
+
+    def _aligned(self, other: "Polynomial") -> tuple[Packing, dict, dict]:
+        """The wider packing of the two and both packed maps under it."""
+        if self.packing.bits == other.packing.bits:
+            return self.packing, self.packed, other.packed
+        wide = max(self.packing, other.packing, key=lambda k: k.bits)
+        return wide, self.repacked(wide).packed, other.repacked(wide).packed
 
     # basic queries ---------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_constant(self) -> bool:
-        return all(mono_degree(e) == 0 for e in self.terms)
+        return not any(self.packed)
 
     def total_degree(self) -> int:
         """Largest term degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.packed:
             return -1
-        return max(mono_degree(e) for e in self.terms)
+        return max(map(self.packing.degree, self.packed))
 
     def is_homogeneous(self) -> bool:
         """Homogeneous for the standard grading (zero counts as yes)."""
-        degs = {mono_degree(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(map(self.packing.degree, self.packed))) <= 1
 
     def coefficient(self, exps: Exponents) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -355,13 +532,15 @@ class Polynomial:
 
     # ordered views ---------------------------------------------------------
     def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Exponents, Fraction]]:
-        return [(e, self.terms[e]) for e in order.sort_desc(self.terms)]
+        packed, unpack = self.packed, self.packing.unpack
+        return [(unpack(m), packed[m])
+                for m in sorted(packed, key=self.packing.key(order), reverse=True)]
 
     def lead_term(self, order: MonomialOrder = GREVLEX) -> tuple[Exponents, Fraction]:
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no lead term")
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
+        m = max(self.packed, key=self.packing.key(order))
+        return self.packing.unpack(m), self.packed[m]
 
     def lead_monomial(self, order: MonomialOrder = GREVLEX) -> Exponents:
         return self.lead_term(order)[0]
@@ -380,19 +559,21 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_context(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
+        packing, mine, theirs = self._aligned(other)
+        terms = dict(mine)
+        for e, c in theirs.items():
             acc = terms.get(e, 0) + c
             if acc:
                 terms[e] = acc
             else:
                 terms.pop(e, None)
-        return Polynomial(self.context, terms)
+        return Polynomial.from_packed(self.context, packing, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.context, {e: -c for e, c in self.terms.items()})
+        return Polynomial.from_packed(self.context, self.packing,
+                                      {e: -c for e, c in self.packed.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -409,20 +590,37 @@ class Polynomial:
             c = Fraction(other)
             if not c:
                 return self.context.zero()
-            return Polynomial(self.context, {e: k * c for e, k in self.terms.items()})
+            return Polynomial.from_packed(self.context, self.packing,
+                                          {e: k * c for e, k in self.packed.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_context(other)
-        terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mono_mul(e1, e2)
-                acc = terms.get(e, 0) + c1 * c2
-                if acc:
-                    terms[e] = acc
-                else:
-                    terms.pop(e, None)
-        return Polynomial(self.context, terms)
+        packing, mine, theirs = self._aligned(other)
+        while True:
+            terms: dict[int, Fraction] = {}
+            seen = 0  # every product ORed together: a set guard bit means overflow
+            if len(theirs) == 1:
+                # a term multiple: the products are distinct monomials
+                ((e2, c2),) = theirs.items()
+                for e1, c1 in mine.items():
+                    e = e1 + e2
+                    seen |= e
+                    terms[e] = c1 if c2 == 1 else c1 * c2
+            else:
+                for e1, c1 in mine.items():
+                    for e2, c2 in theirs.items():
+                        e = e1 + e2
+                        seen |= e
+                        acc = terms.get(e, 0) + c1 * c2
+                        if acc:
+                            terms[e] = acc
+                        else:
+                            terms.pop(e, None)
+            if not seen & packing.guard:
+                return Polynomial.from_packed(self.context, packing, terms)
+            packing = self.context.packing(packing.limit + 1)
+            mine = self.repacked(packing).packed
+            theirs = other.repacked(packing).packed
 
     __rmul__ = __mul__
 
@@ -440,22 +638,17 @@ class Polynomial:
 
     def term_multiple(self, exps: Exponents, coeff: Fraction) -> "Polynomial":
         """self times the single term coeff * x^exps."""
-        coeff = Fraction(coeff)
-        if not coeff:
-            return self.context.zero()
-        return Polynomial(
-            self.context, {mono_mul(e, exps): c * coeff for e, c in self.terms.items()}
-        )
+        return self * self.context.monomial(exps, coeff)
 
     # equality / hashing ----------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.context.constant(other)
-        return (
-            isinstance(other, Polynomial)
-            and self.context == other.context
-            and self.terms == other.terms
-        )
+        if not isinstance(other, Polynomial) or self.context != other.context:
+            return False
+        if self.packing.bits == other.packing.bits:
+            return self.packed == other.packed
+        return self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:

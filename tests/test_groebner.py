@@ -13,8 +13,7 @@ from delpezzo5.hilbert import degree_monomials
 from delpezzo5.ideals import Ideal
 from delpezzo5.linalg import SparseEchelon
 from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext,
-                                block_split, mono_degree, mono_div,
-                                mono_divides, mono_lcm, mono_mul,
+                                block_split, mono_div, mono_divides, mono_lcm,
                                 parse_polynomial, variable_last_order)
 
 XY = RingContext(("x", "y"))
@@ -29,6 +28,15 @@ ORBIT_QUADRICS = [parse_polynomial(s, ORBIT) for s in (
     "a4*am6 - 3*a2*am4 + 2*a0*am2",
     "a2*am6 - 4*a0*am4 + 3*am2^2",
 )]
+
+
+def mono_mul(a, b):
+    """Product of exponent tuples, the reference the package's packed sum replaced."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_degree(a):
+    return sum(a)
 
 
 def p2(text):
@@ -397,6 +405,48 @@ class TestReferenceSelection:
             assert ref.cofactors == gb.cofactors
             if syz is not None:
                 assert syzygy_columns(ref) == syz
+
+
+class TestWideExponents:
+    """Exponents past the 8-bit fields of the first packing: the division
+    and the Buchberger run start over at a wider packing and agree with
+    the tuple-based references; no field wraps."""
+
+    CASES = [
+        # x^100*y^100 is 8-bit, but its reduction by x^2 - y climbs to y^150
+        ("x^100*y^100", ["x^2 - y"], "y^150"),
+        ("x^100*y^100 + x^3", ["x^2 - y", "y^120 - x"], None),
+        # parsed at 16 bits already
+        ("x^300 - y^300", ["x^2 - y"], "-y^300 + y^150"),
+    ]
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_normal_form_matches_the_tuple_division(self, case, order):
+        text, divisor_texts, expected = self.CASES[case]
+        p, divisors = p2(text), [p2(t) for t in divisor_texts]
+        r, q = normal_form(p, divisors, order, with_quotients=True)
+        assert (r, q) == reference_normal_form(p, divisors, order, with_quotients=True)
+        assert p == sum((qi * d for qi, d in zip(q, divisors)), r)
+        assert r.packing.bits == 16
+        if expected is not None:
+            assert r == p2(expected)
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    @pytest.mark.parametrize("texts, expected", [
+        (["x^2 - y", "x^100*y^100 - 1"], ["y^150 - 1", "x^2 - y"]),
+        (["x^300 - y^300", "x^2 - y"], ["y^300 - y^150", "x^2 - y"]),
+        (["x^2 - y", "x^100*y^90 - x*y"], None),
+    ], ids=["widened-midway", "parsed-wide", "mixed"])
+    def test_basis_matches_the_tuple_reference(self, texts, expected, order, monkeypatch):
+        gens = [p2(t) for t in texts]
+        gb = reduced_groebner_basis(gens, order)
+        assert gb.packing.bits == 16
+        assert all(g.packing is gb.packing for g in gb.elements)
+        if expected is not None and order == GREVLEX:
+            assert gb.elements == tuple(p2(t) for t in expected)
+        monkeypatch.setattr(groebner, "normal_form", reference_normal_form)
+        assert reference_basis(gens, order).elements == gb.elements
 
 
 class TestContextChecks:

@@ -1,11 +1,12 @@
 """Graded Hom dimensions and Hilbert-scheme tangent spaces."""
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from delpezzo5 import dp5, homspaces
+from delpezzo5 import dp5, groebner, homspaces
 from delpezzo5.groebner import normal_form, reduced_groebner_basis, syzygy_columns
 from delpezzo5.hilbert import degree_monomials, standard_monomials
 from delpezzo5.homspaces import graded_hom_dimension, tangent_dimension
@@ -263,6 +264,23 @@ class TestReferenceSolve:
                 self.check(monkeypatch, source, target, twist)
                 self.check(monkeypatch, source, target, twist, within)
 
+    def test_products_past_the_first_packing(self, monkeypatch):
+        # the Koszul syzygy's y^100 times the standard monomial x*y^99 is
+        # y^199, past the 8-bit fields: the solve restarts at 16 bits;
+        # Hom(I, S/I)_0 = (S/I)_100 twice, for the complete intersection I
+        I = ideal(XY, "x^100", "y^100")
+        widths = []
+        solve = homspaces._rank
+
+        def recording(tgb, bases, blocks, packing):
+            widths.append(packing.bits)
+            return solve(tgb, bases, blocks, packing)
+
+        monkeypatch.setattr(homspaces, "_rank", recording)
+        assert graded_hom_dimension(I, I) == 2 * 99
+        assert widths == [8, 16]
+        self.check(monkeypatch, I, I)
+
     def test_catalogued_curves(self, monkeypatch):
         model = dp5.build_model()
         curves = [
@@ -274,3 +292,45 @@ class TestReferenceSolve:
         for curve in curves:
             self.check(monkeypatch, curve, curve)
             self.check(monkeypatch, curve, curve, within=model.threefold)
+
+
+class TestNormalFormCount:
+    """Every reduction of a Hom solve, memo misses included, goes through
+    `groebner.normal_form`, which the benchmark's tracer counts.  The
+    counts are pinned for fresh ideals, so that the bases, the ambient
+    containment check and the solve are all counted."""
+
+    # (relative, ambient) normal forms of one catalogued conic and quartic
+    PINNED = {"conic": (66, 50), "quartic": (187, 162)}
+
+    def counted_solves(self, monkeypatch, curve, ambient):
+        original = groebner.normal_form
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        # rebind it in every module that holds it, as perfbench/spans.py does
+        for name, module in list(sys.modules.items()):
+            if name == "delpezzo5" or name.startswith("delpezzo5."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        counts = []
+        for within in (ambient, None):
+            calls[0] = 0
+            fresh = Ideal(curve.context, curve.gens)
+            fresh_within = None if within is None else Ideal(within.context, within.gens)
+            tangent_dimension(fresh, within=fresh_within)
+            counts.append(calls[0])
+        return tuple(counts)
+
+    def test_pinned_counts(self, monkeypatch):
+        model = dp5.build_model()
+        conics = dp5.expected_conic_ideals(model)
+        curves = {"conic": conics[sorted(conics)[0]],
+                  "quartic": dp5.expected_quartic_rows(model)[0][0]}
+        for name, curve in curves.items():
+            assert self.counted_solves(monkeypatch, curve, model.threefold) \
+                == self.PINNED[name], name

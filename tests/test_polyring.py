@@ -1,4 +1,5 @@
 """Polynomial arithmetic, orders, substitution, and the text format."""
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ import pytest
 from delpezzo5.polyring import (GREVLEX, LEX, BlockOrder, Polynomial,
                                 RingContext, WeightedOrder, block_split,
                                 elimination_order, format_ideal_text,
-                                format_polynomial, parse_ideal_text,
-                                parse_polynomial, substitute_linear,
-                                variable_last_order)
+                                format_polynomial, mono_divides, mono_lcm,
+                                parse_ideal_text, parse_polynomial,
+                                substitute_linear, variable_last_order)
 
 XYZ = RingContext(("x", "y", "z"))
 ORBIT = RingContext(("a6", "a4", "a2", "a0", "am2", "am4", "am6"),
@@ -184,6 +185,99 @@ class TestOrders:
         assert variable_last_order(3, 0) == variable_last_order(3, 0)
         assert variable_last_order(3, 0) != variable_last_order(3, 1)
         assert WeightedOrder((1, 2, 3), LEX) == WeightedOrder((1, 2, 3), LEX)
+
+
+def mono_mul(a, b):
+    """Product of exponent tuples, the reference for the packed sum."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def every_order_class(nvars):
+    """Orders of each kind the kernel uses on nvars variables: lex,
+    grevlex, weighted, block, variable-last and elimination orders, and
+    block orders with weighted and block inner orders."""
+    orders = [LEX, GREVLEX,
+              WeightedOrder(tuple(range(1, nvars + 1)), GREVLEX),
+              WeightedOrder((2,) * nvars, LEX),
+              variable_last_order(nvars, 0),
+              BlockOrder((tuple(range(nvars)),), (WeightedOrder((1,) * nvars, LEX),))]
+    if nvars > 1:
+        k = nvars // 2
+        orders += [block_split(nvars, 1), block_split(nvars, nvars - 1, LEX, GREVLEX),
+                   elimination_order(nvars, (nvars - 1,)),
+                   variable_last_order(nvars, nvars - 1),
+                   BlockOrder((tuple(range(k, nvars)), tuple(range(k))),
+                              (GREVLEX, WeightedOrder((3,) * k, GREVLEX)))]
+    if nvars > 2:
+        inner = block_split(nvars - 1, 1, LEX, GREVLEX)
+        orders.append(BlockOrder(((nvars - 1,), tuple(range(nvars - 1))), (LEX, inner)))
+    return orders
+
+
+class TestPackedMonomials:
+    """Packed exponent vectors against the tuple operations they replace."""
+
+    @pytest.mark.parametrize("top", [0, 200], ids=["8-bit", "16-bit"])
+    @pytest.mark.parametrize("nvars", range(1, 8))
+    def test_agrees_with_tuples(self, nvars, top):
+        ctx = RingContext(("a", "b", "c", "d", "e", "f", "g")[:nvars])
+        packing = ctx.packing(top)
+        assert packing.bits == (8 if top < 128 else 16)
+        orders = every_order_class(nvars)
+        rng = random.Random(1009 * nvars + top)
+
+        def vector(high):
+            return tuple(rng.randint(0, high) for _ in range(nvars))
+
+        for _ in range(120):
+            high = rng.choice((1, 3, packing.limit // 2))
+            a = vector(high)
+            b = mono_mul(a, vector(1)) if rng.random() < 0.3 else vector(high)
+            pa, pb = packing.pack(a), packing.pack(b)
+            assert packing.unpack(pa) == a and packing.degree(pa) == sum(a)
+            assert packing.unpack(pa + pb) == mono_mul(a, b)
+            assert (not (pb - pa) & packing.guard) == mono_divides(a, b)
+            assert packing.unpack(packing.lcm(pa, pb)) == mono_lcm(a, b)
+            for order in orders:
+                key = packing.key(order)
+                form = order.linear_form(nvars, 1 << packing.bits)
+                assert key(pa) == sum(c * e for c, e in zip(form, a)), order
+                assert (key(pa) > key(pb)) == order.greater(a, b), (order, a, b)
+                assert (key(pa) == key(pb)) == (order.key(a) == order.key(b)), order
+                assert key(pa + pb) == key(pa) + key(pb), order
+
+    @pytest.mark.parametrize("nvars", [1, 3, 7])
+    def test_guard_bit_flags_exactly_the_overflowing_sums(self, nvars):
+        ctx = RingContext(("a", "b", "c", "d", "e", "f", "g")[:nvars])
+        packing = ctx.packing()
+        rng = random.Random(31 + nvars)
+        for _ in range(200):
+            a, b = (tuple(rng.randint(0, packing.limit) for _ in range(nvars))
+                    for _ in range(2))
+            overflow = any(x + y > packing.limit for x, y in zip(a, b))
+            assert bool((packing.pack(a) + packing.pack(b)) & packing.guard) == overflow
+
+    def test_products_widen_instead_of_wrapping(self):
+        x = p("x^100*y")
+        assert x.packing.bits == 8
+        square = x * x
+        assert square.terms == {(200, 2, 0): Fraction(1)}
+        assert square.packing.bits == 16
+        assert square == parse_polynomial("x^200*y^2", XYZ)
+        assert (square * x).terms == {(300, 3, 0): Fraction(1)}
+
+    def test_pickle_round_trip(self):
+        for q in (p("x^2*y - 3/4*z"), p("x^300 - y")):
+            back = pickle.loads(pickle.dumps(q))
+            assert back == q and back.packing.bits == q.packing.bits
+            assert back * back == q * q
+
+    def test_parsed_exponents_choose_the_width(self):
+        q = p("x^300 - y^40000 + z")
+        assert q.packing.bits == 32
+        assert q.terms == {(300, 0, 0): 1, (0, 40000, 0): -1, (0, 0, 1): 1}
+        assert q.total_degree() == 40000
+        assert format_polynomial(q) == "-y^40000 + x^300 + z"
 
 
 class TestTextFormat:
