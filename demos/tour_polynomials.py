@@ -7,7 +7,8 @@ Exact polynomials, monomial orders, and Groebner bases
 # every coefficient in the package is a fractions.Fraction; there is no
 # floating point anywhere, so printed results are exact by construction
 from delpezzo5 import (GREVLEX, LEX, RingContext, format_polynomial,
-                       normal_form, parse_polynomial, reduced_groebner_basis)
+                       normal_form, parse_polynomial, reduced_groebner_basis,
+                       syzygy_basis)
 
 ctx = RingContext(("x", "y"))
 f = parse_polynomial("x*y - 1", ctx)
@@ -27,15 +28,11 @@ stranger = parse_polynomial("x^2*y - 1", ctx)
 print("NF(x^2*y - y) =", format_polynomial(gb.normal_form(member), LEX))
 print("NF(x^2*y - 1) =", format_polynomial(gb.normal_form(stranger), LEX))
 
-# the division certificate: cofactor rows express each basis element as a
-# combination of the input generators (tracking is opt-in, it roughly
-# doubles the bookkeeping)
-gb = reduced_groebner_basis([f, g], LEX, track_cofactors=True)
-print("basis elements as combinations of the inputs:")
-for p, row in zip(gb.elements, gb.cofactors):
-    combo = " + ".join(f"({format_polynomial(c, LEX)})*g{k}"
-                       for k, c in enumerate(row) if not c.is_zero())
-    print(f"    {format_polynomial(p, LEX)}  =  {combo}")
+# relations among the generators: each column c has c0*f + c1*g = 0, and
+# together the columns generate every such relation
+print("relations among f = x*y - 1 and g = y^2 - 1:")
+for c0, c1 in syzygy_basis([f, g]):
+    print(f"    ({format_polynomial(c0, LEX)})*f + ({format_polynomial(c1, LEX)})*g = 0")
 
 # grevlex is the workhorse order for everything that does not need
 # elimination; the one-step division interface works with any generators,

@@ -211,18 +211,15 @@ class GrassmannFixedPoint:
     isolated: bool            # wedge weight occurs at most twice
 
 
-def torus_fixed_grassmannian(weights: Sequence[int], k: int = 2) -> list[GrassmannFixedPoint]:
+def torus_fixed_grassmannian(weights: Sequence[int]) -> list[GrassmannFixedPoint]:
     """Coordinate 2-planes as fixed points of the torus action on Gr(2, V).
 
     A fixed point is isolated when its wedge weight occurs at most twice
     among all coordinate pairs: a pencil u*ei^ej + v*ek^el through two
     such planes (necessarily with disjoint index pairs, the weights being
     distinct) is decomposable only at u = 0 or v = 0, so the weight line
-    meets the Grassmannian in exactly the two coordinate points.  Only
-    k = 2 is implemented.
+    meets the Grassmannian in exactly the two coordinate points.
     """
-    if k != 2:
-        raise ValueError("only 2-dimensional subspaces are supported")
     ws = tuple(weights)
     if len(set(ws)) != len(ws):
         raise ValueError("torus weights must be pairwise distinct")

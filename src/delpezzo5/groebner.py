@@ -1,4 +1,4 @@
-"""Buchberger engine, S-pair syzygies, and opt-in cofactor tracking.
+"""Buchberger engine, S-pair syzygies, and syzygies of generators.
 
 Everything here is deterministic: pairs come from a heap ordered by
 (lcm degree, lcm order key, index pair), each entry built once when its
@@ -27,6 +27,7 @@ from .polyring import (
     PackingOverflow,
     Polynomial,
     RingContext,
+    elimination_order,
 )
 
 ONE = Fraction(1)
@@ -173,27 +174,21 @@ def _divide(work: dict[int, Fraction], triples: DivisorTriples,
 
 
 class GroebnerBasis:
-    """Reduced basis, its order, and optional cofactor bookkeeping.
+    """Reduced basis and its order.
 
-    ``cofactors[i]`` expresses ``elements[i]`` as a combination of the
-    input generators: ``elements[i] == sum(cofactors[i][k] * input_gens[k])``.
     ``triples`` holds each element's ``(lead, lc, tail)``, built on first
     use, so that dividing by the basis never recomputes a lead term; the
     elements and the triples share one ``packing``.
     """
 
-    __slots__ = ("context", "order", "elements", "input_gens", "cofactors", "packing",
-                 "_triples")
+    __slots__ = ("context", "order", "elements", "packing", "_triples")
 
     def __init__(self, context: RingContext, order: MonomialOrder,
-                 elements: Sequence[Polynomial], input_gens: Sequence[Polynomial],
-                 cofactors=None):
+                 elements: Sequence[Polynomial]):
         packing = _widest(elements, context)
         self.context = context
         self.order = order
         self.elements = tuple(g.repacked(packing) for g in elements)
-        self.input_gens = tuple(input_gens)
-        self.cofactors = None if cofactors is None else tuple(tuple(r) for r in cofactors)
         self.packing = packing
         self._triples = None
 
@@ -250,24 +245,6 @@ def _s_pair(G: Sequence[Polynomial], triples: DivisorTriples, i: int, j: int,
     return r, tau
 
 
-def _unit_row(context: RingContext, n: int, k: int) -> list[Polynomial]:
-    """The cofactor row e_k of length n."""
-    row = [context.zero()] * n
-    row[k] = context.one()
-    return row
-
-
-def _combine(coeffs: Sequence[Polynomial], rows, start: list[Polynomial]) -> list[Polynomial]:
-    """start + sum(coeffs[t] * rows[t]), entry by entry, skipping the zero
-    coefficients: with tau from `_s_pair` and the cofactor rows of G, the
-    cofactor row of the remainder, or a syzygy of the input generators."""
-    row = start
-    for c, other in zip(coeffs, rows):
-        if not c.is_zero():
-            row = [a + c * b for a, b in zip(row, other)]
-    return row
-
-
 def basis_syzygies(gb: GroebnerBasis) -> list[list[Polynomial]]:
     """The S-pair syzygy tau of each pair i < j of ``gb.elements``; by
     Schreyer's theorem they generate all relations among the elements."""
@@ -282,72 +259,65 @@ def basis_syzygies(gb: GroebnerBasis) -> list[list[Polynomial]]:
     return syzygies
 
 
-def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
-                           track_cofactors: bool = False) -> GroebnerBasis:
+def reduced_groebner_basis(gens: Sequence[Polynomial],
+                           order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Buchberger with the normal selection strategy and both of
     Buchberger's pair-elimination criteria; result fully interreduced
     with monic leads, sorted by decreasing lead monomial.  The run starts
     at the generators' widest packing and starts over at a wider one
     whenever a remainder outgrows it."""
-    gens = list(gens)
-    context = gens[0].context if gens else None
+    if not gens:
+        raise ValueError("cannot infer a ring context from an empty generator list")
+    context = gens[0].context
     for g in gens:
-        if context is not None and g.context != context:
+        if g.context != context:
             raise ValueError("ring context mismatch")
-    nonzero = [(k, g) for k, g in enumerate(gens) if not g.is_zero()]
-    if context is None or not nonzero:
-        if context is None:
-            raise ValueError("cannot infer a ring context from an empty generator list")
-        return GroebnerBasis(context, order, (), gens, () if track_cofactors else None)
-    packing = _widest([g for _, g in nonzero], context)
+    nonzero = [g for g in gens if not g.is_zero()]
+    if not nonzero:
+        return GroebnerBasis(context, order, ())
+    packing = _widest(nonzero, context)
     while True:
         try:
-            return _buchberger(context, gens, nonzero, order, track_cofactors, packing)
+            return _buchberger(context, nonzero, order, packing)
         except PackingOverflow:
             packing = context.packing(packing.limit + 1)
 
 
-def _buchberger(context: RingContext, gens: list[Polynomial], nonzero, order: MonomialOrder,
-                track_cofactors: bool, packing: Packing) -> GroebnerBasis:
-    """`reduced_groebner_basis` at one packing; raises `PackingOverflow` when a
-    remainder comes back wider."""
+def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrder,
+                packing: Packing) -> GroebnerBasis:
+    """`reduced_groebner_basis` of nonzero ``gens`` at one packing; raises
+    `PackingOverflow` when a remainder comes back wider."""
     key, degree, guard = packing.key(order), packing.degree, packing.guard
     G: list[Polynomial] = []
     leads: list[int] = []
     lead_keys: list[int] = []
     triples = DivisorTriples((), packing, key)   # divisor triples of G
-    rows: list[list[Polynomial]] = []  # cofactor rows aligned with G, when tracking
-    zero_row = [context.zero()] * len(gens)
     # the open pairs, as a set for the chain criterion and as a heap of
     # (lcm degree, lcm order key, i, j) for selection; a pair leaves both
     # only when popped, so they always hold the same pairs
     pairs: set[tuple[int, int]] = set()
     queue: list[tuple] = []
 
-    def add_element(g: Polynomial, row) -> None:
+    def add_element(g: Polynomial) -> None:
         nonlocal triples
         if g.packing.bits != packing.bits:
             raise PackingOverflow
         keys = {m: key(m) for m in g.packed}
         lead = max(keys, key=keys.get)
-        lc = g.packed[lead]
         new = len(G)
-        monic = g / lc
+        monic = g / g.packed[lead]
         G.append(monic)
         leads.append(lead)
         lead_keys.append(keys[lead])
         triples = DivisorTriples(triples + (_triple(monic.packed, keys, packing.width, lead),),
                                  packing, key)
-        if track_cofactors:
-            rows.append([a / lc for a in row])
         for k in range(new):
             lcm = packing.lcm(leads[k], lead)
             heappush(queue, (degree(lcm), key(lcm), k, new))
             pairs.add((k, new))
 
-    for k, g in nonzero:
-        add_element(g.repacked(packing),
-                    _unit_row(context, len(gens), k) if track_cofactors else None)
+    for g in gens:
+        add_element(g.repacked(packing))
 
     while queue:
         _, _, i, j = heappop(queue)
@@ -364,9 +334,9 @@ def _buchberger(context: RingContext, gens: list[Polynomial], nonzero, order: Mo
                 break
         if chain:
             continue
-        r, tau = _s_pair(G, triples, i, j, order, track_cofactors)
+        r, _ = _s_pair(G, triples, i, j, order, False)
         if not r.is_zero():
-            add_element(r, _combine(tau, rows, zero_row) if track_cofactors else None)
+            add_element(r)
 
     # minimal generating set of the lead ideal
     by_lead = sorted(range(len(G)), key=lead_keys.__getitem__)
@@ -379,16 +349,10 @@ def _buchberger(context: RingContext, gens: list[Polynomial], nonzero, order: Mo
     # and so does each lead coefficient
     final = [G[k] for k in kept]
     final_triples = [triples[k] for k in kept]
-    final_rows = [list(rows[k]) for k in kept] if track_cofactors else None
     for idx in range(len(final)):
         others = final[:idx] + final[idx + 1:]
         other_triples = DivisorTriples(final_triples[:idx] + final_triples[idx + 1:], packing, key)
-        if track_cofactors:
-            final[idx], q = normal_form(final[idx], others, order, True, other_triples)
-            rest = final_rows[:idx] + final_rows[idx + 1:]
-            final_rows[idx] = _combine([-qt for qt in q], rest, final_rows[idx])
-        else:
-            final[idx] = normal_form(final[idx], others, order, False, other_triples)
+        final[idx] = normal_form(final[idx], others, order, False, other_triples)
         if final[idx].packing.bits != packing.bits:
             raise PackingOverflow
         lead = final_triples[idx][0]
@@ -397,16 +361,14 @@ def _buchberger(context: RingContext, gens: list[Polynomial], nonzero, order: Mo
 
     # kept is ascending in lead order and interreduction keeps the leads,
     # so reversing sorts the basis by decreasing lead monomial
-    elements = final[::-1]
-    cof = final_rows[::-1] if track_cofactors else None
-    return GroebnerBasis(context, order, elements, gens, cof)
+    return GroebnerBasis(context, order, final[::-1])
 
 
 class SyzygyBasis:
     """Generating set for the module of relations among ``gens``.
 
-    Each column c satisfies ``sum(c[k] * gens[k]) == 0``; by Schreyer's
-    construction the columns generate every relation.
+    Each column c satisfies ``sum(c[k] * gens[k]) == 0``, and the columns
+    generate every relation.
     """
 
     __slots__ = ("gens", "columns")
@@ -422,50 +384,52 @@ class SyzygyBasis:
         return iter(self.columns)
 
 
-def syzygy_columns(gb: GroebnerBasis) -> list[list[Polynomial]]:
-    """Schreyer syzygies of ``gb.input_gens``, one relation per list entry.
+def syzygy_columns(gens: Sequence[Polynomial]) -> list[list[Polynomial]]:
+    """Generating relations among ``gens``, one column per list entry.
 
-    Maps every S-pair syzygy tau of the basis through the cofactor
-    matrix A, as tau * A, then adds the columns e_i - sum_j B[i][j] A[j]
-    accounting for the generators' own reductions.  A zero input
-    generator yields the trivial relation e_i, which any generating set
-    of relations must contain.
+    In S[y_1..y_m, z], the ideal J = (y_k - z*f_k) is the kernel of
+    y_k -> z*f_k into S[z], and it is homogeneous in (y, z).  Its reduced
+    basis under an order eliminating z is therefore (y, z)-homogeneous,
+    and its elements free of z and linear in y, sum(c_k * y_k), are
+    columns c that generate the module of relations.  A zero generator
+    f_k puts y_k itself in J, so it gets the unit column e_k.
     """
-    if gb.cofactors is None:
-        raise ValueError("syzygies need a basis computed with cofactor tracking")
-    gens = gb.input_gens
-    A = gb.cofactors
-    zero_row = [gb.context.zero()] * len(gens)
-
-    columns: list[list[Polynomial]] = []
-
-    def push(col: list[Polynomial]) -> None:
-        if any(not c.is_zero() for c in col):
-            columns.append(col)
-
-    for tau in basis_syzygies(gb):
-        push(_combine(tau, A, zero_row))
-
-    for i, g in enumerate(gens):
-        unit = _unit_row(gb.context, len(gens), i)
-        if g.is_zero():
-            push(unit)
-            continue
-        r, b = gb.normal_form(g, with_quotients=True)
-        if not r.is_zero():
-            raise AssertionError("generator must reduce to zero against its own basis")
-        push(_combine([-bt for bt in b], A, unit))
-
-    return columns
-
-
-def syzygy_basis(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> SyzygyBasis:
-    """Generating relations among nonzero generators."""
     gens = list(gens)
     if not gens:
         raise ValueError("syzygies need at least one generator")
-    for g in gens:
-        if g.is_zero():
-            raise ValueError("syzygies require nonzero generators")
-    gb = reduced_groebner_basis(gens, order, track_cofactors=True)
-    return SyzygyBasis(gens, syzygy_columns(gb))
+    context = gens[0].context
+    if any(g.context != context for g in gens):
+        raise ValueError("ring context mismatch")
+    n, m = context.nvars, len(gens)
+    tagged = context
+    for _ in range(m + 1):
+        tagged = tagged.extended(tagged.fresh_name("y"))
+    width = n + m + 1
+    relations = []
+    for k, f in enumerate(gens):
+        tag = [0] * width
+        tag[n + k] = 1
+        terms = {e + (0,) * m + (1,): -c for e, c in f.terms.items()}
+        terms[tuple(tag)] = ONE
+        relations.append(Polynomial(tagged, terms))
+    gb = reduced_groebner_basis(relations, elimination_order(width, (n + m,)))
+
+    columns = []
+    for g in gb:
+        terms = g.terms
+        # g is (y, z)-homogeneous, so any one term gives its y-degree
+        if any(e[-1] for e in terms) or sum(next(iter(terms))[n:]) != 1:
+            continue
+        column = [{} for _ in gens]
+        for e, c in terms.items():
+            column[e.index(1, n) - n][e[:n]] = c
+        columns.append([Polynomial(context, t) for t in column])
+    return columns
+
+
+def syzygy_basis(gens: Sequence[Polynomial]) -> SyzygyBasis:
+    """Generating relations among nonzero generators."""
+    gens = list(gens)
+    if any(g.is_zero() for g in gens):
+        raise ValueError("syzygies require nonzero generators")
+    return SyzygyBasis(gens, syzygy_columns(gens))

@@ -99,13 +99,24 @@ class HilbertPolynomial:
 # Hilbert functions
 
 def degree_monomials(nvars: int, d: int) -> Iterator[Exponents]:
-    """All exponent tuples of total degree d, lexicographically."""
-    if nvars == 1:
-        yield (d,)
+    """All exponent tuples of total degree d, lexicographically decreasing."""
+    if d < 0:
         return
-    for first in range(d, -1, -1):
-        for rest in degree_monomials(nvars - 1, d - first):
-            yield (first,) + rest
+    e = [d] + [0] * (nvars - 1)
+    while True:
+        yield tuple(e)
+        # the successor moves one unit from the last nonzero entry before
+        # the final one to its right neighbour, which also takes the final
+        # entry's units; entries between them are zero
+        i = nvars - 2
+        while i >= 0 and not e[i]:
+            i -= 1
+        if i < 0:
+            return
+        rest = e[-1] + 1
+        e[-1] = 0
+        e[i] -= 1
+        e[i + 1] = rest
 
 
 def standard_monomials(ideal: Ideal, d: int, order: MonomialOrder = GREVLEX) -> list[Exponents]:

@@ -45,7 +45,7 @@ class Ideal:
         gb = self._gb_cache.get(order)
         if gb is None:
             gb = reduced_groebner_basis(self.gens, order) if self.gens \
-                else GroebnerBasis(self.context, order, (), ())
+                else GroebnerBasis(self.context, order, ())
             self._gb_cache[order] = gb
         return gb
 

@@ -105,10 +105,6 @@ class TestFixedPoints:
         points = dp5.torus_fixed_grassmannian((6, 2, 0, -2, -6))
         assert len(points) == 10
 
-    def test_unsupported_rank(self):
-        with pytest.raises(ValueError):
-            dp5.torus_fixed_grassmannian((4, 2, 0), k=3)
-
     def test_duplicate_weights_rejected(self):
         with pytest.raises(ValueError):
             dp5.torus_fixed_grassmannian((2, 2, 0))

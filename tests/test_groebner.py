@@ -1,4 +1,5 @@
-"""Groebner bases: reduction, Buchberger criterion, cofactors, syzygies."""
+"""Groebner bases: reduction, Buchberger criterion, cofactors of a
+reference Buchberger, syzygies."""
 import random
 from bisect import insort
 from fractions import Fraction
@@ -54,6 +55,22 @@ def random_poly(rng, ctx, max_terms=3, max_deg=3):
             key = tuple(exps)
             terms[key] = terms.get(key, Fraction(0)) + c
     return Polynomial(ctx, {m: c for m, c in terms.items() if c})
+
+
+def random_form(rng, ctx, degree, n_terms=3):
+    """A form of the given degree with up to n_terms random terms."""
+    terms = {}
+    for _ in range(n_terms):
+        exps = [0] * ctx.nvars
+        for _ in range(degree):
+            exps[rng.randrange(ctx.nvars)] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-3, 3))
+    return Polynomial(ctx, terms)
+
+
+def seeded_forms(seed, ctx, degrees):
+    rng = random.Random(seed)
+    return [random_form(rng, ctx, d) for d in degrees]
 
 
 class TestReducedBasis:
@@ -150,32 +167,35 @@ class TestNormalForm:
             assert gb.contains(q - gb.normal_form(q))
 
 
+def combination(coeffs, polys):
+    """sum(coeffs[k] * polys[k])."""
+    return sum((c * g for c, g in zip(coeffs, polys)), polys[0].context.zero())
+
+
 class TestCofactors:
+    """The cofactor rows of the test-only `reference_basis` write each
+    element of the library's basis in the input generators."""
+
+    def check(self, gens, order):
+        gb, rows = reference_basis(gens, order)
+        assert gb.elements == reduced_groebner_basis(gens, order).elements
+        assert len(rows) == len(gb)
+        for element, row in zip(gb.elements, rows):
+            assert len(row) == len(gens)
+            assert combination(row, gens) == element
+
     def test_identity_on_fixed_ideal(self):
-        gens = [p2("x*y - 1"), p2("y^2 - 1")]
-        gb = reduced_groebner_basis(gens, LEX, track_cofactors=True)
-        for element, row in zip(gb.elements, gb.cofactors):
-            total = XY.zero()
-            for c, g in zip(row, gens):
-                total = total + c * g
-            assert total == element
+        self.check([p2("x*y - 1"), p2("y^2 - 1")], LEX)
 
     def test_identity_randomized_with_zero_generators(self):
         rng = random.Random(47)
         for _ in range(15):
-            gens = [random_poly(rng, XYZ), XYZ.zero(), random_poly(rng, XYZ)]
-            gb = reduced_groebner_basis(gens, GREVLEX, track_cofactors=True)
-            for element, row in zip(gb.elements, gb.cofactors):
-                assert len(row) == len(gens)
-                total = XYZ.zero()
-                for c, g in zip(row, gens):
-                    total = total + c * g
-                assert total == element
+            self.check([random_poly(rng, XYZ), XYZ.zero(), random_poly(rng, XYZ)], GREVLEX)
 
 
 class TestSyzygies:
     def test_koszul_pair(self):
-        basis = syzygy_basis([XY.variable("x"), XY.variable("y")], GREVLEX)
+        basis = syzygy_basis([XY.variable("x"), XY.variable("y")])
         for col in basis.columns:
             assert (col[0] * XY.variable("x")
                     + col[1] * XY.variable("y")).is_zero()
@@ -187,7 +207,7 @@ class TestSyzygies:
 
     def test_monomial_pair_contains_koszul(self):
         gens = [parse_polynomial("x*y", XYZ), parse_polynomial("x*z", XYZ)]
-        basis = syzygy_basis(gens, GREVLEX)
+        basis = syzygy_basis(gens)
         for col in basis.columns:
             assert (col[0] * gens[0] + col[1] * gens[1]).is_zero()
         target = (parse_polynomial("z", XYZ), parse_polynomial("-y", XYZ))
@@ -196,13 +216,10 @@ class TestSyzygies:
                    for col in basis.columns)
 
     def test_orbit_quadric_syzygies_annihilate(self):
-        basis = syzygy_basis(ORBIT_QUADRICS, GREVLEX)
+        basis = syzygy_basis(ORBIT_QUADRICS)
         assert basis.columns
         for col in basis.columns:
-            total = ORBIT.zero()
-            for c, g in zip(col, ORBIT_QUADRICS):
-                total = total + c * g
-            assert total.is_zero()
+            assert combination(col, ORBIT_QUADRICS).is_zero()
 
     def test_zero_generator_gets_trivial_column(self):
         # the public entry point insists on nonzero generators; the
@@ -210,46 +227,61 @@ class TestSyzygies:
         # that alignment with the input list survives
         gens = [XYZ.variable("x"), XYZ.zero()]
         with pytest.raises(ValueError):
-            syzygy_basis(gens, GREVLEX)
-        gb = reduced_groebner_basis(gens, GREVLEX, track_cofactors=True)
-        columns = syzygy_columns(gb)
+            syzygy_basis(gens)
+        columns = syzygy_columns(gens)
         assert any(col[0].is_zero() and col[1] == XYZ.one()
                    for col in columns)
 
-    def test_completeness_against_brute_force(self):
-        # syzygies of (x, y, z): the returned span per degree must match
-        # the full kernel of (q1,q2,q3) -> q1*x + q2*y + q3*z
-        gens = [XYZ.variable(v) for v in ("x", "y", "z")]
-        basis = syzygy_basis(gens, GREVLEX)
+    def test_inhomogeneous_with_zero_generators_annihilate(self):
+        rng = random.Random(53)
+        for _ in range(10):
+            gens = [random_poly(rng, XYZ) for _ in range(rng.randint(1, 3))]
+            for k in sorted(rng.sample(range(len(gens) + 1), 2)):
+                gens.insert(k, XYZ.zero())
+            columns = syzygy_columns(gens)
+            for col in columns:
+                assert len(col) == len(gens)
+                assert combination(col, gens).is_zero()
+            for k, g in enumerate(gens):
+                if g.is_zero():
+                    unit = [XYZ.one() if t == k else XYZ.zero() for t in range(len(gens))]
+                    assert unit in columns
+
+    @pytest.mark.parametrize("gens", [
+        [XYZ.variable(v) for v in ("x", "y", "z")],
+        ORBIT_QUADRICS,
+        seeded_forms(59, XYZ, (1, 2, 2)),
+    ], ids=["variables", "orbit-quadrics", "seeded-forms"])
+    def test_completeness_against_brute_force(self, gens):
+        # the span of the returned columns in each degree d must be the
+        # full kernel of (q_i) -> sum(q_i * g_i), q_i of degree d - deg g_i
+        ctx = gens[0].context
+        n = ctx.nvars
+        degrees = [g.total_degree() for g in gens]
+        basis = syzygy_basis(gens)
+        shifts = []
         for col in basis.columns:
-            total = XYZ.zero()
-            for c, g in zip(col, gens):
-                total = total + c * g
-            assert total.is_zero()
-        for d in range(1, 5):
+            assert combination(col, gens).is_zero()
+            degs = {c.total_degree() + dg for c, dg in zip(col, degrees) if not c.is_zero()}
+            assert len(degs) == 1
+            shifts.append(degs.pop())
+        for d in range(1, max(shifts) + 2):
             # kernel dimension by rank-nullity on the multiplication map
             domain = 0
             echelon = SparseEchelon()
-            for i, g in enumerate(gens):
-                for m in degree_monomials(3, d - 1):
+            for g, dg in zip(gens, degrees):
+                for m in degree_monomials(n, d - dg):
                     domain += 1
-                    prod = g.term_multiple(m, Fraction(1))
-                    echelon.add_row({e: c for e, c in prod.terms.items()})
+                    echelon.add_row(g.term_multiple(m, Fraction(1)).terms)
             kernel = domain - echelon.rank
             # span of the returned columns in degree d, flattened over
             # (component, monomial) coordinates
             span = SparseEchelon()
-            for col in basis.columns:
-                degs = {c.total_degree() for c in col if not c.is_zero()}
-                assert len(degs) == 1
-                e = degs.pop()
-                if e > d - 1:
-                    continue
-                for m in degree_monomials(3, d - 1 - e):
+            for col, e in zip(basis.columns, shifts):
+                for m in degree_monomials(n, d - e):
                     row = {}
                     for i, c in enumerate(col):
-                        shifted = c.term_multiple(m, Fraction(1))
-                        for exps, coeff in shifted.terms.items():
+                        for exps, coeff in c.term_multiple(m, Fraction(1)).terms.items():
                             row[(i, exps)] = coeff
                     span.add_row(row)
             assert span.rank == kernel
@@ -308,8 +340,10 @@ def combine_rows(coeffs, rows, start):
 def reference_basis(gens, order):
     """Buchberger with cofactors, selecting at each step the open pair with
     the smallest (lcm degree, lcm order key, i, j) by a linear ``min()``.
-    S-pairs are reduced by ``groebner.normal_form``, which the caller
-    replaces by `reference_normal_form`."""
+    Returns the reduced basis and the cofactor row of each element, with
+    ``element == sum(row[k] * gens[k])``.  S-pairs and the interreduction
+    go through ``groebner.normal_form``, which a caller may replace by
+    `reference_normal_form`."""
     context = gens[0].context
     G, rows = [], []
     for k, g in enumerate(gens):
@@ -355,30 +389,34 @@ def reference_basis(gens, order):
     final = [G[k] for k in kept]
     final_rows = [rows[k] for k in kept]
     for idx in range(len(final)):
-        final[idx], q = reference_normal_form(final[idx], final[:idx] + final[idx + 1:],
-                                              order, with_quotients=True)
+        final[idx], q = groebner.normal_form(final[idx], final[:idx] + final[idx + 1:],
+                                             order, with_quotients=True)
         final_rows[idx] = combine_rows([-qt for qt in q], final_rows[:idx] + final_rows[idx + 1:],
                                        final_rows[idx])
     desc = sorted(range(len(final)), key=lambda k: order.key(final[k].lead_monomial(order)),
                   reverse=True)
-    return GroebnerBasis(context, order, [final[k] for k in desc], gens,
-                         [final_rows[k] for k in desc])
+    return (GroebnerBasis(context, order, [final[k] for k in desc]),
+            [final_rows[k] for k in desc])
 
 
-def random_form(rng, ctx, degree, n_terms=3):
-    """A form of the given degree with up to n_terms random terms."""
-    terms = {}
-    for _ in range(n_terms):
-        exps = [0] * ctx.nvars
-        for _ in range(degree):
-            exps[rng.randrange(ctx.nvars)] += 1
-        terms[tuple(exps)] = Fraction(rng.randint(-3, 3))
-    return Polynomial(ctx, terms)
+def divided(monkeypatch, division, build):
+    """The result of ``build()`` and every polynomial it hands to
+    ``groebner.normal_form``, which divides by ``division`` meanwhile."""
+    seen = []
+
+    def recording(p, *args, **kwargs):
+        seen.append(p)
+        return division(p, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "normal_form", recording)
+    return build(), seen
 
 
 class TestReferenceSelection:
-    """Cofactor rows and syzygy columns depend on the reduction path, so
-    equal rows pin the order in which pairs are selected and terms reduced."""
+    """The library hands `normal_form` the same S-polynomials, in the same
+    sequence, as the reference with its linear selection, followed by the
+    same elements to interreduce; this pins the order in which pairs are
+    selected."""
 
     @pytest.mark.parametrize("nvars, linear_term", [(3, False), (3, True), (4, False)],
                              ids=["3vars-homogeneous", "3vars-inhomogeneous", "4vars-homogeneous"])
@@ -386,7 +424,6 @@ class TestReferenceSelection:
         ctx = RingContext(("x", "y", "z", "w")[:nvars])
         orders = [GREVLEX, LEX, block_split(nvars, 1), variable_last_order(nvars, 0)]
         rng = random.Random(97 + nvars)
-        cases = []
         for _ in range(8):
             gens = [random_form(rng, ctx, rng.randint(1, 3))
                     + (random_form(rng, ctx, 1, 1) if linear_term else ctx.zero())
@@ -394,17 +431,12 @@ class TestReferenceSelection:
             if all(g.is_zero() for g in gens):
                 continue
             for order in orders:
-                gb = reduced_groebner_basis(gens, order, track_cofactors=True)
-                assert reduced_groebner_basis(gens, order).elements == gb.elements
-                syz = syzygy_columns(gb) if all(not g.is_zero() for g in gens) else None
-                cases.append((gens, order, gb, syz))
-        monkeypatch.setattr(groebner, "normal_form", reference_normal_form)
-        for gens, order, gb, syz in cases:
-            ref = reference_basis(gens, order)
-            assert ref.elements == gb.elements
-            assert ref.cofactors == gb.cofactors
-            if syz is not None:
-                assert syzygy_columns(ref) == syz
+                gb, inputs = divided(monkeypatch, normal_form,
+                                     lambda: reduced_groebner_basis(gens, order))
+                (ref, _), ref_inputs = divided(monkeypatch, reference_normal_form,
+                                               lambda: reference_basis(gens, order))
+                assert ref.elements == gb.elements
+                assert ref_inputs == inputs
 
 
 class TestWideExponents:
@@ -446,7 +478,7 @@ class TestWideExponents:
         if expected is not None and order == GREVLEX:
             assert gb.elements == tuple(p2(t) for t in expected)
         monkeypatch.setattr(groebner, "normal_form", reference_normal_form)
-        assert reference_basis(gens, order).elements == gb.elements
+        assert reference_basis(gens, order)[0].elements == gb.elements
 
 
 class TestContextChecks:
@@ -494,13 +526,12 @@ class TestGroebnerBasisObject:
             if all(g.is_zero() for g in gens):
                 continue
             for order in orders:
-                for track in (False, True):
-                    gb = reduced_groebner_basis(gens, order, track_cofactors=track)
-                    assert gb.triples == tuple(groebner.divisor_triples(gb.elements, order))
-                    for _ in range(4):
-                        p = random_form(rng, ctx, rng.randint(1, 4), 4)
-                        assert gb.normal_form(p, with_quotients=True) \
-                            == normal_form(p, gb.elements, gb.order, True)
+                gb = reduced_groebner_basis(gens, order)
+                assert gb.triples == tuple(groebner.divisor_triples(gb.elements, order))
+                for _ in range(4):
+                    p = random_form(rng, ctx, rng.randint(1, 4), 4)
+                    assert gb.normal_form(p, with_quotients=True) \
+                        == normal_form(p, gb.elements, gb.order, True)
 
     def test_lead_monomials_listed(self):
         gb = reduced_groebner_basis([p2("x*y - 1"), p2("y^2 - 1")], LEX)

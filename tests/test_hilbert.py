@@ -1,6 +1,7 @@
 """Hilbert functions, series numerators, and Hilbert polynomials."""
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -229,6 +230,14 @@ class TestDegreeMonomials:
 
     def test_exponent_sums(self):
         assert all(sum(m) == 3 for m in degree_monomials(4, 3))
+
+    def test_sequence_is_decreasing_lexicographic(self):
+        # standard monomials, direct Hilbert-function columns and the
+        # seeded pools of the property suites all depend on this order
+        for n in range(1, 6):
+            for d in range(7):
+                every = [m for m in product(range(d + 1), repeat=n) if sum(m) == d]
+                assert list(degree_monomials(n, d)) == sorted(every, reverse=True)
 
 
 XYZW = RingContext(("x", "y", "z", "w"))

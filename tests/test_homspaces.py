@@ -7,13 +7,15 @@ from fractions import Fraction
 import pytest
 
 from delpezzo5 import dp5, groebner, homspaces
-from delpezzo5.groebner import normal_form, reduced_groebner_basis, syzygy_columns
+from delpezzo5.groebner import normal_form, syzygy_columns
 from delpezzo5.hilbert import degree_monomials, standard_monomials
 from delpezzo5.homspaces import graded_hom_dimension, tangent_dimension
 from delpezzo5.ideals import Ideal
 from delpezzo5.linalg import SparseEchelon
 from delpezzo5.polyring import (GREVLEX, Polynomial, RingContext, mono_div, mono_lcm,
                                 parse_polynomial)
+
+from test_groebner import reference_basis
 
 XY = RingContext(("x", "y"))
 P3 = RingContext(("x", "y", "z", "w"))
@@ -197,22 +199,24 @@ def reference_hom_rows(source, target, twist=0, within=None):
 
 def input_generator_hom_dimension(source, target, twist=0, within=None):
     """The Hom dimension on the input generators of the source instead of
-    its reduced basis: their Schreyer syzygies, and each ambient generator
-    written in them through the cofactors of a tracked basis."""
+    its reduced basis: their relations from the elimination in
+    `syzygy_columns`, and each ambient generator written in them through
+    the cofactor rows of the test-only reference Buchberger."""
     if target.is_unit():
         return 0
-    gb = reduced_groebner_basis(source.gens, GREVLEX, track_cofactors=True)
+    gens = source.gens
+    gb, rows = reference_basis(gens, GREVLEX)
     if len(gb) == 0:
         return 0
-    unknown_index, bases = presentation_unknowns(gb.input_gens, target, twist)
+    unknown_index, bases = presentation_unknowns(gens, target, twist)
 
     def express(p):
         r, q = gb.normal_form(p, with_quotients=True)
         assert r.is_zero()
-        return [sum((qt * row[k] for qt, row in zip(q, gb.cofactors)), source.context.zero())
-                for k in range(len(gb.input_gens))]
+        return [sum((qt * row[k] for qt, row in zip(q, rows)), source.context.zero())
+                for k in range(len(gens))]
 
-    blocks = [list(column) for column in syzygy_columns(gb)]
+    blocks = syzygy_columns(gens)
     if within is not None:
         blocks += [express(w) for w in within.gens]
     ech = SparseEchelon()

@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package uses each name it imports,
-imports no private name of another package module, and every name the
-benchmark's tracer rebinds still exists."""
+imports no private name of another package module, reads every private
+helper it defines, and every name the benchmark's tracer rebinds still
+exists."""
 import ast
 import importlib
 import importlib.util
@@ -57,6 +58,50 @@ def test_detector_flags_a_private_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of each private module-level function and
+    ``module:Class.name`` of each private method that no code in any of
+    the modules reads, as a name or as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((module, node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [(module, f"{node.name}.{item.name}", item.name) for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}:{qualified}" for module, qualified, name in defined
+                  if is_private(name) and name not in read)
+
+
+def test_detector_flags_an_unreferenced_private_helper():
+    sources = {
+        "a": ("def _used():\n    pass\n"
+              "def _orphan():\n    pass\n"
+              "class C:\n"
+              "    def __init__(self):\n        self._called()\n"
+              "    def _called(self):\n        pass\n"
+              "    def _dead(self):\n        pass\n"),
+        "b": "from .a import _used\n_used()\n",
+    }
+    assert unreferenced_private(sources) == ["a:C._dead", "a:_orphan"]
+
+
+def test_no_unreferenced_private_helpers():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private(sources) == []
 
 
 def load_spans():
