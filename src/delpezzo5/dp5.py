@@ -485,8 +485,8 @@ def rnc_ideal(model: DP5Model) -> Ideal:
 
 
 def fixed_curves(model: DP5Model, degree: int) -> list[FixedCurveRecord]:
-    """Census dispatcher.  Degree 4 returns the residual curves without
-    tangent-space dimensions; use enumerate_fixed_quartics for those."""
+    """Census dispatcher.  Degree 4 reads `enumerate_fixed_quartics`, which
+    computes all 30 relative tangents; the records here do not carry them."""
     if degree == 1:
         return fixed_lines(model)
     if degree == 2:

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 from .ideals import Ideal
 from .linalg import SparseEchelon
-from .polyring import GREVLEX, Exponents, MonomialOrder, Packing, Polynomial, mono_divides
+from .polyring import GREVLEX, LEX, Exponents, MonomialOrder, Packing, Polynomial, mono_divides
 
 
 class HilbertPolynomial:
@@ -166,10 +166,11 @@ def hilbert_function_direct(ideal: Ideal, d: int) -> int:
     """Groebner-free oracle: dim S_d minus the rank of all degree-d
     multiples of the generators, by sparse row reduction.  Each
     generator is scaled once to integer coefficients, which leaves the
-    row space unchanged.  Exponent tuples of degree at most d are packed
-    into integers in base d + 1, where multiplying monomials adds their
-    codes without carries; the shifts of each generator degree are
-    listed once."""
+    row space unchanged.  A column is the lex key of a degree-d monomial
+    at the ring's packing for degree d: no exponent exceeds d, so the
+    key of a shift times a term is the sum of their keys, and columns
+    sort as their exponent tuples do.  The shifts of each generator
+    degree are listed once."""
     if d < 0:
         return 0
     context = ideal.context
@@ -177,14 +178,8 @@ def hilbert_function_direct(ideal: Ideal, d: int) -> int:
     for g in ideal.gens:
         if not g.is_homogeneous():
             raise ValueError("Hilbert function needs homogeneous generators")
-
-    def pack(m: Exponents) -> int:
-        code = 0
-        for e in m:
-            code = code * (d + 1) + e
-        return code
-
-    col = {pack(m): i for i, m in enumerate(degree_monomials(n, d))}
+    packing = context.packing(d)
+    key = packing.key(LEX)
     shifts: dict[int, list[int]] = {}
     ech = SparseEchelon()
     for g in ideal.gens:
@@ -192,11 +187,12 @@ def hilbert_function_direct(ideal: Ideal, d: int) -> int:
         if g.is_zero() or gd > d:
             continue
         if d - gd not in shifts:
-            shifts[d - gd] = [pack(s) for s in degree_monomials(n, d - gd)]
-        den = lcm(*(c.denominator for c in g.terms.values()))
-        terms = [(pack(m), c.numerator * (den // c.denominator)) for m, c in g.terms.items()]
+            shifts[d - gd] = [key(packing.pack(s)) for s in degree_monomials(n, d - gd)]
+        packed = g.repacked(packing).packed
+        den = lcm(*(c.denominator for c in packed.values()))
+        terms = [(key(m), c.numerator * (den // c.denominator)) for m, c in packed.items()]
         for shift in shifts[d - gd]:
-            ech.add_row({col[shift + m]: c for m, c in terms})
+            ech.add_row({shift + m: c for m, c in terms})
     return comb(d + n - 1, n - 1) - ech.rank
 
 

@@ -42,11 +42,18 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
             raise ValueError("graded Hom needs homogeneous source generators")
     if not target.is_homogeneous():
         raise ValueError("graded Hom needs a homogeneous target ideal")
+    # per ambient generator, the quotients of its division by the basis:
+    # the proof that it lies in source, and its equation block in the solve
+    ambient = []
     if within is not None:
         if within.context != source.context:
             raise ValueError("ambient ideal lives in a different ring context")
-        if not source.contains_ideal(within):
-            raise ValueError("ambient ideal is not contained in the source ideal")
+        gb = source.groebner(GREVLEX)
+        for w in within.gens:
+            r, q = gb.normal_form(w, with_quotients=True)
+            if not r.is_zero():
+                raise ValueError("ambient ideal is not contained in the source ideal")
+            ambient.append(q)
         for g in within.gens:
             if not g.is_homogeneous():
                 raise ValueError("graded Hom needs homogeneous ambient generators")
@@ -71,15 +78,8 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     if not unknowns:
         return 0
 
-    # one equation block per S-pair syzygy, and per ambient generator
-    # the quotients of its division by the basis
-    blocks = basis_syzygies(gb)
-    if within is not None:
-        for w in within.gens:
-            r, q = gb.normal_form(w, with_quotients=True)
-            if not r.is_zero():
-                raise AssertionError("ambient generator must reduce to zero by the source basis")
-            blocks.append(q)
+    # one equation block per S-pair syzygy and per ambient generator
+    blocks = basis_syzygies(gb) + ambient
 
     packing = max(tgb.packing, gb.packing, target.context.packing(max(by_degree)),
                   key=lambda k: k.bits)

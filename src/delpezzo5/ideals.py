@@ -128,7 +128,7 @@ class Ideal:
         tname = ctx.fresh_name("t")
         ext = ctx.extended(tname)  # weight 0 keeps any torus grading intact
         t = ext.variable(tname)
-        lift = _lift_all(ext, self.gens + other.gens)
+        lift = [_lift(ext, g) for g in self.gens + other.gens]
         mine = lift[: len(self.gens)]
         theirs = lift[len(self.gens):]
         one = ext.one()
@@ -137,27 +137,13 @@ class Ideal:
 
     def quotient(self, other) -> "Ideal":
         """Ideal quotient (I : f) or (I : J)."""
-        return self._fold(other, "quotient", Ideal._quotient_single)
-
-    def _quotient_single(self, f: Polynomial) -> "Ideal":
-        name = _as_variable(f)
-        if name is not None and self.is_homogeneous():
-            return self.quotient_variable(name)
-        return self._quotient_poly(f)
+        return self._fold(other, "quotient", Ideal.quotient_variable, Ideal._quotient_poly)
 
     def quotient_variable(self, name: str) -> "Ideal":
-        """Quotient (I : x) of a homogeneous ideal by a variable.
-
-        Under an order sorting x last, every reduced-basis element whose
-        lead involves x is divisible by x outright (any x-free term would
-        outrank the lead), and dividing exactly those elements by x
-        generates the quotient."""
+        """Quotient (I : x) of a homogeneous ideal by a variable."""
         if not self.is_homogeneous():
             raise ValueError("variable quotient needs a homogeneous ideal")
-        idx = self.context.index(name)
-        gb = self.groebner(variable_last_order(self.context.nvars, idx))
-        return Ideal(self.context, [_divide_variable(g, idx, min(1, _variable_power(g, idx)))
-                                    for g in gb])
+        return self._divide_variable_last(name, saturate=False)
 
     def _quotient_poly(self, f: Polynomial) -> "Ideal":
         meet = self.intersect(Ideal(self.context, [f]))
@@ -171,40 +157,45 @@ class Ideal:
         return Ideal(self.context, quots)
 
     def saturate(self, other) -> "Ideal":
-        """Saturation (I : f^inf) or (I : J^inf), by Rabinowitsch's trick."""
-        return self._fold(other, "saturation", Ideal._saturate_poly)
+        """Saturation (I : f^inf) or (I : J^inf); see `_fold` for the route."""
+        return self._fold(other, "saturation", Ideal.saturate_variable, Ideal._saturate_poly)
 
     def _saturate_poly(self, f: Polynomial) -> "Ideal":
         ctx = self.context
         tname = ctx.fresh_name("t")
         ext = ctx.extended(tname)
         t = ext.variable(tname)
-        gens = _lift_all(ext, self.gens)
+        gens = [_lift(ext, g) for g in self.gens]
         gens.append(ext.one() - t * _lift(ext, f))
         return _eliminate_to(ext, gens, drop=(ext.nvars - 1,), target=ctx)
 
     def saturate_variable(self, name: str) -> "Ideal":
-        """Saturation by a single variable.
-
-        For homogeneous ideals: repeatedly divide the reduced basis
-        (under an order sorting the variable last) by its content in
-        the variable.  The chain increases inside (I : x^inf), and at
-        the fixed point no lead monomial involves x (an x-free term
-        would outrank an x-divisible lead), so the ideal is saturated.
-        Inhomogeneous ideals fall back to the general construction.
-        """
+        """Saturation by a single variable; inhomogeneous ideals fall back
+        to Rabinowitsch's trick."""
         if not self.is_homogeneous():
             return self._saturate_poly(self.context.variable(name))
+        return self._divide_variable_last(name, saturate=True)
+
+    def _divide_variable_last(self, name: str, saturate: bool) -> "Ideal":
+        """(I : x^inf) when ``saturate``, else (I : x), for homogeneous I
+        (Bayer & Stillman 1987).  Under an order sorting x last, every
+        reduced-basis element whose lead involves x is divisible by x
+        outright (an x-free term would outrank the lead).  The quotient
+        divides exactly those elements by x, once; the saturation divides
+        every element by its content in x until no lead involves x, a
+        chain that increases inside (I : x^inf)."""
         idx = self.context.index(name)
         order = variable_last_order(self.context.nvars, idx)
         current = self
         while True:
             gb = current.groebner(order)
             powers = [_variable_power(g, idx) for g in gb]
-            if not any(powers):
+            if saturate and not any(powers):
                 return current
-            current = Ideal(self.context, [_divide_variable(g, idx, k)
+            current = Ideal(self.context, [_divide_variable(g, idx, k if saturate else min(1, k))
                                            for g, k in zip(gb, powers)])
+            if not saturate:
+                return current
 
     def saturate_irrelevant(self) -> "Ideal":
         """Saturation by the irrelevant maximal ideal (all variables).
@@ -215,8 +206,7 @@ class Ideal:
         variables that lie in I, and when some generators of I are bare
         variables it runs in the ring without them (see `_fold`), where
         it is the saturation by that ring's irrelevant ideal."""
-        return self._fold(Ideal(self.context, self.context.gens()), "saturation",
-                          lambda ideal, x: ideal.saturate_variable(_as_variable(x)))
+        return self.saturate(Ideal(self.context, self.context.gens()))
 
     def eliminate(self, names: Sequence[str]) -> "Ideal":
         """Contract to the subring without the named variables."""
@@ -250,12 +240,14 @@ class Ideal:
         rest = (_restrict(target, g, keep) for g in self.gens)
         return Ideal(target, [g for g in rest if not g.is_zero()]), tuple(dropped)
 
-    def _fold(self, other, what: str, single) -> "Ideal":
-        """Meet of ``single(I, g)`` over the nonzero divisors g of the
-        polynomial or ideal ``other`` that I does not contain: for g in I,
-        (I : g) = (I : g^inf) = (1), which the meet ignores.  The unit
-        ideal when no divisor is left, with a warning when ``other`` has
-        no nonzero divisor at all.
+    def _fold(self, other, what: str, variable, general) -> "Ideal":
+        """Meet of (I : g), or (I : g^inf), over the nonzero divisors g of
+        the polynomial or ideal ``other`` that I does not contain: for g
+        in I, (I : g) = (I : g^inf) = (1), which the meet ignores.  The
+        unit ideal when no divisor is left, with a warning when ``other``
+        has no nonzero divisor at all.  The one route chooser: a bare
+        variable g of a homogeneous I goes to ``variable(I, name)``,
+        every other g to ``general(I, g)``.
 
         When some generators of I are bare variables x, the fold runs on
         Ibar from `split_variables`, and each divisor g on gbar, g with
@@ -281,7 +273,14 @@ class Ideal:
         outside = [g for g in nonzero if not base.contains(g)]
         if not outside:
             return Ideal(self.context, [self.context.one()])
-        meet = _meet_all(single(base, g) for g in outside)
+
+        def single(g: Polynomial) -> Ideal:
+            name = _as_variable(g)
+            if name is not None and base.is_homogeneous():
+                return variable(base, name)
+            return general(base, g)
+
+        meet = _meet_all(map(single, outside))
         if not dropped:
             return meet
         variables = self.context.gens()
@@ -369,10 +368,6 @@ def _restrict(target: RingContext, p: Polynomial, keep: Sequence[int]) -> Polyno
         if sum(m) == sum(e):
             terms[m] = c
     return Polynomial(target, terms)
-
-
-def _lift_all(ext: RingContext, polys: Sequence[Polynomial]) -> list[Polynomial]:
-    return [_lift(ext, p) for p in polys]
 
 
 def _eliminate_to(ctx: RingContext, gens: Sequence[Polynomial], drop: tuple[int, ...],

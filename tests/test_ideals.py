@@ -151,8 +151,9 @@ class TestQuotient:
         def refuse(self, f):
             raise AssertionError("a divisor in the ideal was divided out")
 
-        monkeypatch.setattr(Ideal, "_quotient_single", refuse)
-        monkeypatch.setattr(Ideal, "_saturate_poly", refuse)
+        for route in ("quotient_variable", "_quotient_poly", "saturate_variable",
+                      "_saturate_poly"):
+            monkeypatch.setattr(Ideal, route, refuse)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             Q = I.quotient(ideal(XYZ, "y^3", "x^2*y - y^2*z"))
@@ -201,6 +202,60 @@ class TestSaturation:
         I = ideal(XYZ, "x*y^2 + y", "x^2 - z")
         assert I.saturate_variable("x") == \
             I._saturate_poly(XYZ.variable("x"))
+
+    def counted_routes(self, monkeypatch) -> list:
+        """The routes the single saturations take, in call order."""
+        seen = []
+        plain_variable, plain_poly = Ideal.saturate_variable, Ideal._saturate_poly
+
+        def variable(self, name):
+            seen.append("variable")
+            return plain_variable(self, name)
+
+        def poly(self, f):
+            seen.append("poly")
+            return plain_poly(self, f)
+
+        monkeypatch.setattr(Ideal, "saturate_variable", variable)
+        monkeypatch.setattr(Ideal, "_saturate_poly", poly)
+        return seen
+
+    def test_bare_variable_divisors_take_the_variable_route(self, monkeypatch):
+        # a bare-variable generator of J goes to saturate_variable when I
+        # is homogeneous, any other generator to Rabinowitsch's trick; the
+        # meet equals Rabinowitsch's trick on every generator
+        rng = random.Random(79)
+        cases = [(ideal(XYZ, "x^2*y - y*z^2", "x*z^3"), ideal(XYZ, "x", "2*z")),
+                 (ideal(XYZ, "x^2*y - y*z^2", "x*z^3"), ideal(XYZ, "-3*z", "x + y"))]
+        for _ in range(6):
+            I = random_ideal(rng, XYZW, homogeneous=True)
+            cases.append((I, Ideal(XYZW, [XYZW.variable(v) for v in rng.sample("xyzw", 2)])))
+        for I, J in cases:
+            general = _meet_all(I._saturate_poly(g) for g in J.gens)
+            outside = [g for g in J.gens if g not in I]
+            seen = self.counted_routes(monkeypatch)
+            assert I.saturate(J) == general
+            assert seen == ["variable" if _as_variable(g) else "poly" for g in outside]
+            monkeypatch.undo()
+
+    def test_inhomogeneous_ideal_takes_the_general_route(self, monkeypatch):
+        I = ideal(XYZ, "x*y^2 + y", "x^2 - z")
+        J = ideal(XYZ, "x", "2*z")
+        general = _meet_all(I._saturate_poly(g) for g in J.gens)
+        seen = self.counted_routes(monkeypatch)
+        assert I.saturate(J) == general
+        assert seen == ["poly", "poly"]
+
+    def test_irrelevant_saturation_is_saturation_by_the_variables(self):
+        # seeded ideals, and the same with bare-variable generators added
+        rng = random.Random(83)
+        for ctx in (XY, XYZ, XYZW):
+            m = Ideal(ctx, ctx.gens())
+            for _ in range(4):
+                I = random_ideal(rng, ctx, homogeneous=True)
+                bare = Ideal(ctx, I.gens + (ctx.constant(-2) * ctx.variable(ctx.variables[0]),))
+                for J in (I, bare):
+                    assert J.saturate_irrelevant().gens == J.saturate(m).gens
 
     def test_irrelevant_saturation_two_variables(self):
         # <x^2, x*y> = x * <x, y>: the embedded origin is irrelevant in

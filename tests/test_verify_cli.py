@@ -252,6 +252,14 @@ class TestCLI:
         assert "ambient" in out and "10" in out
         assert "relative" in out and "2" in out
 
+    def test_tangent_within_outside_the_curve_exit_two(self, line_file, x5_file, capsys):
+        # the threefold does not lie inside the line's ideal
+        assert cli.main(["tangent", x5_file, "--within", line_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: ambient ideal is not contained in the source ideal"]
+
     def test_fixed_lines(self, capsys):
         assert cli.main(["fixed", "--degree", "1"]) == 0
         out = capsys.readouterr().out
