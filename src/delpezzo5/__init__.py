@@ -14,8 +14,6 @@ from .polyring import (
     MonomialOrder,
     Polynomial,
     RingContext,
-    WeightedOrder,
-    block_split,
     elimination_order,
     format_ideal_text,
     format_polynomial,
@@ -26,10 +24,9 @@ from .polyring import (
 )
 from .groebner import (
     GroebnerBasis,
-    SyzygyBasis,
     normal_form,
     reduced_groebner_basis,
-    syzygy_basis,
+    syzygy_columns,
 )
 from .ideals import Ideal
 from .hilbert import (
@@ -68,9 +65,6 @@ __all__ = [
     "MonomialOrder",
     "Polynomial",
     "RingContext",
-    "SyzygyBasis",
-    "WeightedOrder",
-    "block_split",
     "build_model",
     "certify_cohen_macaulay",
     "coordinate_change_check",
@@ -93,7 +87,7 @@ __all__ = [
     "rnc_check",
     "run_suite",
     "substitute_linear",
-    "syzygy_basis",
+    "syzygy_columns",
     "tangent_dimension",
     "variable_last_order",
 ]

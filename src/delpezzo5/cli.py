@@ -96,7 +96,7 @@ def _cmd_gb(args) -> int:
 
 def _cmd_hp(args) -> int:
     ideal = _read_ideal(args.file)
-    hp = hilbert_polynomial(ideal, _order(args.order))
+    hp = hilbert_polynomial(ideal)
     curve = None
     if hp.degree == 1:
         curve = hp.curve_invariants()
@@ -351,7 +351,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
+        # an exponent too large to count with reaches here as OverflowError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -364,26 +364,6 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
     return GroebnerBasis(context, order, final[::-1])
 
 
-class SyzygyBasis:
-    """Generating set for the module of relations among ``gens``.
-
-    Each column c satisfies ``sum(c[k] * gens[k]) == 0``, and the columns
-    generate every relation.
-    """
-
-    __slots__ = ("gens", "columns")
-
-    def __init__(self, gens: Sequence[Polynomial], columns):
-        self.gens = tuple(gens)
-        self.columns = tuple(tuple(col) for col in columns)
-
-    def __len__(self):
-        return len(self.columns)
-
-    def __iter__(self):
-        return iter(self.columns)
-
-
 def syzygy_columns(gens: Sequence[Polynomial]) -> list[list[Polynomial]]:
     """Generating relations among ``gens``, one column per list entry.
 
@@ -391,8 +371,11 @@ def syzygy_columns(gens: Sequence[Polynomial]) -> list[list[Polynomial]]:
     y_k -> z*f_k into S[z], and it is homogeneous in (y, z).  Its reduced
     basis under an order eliminating z is therefore (y, z)-homogeneous,
     and its elements free of z and linear in y, sum(c_k * y_k), are
-    columns c that generate the module of relations.  A zero generator
-    f_k puts y_k itself in J, so it gets the unit column e_k.
+    columns c with sum(c_k * f_k) == 0 that generate the module of
+    relations.  They need not be a minimal generating set: of the 12
+    columns for the five orbit quadrics, the five linear ones already
+    generate the other seven.  A zero generator f_k puts y_k itself in
+    J, so it gets the unit column e_k.
     """
     gens = list(gens)
     if not gens:
@@ -426,10 +409,3 @@ def syzygy_columns(gens: Sequence[Polynomial]) -> list[list[Polynomial]]:
         columns.append([Polynomial(context, t) for t in column])
     return columns
 
-
-def syzygy_basis(gens: Sequence[Polynomial]) -> SyzygyBasis:
-    """Generating relations among nonzero generators."""
-    gens = list(gens)
-    if any(g.is_zero() for g in gens):
-        raise ValueError("syzygies require nonzero generators")
-    return SyzygyBasis(gens, syzygy_columns(gens))

@@ -5,7 +5,9 @@ the Hilbert function counts standard monomials under a Groebner basis,
 the direct variant row-reduces generator multiples without any Groebner
 step, and the Hilbert polynomial comes from the series numerator of the
 lead-monomial ideal.  For a homogeneous ideal they must agree in every
-sufficiently large degree, and the tests insist on it.
+sufficiently large degree, and the tests insist on it.  The Groebner
+routes read the grevlex basis: S/I and S/in(I) have the same Hilbert
+function under every monomial order (Macaulay), so no other is offered.
 
 Serre's multiplicity criterion, read off these invariants, certifies
 that S/I is Cohen-Macaulay; a certified ideal's sections by a regular
@@ -20,7 +22,7 @@ from typing import Iterator, Sequence
 
 from .ideals import Ideal
 from .linalg import SparseEchelon
-from .polyring import GREVLEX, LEX, Exponents, MonomialOrder, Packing, Polynomial, mono_divides
+from .polyring import GREVLEX, LEX, Exponents, Packing, Polynomial, mono_divides
 
 
 class HilbertPolynomial:
@@ -119,9 +121,9 @@ def degree_monomials(nvars: int, d: int) -> Iterator[Exponents]:
         e[i + 1] = rest
 
 
-def standard_monomials(ideal: Ideal, d: int, order: MonomialOrder = GREVLEX) -> list[Exponents]:
-    """Degree-d monomials not in the lead ideal: a basis of (S/I)_d, in
-    the order of `degree_monomials`.
+def standard_monomials(ideal: Ideal, d: int) -> list[Exponents]:
+    """Degree-d monomials not in the grevlex lead ideal: a basis of
+    (S/I)_d, in the order of `degree_monomials`.
 
     A variable that is itself a lead monomial divides every monomial it
     occurs in, so only monomials in the other variables are listed, and
@@ -130,7 +132,7 @@ def standard_monomials(ideal: Ideal, d: int, order: MonomialOrder = GREVLEX) -> 
     if d < 0:
         return []
     n = ideal.context.nvars
-    leads = ideal.groebner(order).lead_monomials()
+    leads = ideal.groebner(GREVLEX).lead_monomials()
     excluded = {g.index(1) for g in leads if sum(g) == 1}
     free = [i for i in range(n) if i not in excluded]
     packing = Packing(len(free), Packing.bits_holding(d))
@@ -154,13 +156,13 @@ def standard_monomials(ideal: Ideal, d: int, order: MonomialOrder = GREVLEX) -> 
     return out
 
 
-def hilbert_function(ideal: Ideal, d: int, order: MonomialOrder = GREVLEX) -> int:
+def hilbert_function(ideal: Ideal, d: int) -> int:
     """dim_k (S/I)_d for homogeneous I."""
     if d < 0:
         return 0
     if not ideal.is_homogeneous():
         raise ValueError("Hilbert function needs a homogeneous ideal")
-    return len(standard_monomials(ideal, d, order))
+    return len(standard_monomials(ideal, d))
 
 def hilbert_function_direct(ideal: Ideal, d: int) -> int:
     """Groebner-free oracle: dim S_d minus the rank of all degree-d
@@ -272,12 +274,13 @@ def _numerator(monos: tuple[Exponents, ...], nvars: int) -> list[int]:
     return _poly_add(n_plus, [0] + n_colon)
 
 
-def hilbert_series_numerator(ideal: Ideal, order: MonomialOrder = GREVLEX) -> list[int]:
+def hilbert_series_numerator(ideal: Ideal) -> list[int]:
     """Integer coefficients N_0, N_1, ... with
-    sum_d dim (S/I)_d t^d = N(t) / (1-t)^nvars."""
+    sum_d dim (S/I)_d t^d = N(t) / (1-t)^nvars, read from the grevlex
+    lead ideal."""
     if not ideal.is_homogeneous():
         raise ValueError("Hilbert series needs a homogeneous ideal")
-    leads = tuple(ideal.groebner(order).lead_monomials())
+    leads = tuple(ideal.groebner(GREVLEX).lead_monomials())
     out = _numerator(leads, ideal.context.nvars)
     while len(out) > 1 and out[-1] == 0:
         out.pop()
@@ -300,18 +303,17 @@ def _binomial_poly(shift: int, r: int) -> list[Fraction]:
     return [c * inv for c in acc]
 
 
-def hilbert_polynomial(ideal: Ideal, order: MonomialOrder = GREVLEX) -> HilbertPolynomial:
+def hilbert_polynomial(ideal: Ideal) -> HilbertPolynomial:
     """Exact Hilbert polynomial of S/I from the series numerator:
     P(m) = sum_k N_k * binom(m - k + n - 1, n - 1).
 
     When some generators of I are bare variables, HP(S/I) = HP(R/Ibar)
     for Ibar from `Ideal.split_variables` (S/I and R/Ibar are isomorphic
-    graded rings) and is read from Ibar's grevlex basis: the Hilbert
-    polynomial depends on no order."""
+    graded rings) and is read from Ibar's basis."""
     split = ideal.split_variables()
     if split is not None:
-        ideal, order = split[0], GREVLEX
-    numerator = hilbert_series_numerator(ideal, order)
+        ideal = split[0]
+    numerator = hilbert_series_numerator(ideal)
     n = ideal.context.nvars
     coeffs = [Fraction(0)] * n
     for k, nk in enumerate(numerator):

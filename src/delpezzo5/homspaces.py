@@ -42,25 +42,22 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
             raise ValueError("graded Hom needs homogeneous source generators")
     if not target.is_homogeneous():
         raise ValueError("graded Hom needs a homogeneous target ideal")
+    gb = source.groebner(GREVLEX)
     # per ambient generator, the quotients of its division by the basis:
     # the proof that it lies in source, and its equation block in the solve
     ambient = []
     if within is not None:
         if within.context != source.context:
             raise ValueError("ambient ideal lives in a different ring context")
-        gb = source.groebner(GREVLEX)
         for w in within.gens:
+            if not w.is_homogeneous():
+                raise ValueError("graded Hom needs homogeneous ambient generators")
             r, q = gb.normal_form(w, with_quotients=True)
             if not r.is_zero():
                 raise ValueError("ambient ideal is not contained in the source ideal")
             ambient.append(q)
-        for g in within.gens:
-            if not g.is_homogeneous():
-                raise ValueError("graded Hom needs homogeneous ambient generators")
     if target.is_unit():
         return 0
-
-    gb = source.groebner(GREVLEX)
     if len(gb) == 0:
         return 0
     tgb = target.groebner(GREVLEX)

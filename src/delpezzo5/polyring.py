@@ -211,9 +211,9 @@ class RingContext:
     def monomial(self, exps: Exponents, coeff=1) -> "Polynomial":
         return Polynomial(self, {tuple(exps): Fraction(coeff)})
 
-    def extended(self, name: str, weight: int = 0) -> "RingContext":
-        """New context with one extra variable appended."""
-        weights = None if self.weights is None else self.weights + (weight,)
+    def extended(self, name: str) -> "RingContext":
+        """New context with one extra variable appended, of torus weight 0."""
+        weights = None if self.weights is None else self.weights + (0,)
         return RingContext(self.variables + (name,), weights)
 
     def restricted(self, keep: Sequence[int]) -> "RingContext":
@@ -306,42 +306,6 @@ class GrevlexOrder(MonomialOrder):
         return hash("grevlex")
 
 
-class WeightedOrder(MonomialOrder):
-    """Weight vector first, ties broken by another order.
-
-    Weights must be non-negative, otherwise 1 would not be minimal and
-    division would not terminate.
-    """
-
-    def __init__(self, weights: Sequence[int], tiebreak: MonomialOrder):
-        self.weights = tuple(int(w) for w in weights)
-        if any(w < 0 for w in self.weights):
-            raise ValueError("order weights must be non-negative")
-        self.tiebreak = tiebreak
-
-    def key(self, exps: Exponents):
-        return (sum(w * e for w, e in zip(self.weights, exps)), self.tiebreak.key(exps))
-
-    def linear_form(self, nvars: int, base: int) -> tuple[int, ...]:
-        inner = self.tiebreak.linear_form(nvars, base)
-        scale = _span(inner, base)
-        weights = self.weights[:nvars] + (0,) * (nvars - len(self.weights))
-        return tuple(w * scale + c for w, c in zip(weights, inner))
-
-    def __repr__(self):
-        return f"weighted({self.weights}, {self.tiebreak!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeightedOrder)
-            and self.weights == other.weights
-            and self.tiebreak == other.tiebreak
-        )
-
-    def __hash__(self):
-        return hash(("weighted", self.weights, self.tiebreak))
-
-
 class BlockOrder(MonomialOrder):
     """Compare variable groups in sequence, each with its own inner order.
 
@@ -402,14 +366,6 @@ def _span(form: Sequence[int], base: int) -> int:
 
 LEX = LexOrder()
 GREVLEX = GrevlexOrder()
-
-
-def block_split(nvars: int, split: int, first: MonomialOrder = GREVLEX,
-                second: MonomialOrder = GREVLEX) -> BlockOrder:
-    """Block order splitting the variable list at position ``split``."""
-    if not 0 < split < nvars:
-        raise ValueError("split must leave both blocks nonempty")
-    return BlockOrder((tuple(range(split)), tuple(range(split, nvars))), (first, second))
 
 
 def elimination_order(nvars: int, eliminate: Sequence[int]) -> BlockOrder:
@@ -674,18 +630,12 @@ class Polynomial:
 
 
 def substitute_linear(p: Polynomial, images: Mapping[str, Polynomial],
-                      target: RingContext | None = None) -> Polynomial:
+                      target: RingContext) -> Polynomial:
     """Apply the ring map sending each variable to a linear form.
 
-    Every variable occurring in p must be mapped; images must live in a
-    common target context and have total degree at most one.
+    Every variable occurring in p must be mapped; images must live in
+    the target context and have total degree at most one.
     """
-    if target is None:
-        for img in images.values():
-            target = img.context
-            break
-        if target is None:
-            raise ValueError("no images and no target context")
     for name, img in images.items():
         if img.context != target:
             raise ValueError(f"image of {name!r} lives in a different context")

@@ -88,6 +88,16 @@ class TestTangent:
         assert graded_hom_dimension(L, unit, within=ideal(P3, "x*y")) == 0
         assert graded_hom_dimension(zero, L, within=Ideal(P3, [P3.zero()])) == 0
 
+    def test_homogeneity_of_within_is_checked_before_containment(self):
+        # z^2 - z lies outside the curve (x, y) and is not homogeneous:
+        # the homogeneity message comes first, inside or outside the curve
+        L = ideal(P3, "x", "y")
+        for text in ("z^2 - z", "x^2 - x"):
+            with pytest.raises(ValueError, match="^graded Hom needs homogeneous ambient"):
+                tangent_dimension(L, within=ideal(P3, text))
+        with pytest.raises(ValueError, match="^ambient ideal is not contained"):
+            tangent_dimension(L, within=ideal(P3, "z^2"))
+
     def test_relative_at_most_ambient(self):
         cases = [
             (ideal(P3, "x", "y"), ideal(P3, "x*w - y*z")),

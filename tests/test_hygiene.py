@@ -1,13 +1,15 @@
 """Source hygiene: every module of the package uses each name it imports,
 imports no private name of another package module, reads every private
-helper it defines, and every name the benchmark's tracer rebinds still
-exists."""
+helper it defines, every name the benchmark's tracer rebinds still
+exists, and every exported name has a caller outside the tests."""
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+import delpezzo5
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "delpezzo5"
@@ -128,3 +130,53 @@ def test_traced_names_resolve():
     verify = module("verify")
     for attr, _ in spans.suite_builders(verify):
         assert callable(getattr(verify, attr, None)), f"verify.{attr}"
+
+
+def exports_without_caller(exports, sources: dict[str, str]) -> list[str]:
+    """Exported names that no source reads, as a name, an attribute or a
+    string (the benchmark's tracer binds names by string).  A read inside
+    the top-level definition of the same name, like a class's
+    ``isinstance(other, Cls)``, does not count."""
+    read = set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        own = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own[node.name] = (node.lineno, node.end_lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            first, last = own.get(name, (0, -1))
+            if not first <= node.lineno <= last:
+                read.add(name)
+    return sorted(set(exports) - read)
+
+
+def test_detector_flags_an_export_without_a_caller():
+    sources = {
+        "lib.py": ("class Used:\n    pass\n"
+                   "class Lonely:\n"
+                   "    def __eq__(self, other):\n        return isinstance(other, Lonely)\n"
+                   "def traced():\n    pass\n"
+                   "def unread():\n    pass\n"),
+        "demo.py": ("from lib import Used, unread\nimport lib\n"
+                    "Used()\nlib.Used\nBOUND = [('lib', 'traced')]\n"),
+    }
+    assert exports_without_caller(["Lonely", "Used", "traced", "unread"], sources) \
+        == ["Lonely", "unread"]
+
+
+def test_every_export_has_a_caller():
+    # callers are the package's modules apart from __init__, the demos,
+    # the scripts and the benchmark; tests do not count
+    paths = MODULES + [p for folder in ("demos", "scripts", "perfbench")
+                       for p in sorted((ROOT / folder).glob("*.py"))]
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
+    assert exports_without_caller(delpezzo5.__all__, sources) == []

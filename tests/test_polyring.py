@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from delpezzo5.polyring import (GREVLEX, LEX, BlockOrder, Polynomial,
-                                RingContext, WeightedOrder, block_split,
-                                elimination_order, format_ideal_text,
+                                RingContext, elimination_order, format_ideal_text,
                                 format_polynomial, mono_divides, mono_lcm,
                                 parse_ideal_text, parse_polynomial,
                                 substitute_linear, variable_last_order)
@@ -152,8 +151,8 @@ class TestWeights:
 
 class TestOrders:
     ORDERS = (LEX, GREVLEX,
-              WeightedOrder((2, 1, 1), GREVLEX),
-              block_split(3, 1),
+              BlockOrder(((0, 1), (2,)), (LEX, GREVLEX)),
+              elimination_order(3, (0,)),
               elimination_order(3, (1,)),
               variable_last_order(3, 0))
 
@@ -184,7 +183,7 @@ class TestOrders:
     def test_structural_equality(self):
         assert variable_last_order(3, 0) == variable_last_order(3, 0)
         assert variable_last_order(3, 0) != variable_last_order(3, 1)
-        assert WeightedOrder((1, 2, 3), LEX) == WeightedOrder((1, 2, 3), LEX)
+        assert elimination_order(3, (0,)) == BlockOrder(((0,), (1, 2)), (GREVLEX, GREVLEX))
 
 
 def mono_mul(a, b):
@@ -194,22 +193,20 @@ def mono_mul(a, b):
 
 def every_order_class(nvars):
     """Orders of each kind the kernel uses on nvars variables: lex,
-    grevlex, weighted, block, variable-last and elimination orders, and
-    block orders with weighted and block inner orders."""
+    grevlex, block, variable-last and elimination orders, and block
+    orders with lex and block inner orders."""
     orders = [LEX, GREVLEX,
-              WeightedOrder(tuple(range(1, nvars + 1)), GREVLEX),
-              WeightedOrder((2,) * nvars, LEX),
               variable_last_order(nvars, 0),
-              BlockOrder((tuple(range(nvars)),), (WeightedOrder((1,) * nvars, LEX),))]
+              BlockOrder((tuple(range(nvars)),), (LEX,))]
     if nvars > 1:
         k = nvars // 2
-        orders += [block_split(nvars, 1), block_split(nvars, nvars - 1, LEX, GREVLEX),
+        orders += [elimination_order(nvars, (0,)),
+                   BlockOrder((tuple(range(nvars - 1)), (nvars - 1,)), (LEX, GREVLEX)),
                    elimination_order(nvars, (nvars - 1,)),
                    variable_last_order(nvars, nvars - 1),
-                   BlockOrder((tuple(range(k, nvars)), tuple(range(k))),
-                              (GREVLEX, WeightedOrder((3,) * k, GREVLEX)))]
+                   BlockOrder((tuple(range(k, nvars)), tuple(range(k))), (GREVLEX, LEX))]
     if nvars > 2:
-        inner = block_split(nvars - 1, 1, LEX, GREVLEX)
+        inner = BlockOrder(((0,), tuple(range(1, nvars - 1))), (LEX, GREVLEX))
         orders.append(BlockOrder(((nvars - 1,), tuple(range(nvars - 1))), (LEX, inner)))
     return orders
 

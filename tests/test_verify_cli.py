@@ -260,6 +260,29 @@ class TestCLI:
         assert captured.err.splitlines() == [
             "error: ambient ideal is not contained in the source ideal"]
 
+    @pytest.mark.parametrize("text, message", [
+        ("z^2 - z", "graded Hom needs homogeneous ambient generators"),
+        ("z^2", "ambient ideal is not contained in the source ideal"),
+    ], ids=["inhomogeneous", "outside"])
+    def test_tangent_within_errors(self, tmp_path, capsys, text, message):
+        curve, within = tmp_path / "curve.txt", tmp_path / "within.txt"
+        curve.write_text("ring: x, y, z\ngens:\nx\ny\n")
+        within.write_text(f"ring: x, y, z\ngens:\n{text}\n")
+        assert cli.main(["tangent", str(curve), "--within", str(within)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_hp_exponent_beyond_the_index_range_exit_two(self, tmp_path, capsys):
+        # the exponent exceeds sys.maxsize, so counting its monomials
+        # raises OverflowError before anything is allocated
+        path = tmp_path / "huge.txt"
+        path.write_text("ring: x\ngens:\nx^99999999999999999999\n")
+        assert cli.main(["hp", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_fixed_lines(self, capsys):
         assert cli.main(["fixed", "--degree", "1"]) == 0
         out = capsys.readouterr().out
