@@ -351,9 +351,15 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, OverflowError) as exc:
-        # an exponent too large to count with reaches here as OverflowError
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        # only an exponent beyond sys.maxsize overflows: the Hilbert
+        # series counts monomials with it, and Python's message names
+        # neither the exponent nor the file
+        source = getattr(args, "file", "the input")
+        print(f"error: {source}: an exponent is too large", file=sys.stderr)
         return 2
 
 

@@ -245,14 +245,29 @@ def _s_pair(G: Sequence[Polynomial], triples: DivisorTriples, i: int, j: int,
     return r, tau
 
 
-def basis_syzygies(gb: GroebnerBasis) -> list[list[Polynomial]]:
+def basis_syzygies(gb: GroebnerBasis, skip_coprime: bool = False) -> list[list[Polynomial]]:
     """The S-pair syzygy tau of each pair i < j of ``gb.elements``; by
-    Schreyer's theorem they generate all relations among the elements."""
-    G = gb.elements
+    Schreyer's theorem they generate all relations among the elements.
+
+    With ``skip_coprime``, pairs whose leads are coprime are left out,
+    before any division, and the taus returned together with the Koszul
+    relations K_ij = g_j e_i - g_i e_j still generate every relation.
+    For a coprime pair, tau_ij - K_ij is a relation whose terms all lie
+    strictly below lcm_ij = lead_i * lead_j in Schreyer's order.  The
+    taus are a Groebner basis of the relations (Schreyer; Eisenbud,
+    Commutative Algebra, Thm. 15.10), so tau_ij - K_ij is a combination
+    of taus whose leads lie strictly below lcm_ij; by induction on the
+    lcm, every coprime tau lies in the span of the other taus and the
+    K's.  A caller that maps every K to zero, as a Hom solve into S/J
+    with J containing the elements does, loses nothing by the skip."""
+    G, triples = gb.elements, gb.triples
+    leads, lcm = triples.leads, triples.packing.lcm
     syzygies = []
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
-            r, tau = _s_pair(G, gb.triples, i, j, gb.order, True)
+            if skip_coprime and lcm(leads[i], leads[j]) == leads[i] + leads[j]:
+                continue
+            r, tau = _s_pair(G, triples, i, j, gb.order, True)
             if not r.is_zero():
                 raise AssertionError("S-pair of a Groebner basis must reduce to zero")
             syzygies.append(tau)

@@ -4,7 +4,11 @@ A degree-t homomorphism phi: I -> S/J is pinned down by the images
 phi(g_i) in (S/J)_{deg g_i + t} of the elements g_i of I's reduced
 grevlex basis (Hom does not depend on the generators), one unknown per
 standard monomial; the relations are that the basis's S-pair syzygies,
-which generate all syzygies of the g_i (Schreyer), map to zero.
+which generate all syzygies of the g_i (Schreyer), map to zero.  When
+the target contains the source (always for a tangent space), a pair
+whose leads are coprime builds no equation block: its syzygy lies in
+the span of the others and the Koszul relation g_j e_i - g_i e_j, which
+maps to zero because g_i and g_j vanish in S/J (`basis_syzygies`).
 Restricting to homomorphisms that kill a smaller ideal I_X (for curves
 inside a fixed ambient variety X) adds one equation block per
 generator of I_X: the quotients of its division by the basis.
@@ -32,8 +36,12 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     homomorphisms vanishing on it (Hom over the coordinate ring of X).
 
     Everything must be homogeneous; ``within`` must sit inside
-    ``source``.  The solve runs on packed monomials, at the target
-    basis's packing or wider when a monomial needs it.
+    ``source``.  When ``target`` contains ``source``, the S-pair
+    syzygies of basis pairs with coprime leads are skipped: they add
+    nothing beyond the Koszul relations, which are zero in S/target.
+    The ambient generators' blocks are always kept.  The solve runs on
+    packed monomials, at the target basis's packing or wider when a
+    monomial needs it.
     """
     if source.context != target.context:
         raise ValueError("source and target live in different ring contexts")
@@ -76,7 +84,7 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
         return 0
 
     # one equation block per S-pair syzygy and per ambient generator
-    blocks = basis_syzygies(gb) + ambient
+    blocks = basis_syzygies(gb, skip_coprime=target.contains_ideal(source)) + ambient
 
     packing = max(tgb.packing, gb.packing, target.context.packing(max(by_degree)),
                   key=lambda k: k.bits)

@@ -180,13 +180,20 @@ def product_rows(blocks, unknown_index, bases, tgb):
     return all_rows
 
 
-def s_pair_syzygies(gb):
+def coprime(a, b):
+    return not any(x and y for x, y in zip(a, b))
+
+
+def s_pair_syzygies(gb, skip_coprime=False):
     """tau = x^mi e_i - x^mj e_j - q for each pair i < j of basis elements,
-    formed here from a division of the S-pair by the basis."""
+    formed here from a division of the S-pair by the basis; with
+    ``skip_coprime``, only the pairs whose leads share a variable."""
     G, ctx, leads = gb.elements, gb.context, gb.lead_monomials()
     blocks = []
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
+            if skip_coprime and coprime(leads[i], leads[j]):
+                continue
             lcm = mono_lcm(leads[i], leads[j])
             xi, xj = ctx.monomial(mono_div(lcm, leads[i])), ctx.monomial(mono_div(lcm, leads[j]))
             r, q = normal_form(xi * G[i] - xj * G[j], G, GREVLEX, with_quotients=True)
@@ -198,11 +205,13 @@ def s_pair_syzygies(gb):
     return blocks
 
 
-def reference_hom_rows(source, target, twist=0, within=None):
+def reference_hom_rows(source, target, twist=0, within=None, skip_coprime=False):
     """The unknowns and equation rows of the graded Hom solve on the
     source's reduced basis, each product c * x^m reduced on its own by the
     target's basis, as before the solve reduced each monomial once; None
-    when the solve stops before any row."""
+    when the solve stops before any row.  The relations are the S-pair
+    syzygies of all pairs, or with ``skip_coprime`` of the pairs whose
+    leads are not coprime."""
     if target.is_unit():
         return None
     gb = source.groebner(GREVLEX)
@@ -211,7 +220,7 @@ def reference_hom_rows(source, target, twist=0, within=None):
     unknown_index, bases = presentation_unknowns(gb.elements, target, twist)
     if not unknown_index:
         return None
-    blocks = s_pair_syzygies(gb)
+    blocks = s_pair_syzygies(gb, skip_coprime)
     if within is not None:
         blocks += [gb.normal_form(w, with_quotients=True)[1] for w in within.gens]
     return len(unknown_index), product_rows(blocks, unknown_index, bases,
@@ -250,11 +259,25 @@ def row_multiset(rows):
     return Counter(frozenset(row.items()) for row in rows)
 
 
+def rank(rows):
+    ech = SparseEchelon()
+    for row in rows:
+        ech.add_row(row)
+    return ech.rank
+
+
+def all_pairs_dimension(source, target, twist=0, within=None):
+    """The Hom dimension from the reference rows of every S-pair syzygy."""
+    ref = reference_hom_rows(source, target, twist, within)
+    return 0 if ref is None else ref[0] - rank(ref[1])
+
+
 class TestReferenceSolve:
     """The per-solve monomial memo must feed the echelon exactly the rows
-    that reducing every product c * x^m on its own gives, and the solve on
-    the reduced basis must give the dimension of the solve on the input
-    generators."""
+    that reducing every product c * x^m on its own gives, over the pairs
+    the solve keeps (all of them unless the target contains the source),
+    and the solve on the reduced basis must give the dimension of the
+    solve on all pairs and of the solve on the input generators."""
 
     def check(self, monkeypatch, source, target, twist=0, within=None):
         fed = []
@@ -272,10 +295,9 @@ class TestReferenceSolve:
             assert dim == 0 and fed == []
             return
         unknowns, rows = ref
-        ech = SparseEchelon()
-        for row in rows:
-            ech.add_row(row)
-        assert dim == unknowns - ech.rank
+        assert dim == unknowns - rank(rows)
+        if target.contains_ideal(source):
+            _, rows = reference_hom_rows(source, target, twist, within, skip_coprime=True)
         assert row_multiset(fed) == row_multiset(rows)
 
     def test_seeded_ideals(self, monkeypatch):
@@ -290,10 +312,11 @@ class TestReferenceSolve:
                 self.check(monkeypatch, source, target, twist, within)
 
     def test_products_past_the_first_packing(self, monkeypatch):
-        # the Koszul syzygy's y^100 times the standard monomial x*y^99 is
-        # y^199, past the 8-bit fields: the solve restarts at 16 bits;
-        # Hom(I, S/I)_0 = (S/I)_100 twice, for the complete intersection I
-        I = ideal(XY, "x^100", "y^100")
+        # the Koszul syzygy's y^100 times the standard monomial x*y^99 of
+        # J = (x^101, y^101) is x*y^199, past the 8-bit fields: the solve
+        # restarts at 16 bits.  J does not contain I, so the pair is kept;
+        # its one equation matches the x^100 y^100 coefficients
+        I, J = ideal(XY, "x^100", "y^100"), ideal(XY, "x^101", "y^101")
         widths = []
         solve = homspaces._rank
 
@@ -302,8 +325,11 @@ class TestReferenceSolve:
             return solve(tgb, bases, blocks, packing)
 
         monkeypatch.setattr(homspaces, "_rank", recording)
-        assert graded_hom_dimension(I, I) == 2 * 99
+        assert graded_hom_dimension(I, J) == 2 * 101 - 1
         assert widths == [8, 16]
+        self.check(monkeypatch, I, J)
+        # Hom(I, S/I)_0 = (S/I)_100 twice, for the complete intersection I
+        assert graded_hom_dimension(I, I) == 2 * 99
         self.check(monkeypatch, I, I)
 
     def test_catalogued_curves(self, monkeypatch):
@@ -326,7 +352,7 @@ class TestNormalFormCount:
     containment check and the solve are all counted."""
 
     # (relative, ambient) normal forms of one catalogued conic and quartic
-    PINNED = {"conic": (61, 50), "quartic": (182, 162)}
+    PINNED = {"conic": (30, 10), "quartic": (86, 61)}
 
     def counted_solves(self, monkeypatch, curve, ambient):
         original = groebner.normal_form
@@ -359,3 +385,65 @@ class TestNormalFormCount:
         for name, curve in curves.items():
             assert self.counted_solves(monkeypatch, curve, model.threefold) \
                 == self.PINNED[name], name
+
+
+def catalogued_curves():
+    """The 48 catalogued torus-fixed curves, named: lines, conics, cubics,
+    both quartics of each row (one for the self-mirror row) and the
+    rational normal curve."""
+    model = dp5.build_model()
+    quartics = [(f"row {row}", ideal) for row, (ideal, _)
+                in enumerate(dp5.expected_quartic_rows(model), start=1)]
+    mirrors = [(f"{name} mirror", mirror) for name, ideal in quartics
+               if (mirror := dp5.mirror_ideal(model, ideal)) != ideal]
+    return [*sorted(model.lines.items()),
+            *((f"conic {w}", ideal)
+              for w, ideal in dp5.expected_conic_ideals(model).items()),
+            *((f"cubic {pair}", ideal)
+              for pair, ideal, _ in dp5.expected_cubic_rows(model)),
+            *quartics, *mirrors,
+            ("rnc", dp5.rnc_ideal(model))]
+
+
+class TestKoszulPairs:
+    """A solve whose target contains its source skips the S-pair
+    syzygies of basis pairs with coprime leads; its dimension must be
+    that of the solve on all pairs."""
+
+    def test_catalogued_curves_match_all_pairs(self):
+        model, curves = dp5.build_model(), catalogued_curves()
+        assert len(curves) == 48
+        skipped = 0
+        for _, curve in curves:
+            gb = curve.groebner(GREVLEX)
+            skipped += len(groebner.basis_syzygies(gb)) \
+                - len(groebner.basis_syzygies(gb, skip_coprime=True))
+            for within in (model.threefold, None):
+                assert tangent_dimension(curve, within=within) \
+                    == all_pairs_dimension(curve, curve, within=within)
+        assert skipped > 0
+
+    def test_seeded_targets_containing_the_source(self, monkeypatch):
+        rng = random.Random(307)
+        helper = TestPresentationIndependence()
+        skipped = 0
+        for _ in range(6):
+            source = helper.random_ideal(rng)
+            extra = [helper.random_form(rng, rng.randint(1, 2))
+                     for _ in range(rng.randint(1, 2))]
+            target = Ideal(P3, source.gens + tuple(extra))
+            assert target.contains_ideal(source) and not source.contains_ideal(target)
+            leads = source.groebner(GREVLEX).lead_monomials()
+            skipped += sum(coprime(a, b) for k, a in enumerate(leads) for b in leads[k + 1:])
+            for twist in (-1, 0, 1):
+                TestReferenceSolve().check(monkeypatch, source, target, twist)
+        assert skipped > 0
+
+    def test_ambient_dimension_through_the_smaller_ring(self):
+        # I = Ibar S + (x_1..x_c) gives I/I^2 = Ibar/Ibar^2 + (R/Ibar)(-1)^c,
+        # so dim Hom_S(I, S/I)_0 = dim Hom_R(Ibar, R/Ibar)_0 + c dim (R/Ibar)_1;
+        # every catalogued curve lies in a coordinate subspace, so each splits
+        for _, curve in catalogued_curves():
+            cut, dropped = curve.split_variables()
+            assert tangent_dimension(curve) == tangent_dimension(cut) \
+                + len(dropped) * len(standard_monomials(cut, 1))

@@ -17,6 +17,8 @@ from delpezzo5.hilbert import degree_monomials, hilbert_function_direct
 from delpezzo5.ideals import Ideal
 from delpezzo5.polyring import GREVLEX, LEX
 
+from test_homspaces import catalogued_curves
+
 sympy = pytest.importorskip("sympy")
 
 MODEL = dp5.build_model()
@@ -69,18 +71,7 @@ def mismatches(named_ideals, order: str) -> list[str]:
 
 def catalogued():
     """The threefold and the 48 catalogued torus-fixed curves."""
-    quartics = [(f"row {row}", ideal) for row, (ideal, _)
-                in enumerate(dp5.expected_quartic_rows(MODEL), start=1)]
-    mirrors = [(f"{name} mirror", mirror) for name, ideal in quartics
-               if (mirror := dp5.mirror_ideal(MODEL, ideal)) != ideal]
-    return [("threefold", MODEL.threefold),
-            *sorted(MODEL.lines.items()),
-            *((f"conic {w}", ideal)
-              for w, ideal in dp5.expected_conic_ideals(MODEL).items()),
-            *((f"cubic {pair}", ideal)
-              for pair, ideal, _ in dp5.expected_cubic_rows(MODEL)),
-            *quartics, *mirrors,
-            ("rnc", dp5.rnc_ideal(MODEL))]
+    return [("threefold", MODEL.threefold), *catalogued_curves()]
 
 
 def random_ideals(count: int = 60):

@@ -275,13 +275,14 @@ class TestCLI:
 
     def test_hp_exponent_beyond_the_index_range_exit_two(self, tmp_path, capsys):
         # the exponent exceeds sys.maxsize, so counting its monomials
-        # raises OverflowError before anything is allocated
+        # raises OverflowError before anything is allocated; the message
+        # names the file and the cause
         path = tmp_path / "huge.txt"
         path.write_text("ring: x\ngens:\nx^99999999999999999999\n")
         assert cli.main(["hp", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err.splitlines() == [f"error: {path}: an exponent is too large"]
 
     def test_fixed_lines(self, capsys):
         assert cli.main(["fixed", "--degree", "1"]) == 0
