@@ -265,8 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default grevlex)")
     common.add_argument("--check-degree", type=int, dest="check_degree",
                         default=argparse.SUPPRESS, metavar="N",
-                        help="Hilbert-function window for the suites "
-                             "(default 8)")
+                        help="Hilbert-function window for the suites, "
+                             "1 to 16 (default 8)")
 
     parser = argparse.ArgumentParser(
         prog="dp5",

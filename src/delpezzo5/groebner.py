@@ -11,12 +11,23 @@ Division, pair selection and interreduction run on packed monomials
 test, and an order key one int, the key of a product being the sum of
 the keys.  A product that outgrows its packing restarts the division,
 or the Buchberger run, at a wider one, so no field ever wraps.
+
+Division is fraction-free (primitive pseudo-division, cf. Bareiss 1968,
+as in `linalg`): each divisor is held as a rational scale times a
+primitive integer polynomial, the dividend as ints over one running
+denominator, and a reduction scales the dividend by an integer instead
+of dividing by the lead coefficient.  Buchberger holds every element as
+a primitive integer polynomial from its first generator to its last
+interreduction; only the final reduced basis is made monic, in
+Fractions.  `normal_form` keeps its exact Fraction results, converting
+the dividend once on the way in and the remainder once on the way out.
 """
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .polyring import (
@@ -32,7 +43,7 @@ from .polyring import (
 
 ONE = Fraction(1)
 
-Triple = tuple  # (lead, lc, (steps, coefficients)) of one divisor; see `divisor_triples`
+Triple = tuple  # (lead, lc, (steps, coefficients), scale) of one divisor; see `divisor_triples`
 
 
 class DivisorTriples(tuple):
@@ -43,7 +54,7 @@ class DivisorTriples(tuple):
         self = super().__new__(cls, triples)
         self.packing = packing
         self.key = key
-        self.leads = [lead for lead, _, _ in self]
+        self.leads = [t[0] for t in self]
         return self
 
 
@@ -55,28 +66,62 @@ def _widest(polys: Sequence[Polynomial], context: RingContext) -> Packing:
     return packing
 
 
-def _triple(packed: dict[int, Fraction], keys: dict[int, int], width: int,
-            lead: int | None = None) -> Triple:
-    """(lead, lc, tail) of one polynomial from its packed terms and their
-    order keys; the lead is the largest key unless given."""
-    if lead is None:
-        lead = max(keys, key=keys.get)
+def _integer_terms(packed: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+    """(ints, den) with ``packed == ints / den``, den the lcm of the
+    coefficients' denominators."""
+    ints = {}
+    for m, c in packed.items():
+        if c.denominator != 1:
+            break
+        ints[m] = c.numerator
+    else:
+        return ints, 1
+    den = lcm(*(c.denominator for c in packed.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in packed.items()}, den
+
+
+def _fractions(ints: dict[int, int], den: int) -> dict[int, Fraction]:
+    """The terms ``ints / den`` as Fractions; den is positive."""
+    if den == 1:
+        return {m: Fraction(c) for m, c in ints.items()}
+    return {m: Fraction(c, den) for m, c in ints.items()}
+
+
+def _primitive(ints: dict[int, int], lead: int) -> tuple[dict[int, int], int]:
+    """The nonzero ``ints`` divided by their content, signed so that the
+    coefficient at ``lead`` is positive, and the signed content divided out."""
+    g = gcd(*ints.values())
+    if ints[lead] < 0:
+        g = -g
+    if g != 1:
+        ints = {m: c // g for m, c in ints.items()}
+    return ints, g
+
+
+def _triple(ints: dict[int, int], keys: dict[int, int], width: int, lead: int,
+            scale: int | Fraction = 1) -> Triple:
+    """(lead, lc, tail, scale) of the polynomial ``scale * ints`` from its
+    primitive integer terms, whose lead coefficient is positive, and
+    their order keys."""
     top = keys[lead]
-    tail = [(((keys[m] - top) << width) + m - lead, c) for m, c in packed.items() if m != lead]
-    return lead, packed[lead], (tuple(s for s, _ in tail), tuple(c for _, c in tail))
+    tail = [(((keys[m] - top) << width) + m - lead, c) for m, c in ints.items() if m != lead]
+    return lead, ints[lead], (tuple(s for s, _ in tail), tuple(c for _, c in tail)), scale
 
 
 def divisor_triples(divisors: Sequence[Polynomial], order: MonomialOrder,
                     packing: Packing | None = None) -> DivisorTriples:
-    """The ``(lead, lc, tail)`` triple of each divisor, as `normal_form`
-    reads them, under ``packing`` (by default the widest of the
-    divisors'): the packed lead monomial, its coefficient, and the tail:
-    for every other term ``c * x^e`` its coefficient c and its step
-    ``((key(e) - key(lead)) << width) + e - lead``, with e packed and key
-    the order's int key.  A step added to ``(key(m) << width) + m`` for
-    a monomial m that the lead divides gives the same code for the
-    product of m / lead and x^e.  The divisors must share one ring
-    context; an empty list needs the packing."""
+    """The ``(lead, lc, tail, scale)`` triple of each divisor, as
+    `normal_form` reads them, under ``packing`` (by default the widest of
+    the divisors'): the divisor is ``scale`` times a primitive integer
+    polynomial (int coefficients with gcd 1 and a positive lead), whose
+    packed lead monomial, lead coefficient lc and tail the triple holds.
+    The tail lists, for every other term ``c * x^e``, its int coefficient
+    c and its step ``((key(e) - key(lead)) << width) + e - lead``, with e
+    packed and key the order's int key.  A step added to
+    ``(key(m) << width) + m`` for a monomial m that the lead divides
+    gives the same code for the product of m / lead and x^e.  The
+    divisors must share one ring context; an empty list needs the
+    packing."""
     if packing is None:
         packing = _widest(divisors, divisors[0].context)
     key = packing.key(order)
@@ -87,7 +132,12 @@ def divisor_triples(divisors: Sequence[Polynomial], order: MonomialOrder,
         if d.is_zero():
             raise ValueError("zero divisor in normal form")
         packed = d.repacked(packing).packed
-        triples.append(_triple(packed, {m: key(m) for m in packed}, packing.width))
+        keys = {m: key(m) for m in packed}
+        lead = max(keys, key=keys.get)
+        ints, den = _integer_terms(packed)
+        ints, content = _primitive(ints, lead)
+        scale = 1 if content == den else Fraction(content, den)
+        triples.append(_triple(ints, keys, packing.width, lead, scale))
     return DivisorTriples(triples, packing, key)
 
 
@@ -100,8 +150,11 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOr
     ``with_quotients`` returns ``(r, quotients)`` satisfying
     ``p == sum(q_i * divisors_i) + r`` exactly.  ``triples``, when
     given, are the divisors' `divisor_triples` under ``order``, held by
-    a caller that divides by the same list many times.  The results are
-    packed like the triples, or wider when a product outgrows them.
+    a caller that divides by the same list many times.  The division
+    itself runs in ints (`_divide_int`): p is converted once on the way in
+    and the remainder once on the way out, or p itself is the remainder
+    when none of its terms is reducible.  The results are packed like
+    the triples, or wider when a product outgrows them.
     """
     if divisors and divisors[0].context != p.context:
         raise ValueError("ring context mismatch")
@@ -111,24 +164,38 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOr
     while True:
         quotients = [{} for _ in divisors] if with_quotients else None
         try:
-            remainder = _divide(p.repacked(packing).packed, triples, quotients)
+            work, den = _integer_terms(p.repacked(packing).packed)
+            remainder, new_den = _divide_int(work, den, triples, quotients)
             break
         except PackingOverflow:
             packing = p.context.packing(packing.limit + 1)
             triples = divisor_triples(divisors, order, packing)
 
-    r = Polynomial.from_packed(p.context, packing, remainder)
+    if new_den == den and remainder == work:
+        r = p.repacked(packing)  # no term was reducible
+    else:
+        r = Polynomial.from_packed(p.context, packing, _fractions(remainder, new_den))
     if quotients is None:
         return r
     return r, [Polynomial.from_packed(p.context, packing, q) for q in quotients]
 
 
-def _divide(work: dict[int, Fraction], triples: DivisorTriples,
-            quotients: list[dict[int, Fraction]] | None) -> dict[int, Fraction]:
-    """The remainder's packed terms, largest first; fills ``quotients``
-    when given.  Raises `PackingOverflow` when a product reaches a guard bit."""
+def _divide_int(work: dict[int, int], den: int, triples: DivisorTriples,
+                quotients: list[dict[int, Fraction]] | None) -> tuple[dict[int, int], int]:
+    """Fraction-free division of ``work / den`` by the divisors (primitive
+    pseudo-division, cf. Bareiss 1968): the remainder is ``r / den``
+    for the returned ``(r, den)``, r's packed terms largest first.
+
+    One running denominator serves the whole division.  A term c meets
+    a divisor's lead coefficient lc: with g = gcd(c, lc), the work, the
+    remainder found so far and the denominator are scaled by lc / g
+    when that is not 1, and then (c / g) times the divisor's integer
+    tail is subtracted, so no coefficient is ever a Fraction.
+    ``quotients``, when given, gets the exact Fraction quotients, each
+    term ``(c / g) / (den * scale)``.  Raises `PackingOverflow` when a
+    product reaches a guard bit."""
     work = dict(work)
-    remainder: dict[int, Fraction] = {}
+    remainder: dict[int, int] = {}
     key, leads = triples.key, triples.leads
     guard, width = triples.packing.guard, triples.packing.width
     low = (1 << width) - 1
@@ -147,38 +214,43 @@ def _divide(work: dict[int, Fraction], triples: DivisorTriples,
         else:
             remainder[m] = c
             continue
-        _, lc, (steps, coeffs) = triples[hit]
-        factor = c if lc == 1 else c / lc
+        _, lc, (steps, coeffs), scale = triples[hit]
+        if lc != 1:
+            g = gcd(c, lc)
+            if g != lc:
+                a = lc // g
+                work = {t: v * a for t, v in work.items()}
+                if remainder:
+                    remainder = {t: v * a for t, v in remainder.items()}
+                den *= a
+            c //= g
         if quotients is not None:
-            q = quotients[hit]
-            shift = m - lead
-            acc = q.get(shift, 0) + factor
-            if acc:
-                q[shift] = acc
-            else:
-                q.pop(shift, None)
+            # terms only shrink, so no monomial is reduced twice and each
+            # quotient term is set once
+            factor = Fraction(c, den) if den != 1 else Fraction(c)
+            quotients[hit][m - lead] = factor if scale == 1 else factor / scale
         # the lead term cancels m itself; the tail lands at m + (e - lead)
         for step, ce in zip(steps, coeffs):
             new = code + step
             t = new & low
             if t & guard:
                 raise PackingOverflow
-            acc = work.get(t, 0) - factor * ce
+            acc = work.get(t, 0) - c * ce
             if acc:
                 if t not in work:
                     insort(agenda, new)
                 work[t] = acc
             else:
                 del work[t]
-    return remainder
+    return remainder, den
 
 
 class GroebnerBasis:
     """Reduced basis and its order.
 
-    ``triples`` holds each element's ``(lead, lc, tail)``, built on first
-    use, so that dividing by the basis never recomputes a lead term; the
-    elements and the triples share one ``packing``.
+    ``triples`` holds each element's ``(lead, lc, tail, scale)``, built on
+    first use, so that dividing by the basis never recomputes a lead
+    term; the elements and the triples share one ``packing``.
     """
 
     __slots__ = ("context", "order", "elements", "packing", "_triples")
@@ -208,7 +280,7 @@ class GroebnerBasis:
         return self.normal_form(p).is_zero()
 
     def lead_monomials(self) -> list[Exponents]:
-        return [self.packing.unpack(lead) for lead, _, _ in self.triples]
+        return [self.packing.unpack(t[0]) for t in self.triples]
 
     def is_weight_homogeneous(self) -> bool:
         return all(g.is_weight_homogeneous() for g in self.elements)
@@ -225,20 +297,17 @@ class GroebnerBasis:
 
 
 def _s_pair(G: Sequence[Polynomial], triples: DivisorTriples, i: int, j: int,
-            order: MonomialOrder, with_syzygy: bool):
+            order: MonomialOrder):
     """Remainder r of the S-pair x^mi G[i] - x^mj G[j] by G, whose divisor
-    triples are given, and, with ``with_syzygy``, the list
-    tau = x^mi e_i - x^mj e_j - q, where q are the reduction's quotients,
-    so that ``sum(tau[t] * G[t]) == r``; when r is zero, tau is a syzygy of G."""
+    triples are given, and the list tau = x^mi e_i - x^mj e_j - q, where
+    q are the reduction's quotients, so that ``sum(tau[t] * G[t]) == r``;
+    when r is zero, tau is a syzygy of G."""
     packing, context = triples.packing, G[i].context
     lead_i, lead_j = triples[i][0], triples[j][0]
     lcm = packing.lcm(lead_i, lead_j)
     xi = Polynomial.from_packed(context, packing, {lcm - lead_i: ONE})
     xj = Polynomial.from_packed(context, packing, {lcm - lead_j: ONE})
-    s = G[i] * xi - G[j] * xj
-    if not with_syzygy:
-        return normal_form(s, G, order, False, triples), None
-    r, q = normal_form(s, G, order, True, triples)
+    r, q = normal_form(G[i] * xi - G[j] * xj, G, order, True, triples)
     tau = [-qt for qt in q]
     tau[i] = tau[i] + xi
     tau[j] = tau[j] - xj
@@ -267,7 +336,7 @@ def basis_syzygies(gb: GroebnerBasis, skip_coprime: bool = False) -> list[list[P
         for j in range(i + 1, len(G)):
             if skip_coprime and lcm(leads[i], leads[j]) == leads[i] + leads[j]:
                 continue
-            r, tau = _s_pair(G, triples, i, j, gb.order, True)
+            r, tau = _s_pair(G, triples, i, j, gb.order)
             if not r.is_zero():
                 raise AssertionError("S-pair of a Groebner basis must reduce to zero")
             syzygies.append(tau)
@@ -278,9 +347,12 @@ def reduced_groebner_basis(gens: Sequence[Polynomial],
                            order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Buchberger with the normal selection strategy and both of
     Buchberger's pair-elimination criteria; result fully interreduced
-    with monic leads, sorted by decreasing lead monomial.  The run starts
-    at the generators' widest packing and starts over at a wider one
-    whenever a remainder outgrows it."""
+    with monic leads, sorted by decreasing lead monomial.  The run holds
+    every element as a primitive integer polynomial with a positive
+    lead and reduces in ints (`_divide_int`); only the final basis is
+    made monic, in Fractions.  The run starts at the generators' widest
+    packing and starts over at a wider one whenever a product outgrows
+    it."""
     if not gens:
         raise ValueError("cannot infer a ring context from an empty generator list")
     context = gens[0].context
@@ -301,9 +373,9 @@ def reduced_groebner_basis(gens: Sequence[Polynomial],
 def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrder,
                 packing: Packing) -> GroebnerBasis:
     """`reduced_groebner_basis` of nonzero ``gens`` at one packing; raises
-    `PackingOverflow` when a remainder comes back wider."""
-    key, degree, guard = packing.key(order), packing.degree, packing.guard
-    G: list[Polynomial] = []
+    `PackingOverflow` when a product outgrows it."""
+    key, degree, guard, width = packing.key(order), packing.degree, packing.guard, packing.width
+    G: list[dict[int, int]] = []  # packed primitive integer terms, positive lead
     leads: list[int] = []
     lead_keys: list[int] = []
     triples = DivisorTriples((), packing, key)   # divisor triples of G
@@ -313,26 +385,48 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
     pairs: set[tuple[int, int]] = set()
     queue: list[tuple] = []
 
-    def add_element(g: Polynomial) -> None:
+    def add_element(ints: dict[int, int]) -> None:
         nonlocal triples
-        if g.packing.bits != packing.bits:
-            raise PackingOverflow
-        keys = {m: key(m) for m in g.packed}
+        keys = {m: key(m) for m in ints}
         lead = max(keys, key=keys.get)
+        ints, _ = _primitive(ints, lead)
         new = len(G)
-        monic = g / g.packed[lead]
-        G.append(monic)
+        G.append(ints)
         leads.append(lead)
         lead_keys.append(keys[lead])
-        triples = DivisorTriples(triples + (_triple(monic.packed, keys, packing.width, lead),),
-                                 packing, key)
+        triples = DivisorTriples(triples + (_triple(ints, keys, width, lead),), packing, key)
         for k in range(new):
             lcm = packing.lcm(leads[k], lead)
             heappush(queue, (degree(lcm), key(lcm), k, new))
             pairs.add((k, new))
 
+    def s_pair(i: int, j: int, lcm: int) -> dict[int, int]:
+        # (lc_j / g) x^a G[i] - (lc_i / g) x^b G[j] with g = gcd(lc_i, lc_j):
+        # an integer multiple of the S-polynomial, the leads cancelled
+        lc_i, lc_j = triples[i][1], triples[j][1]
+        g = gcd(lc_i, lc_j)
+        shift, scale = lcm - leads[i], lc_j // g
+        s = {m + shift: scale * c for m, c in G[i].items() if m != leads[i]}
+        seen = 0
+        for m in s:
+            seen |= m
+        shift, scale = lcm - leads[j], lc_i // g
+        for m, c in G[j].items():
+            if m == leads[j]:
+                continue
+            t = m + shift
+            seen |= t
+            acc = s.get(t, 0) - scale * c
+            if acc:
+                s[t] = acc
+            else:
+                del s[t]
+        if seen & guard:
+            raise PackingOverflow
+        return s
+
     for g in gens:
-        add_element(g.repacked(packing))
+        add_element(_integer_terms(g.repacked(packing).packed)[0])
 
     while queue:
         _, _, i, j = heappop(queue)
@@ -349,8 +443,8 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
                 break
         if chain:
             continue
-        r, _ = _s_pair(G, triples, i, j, order, False)
-        if not r.is_zero():
+        r, _ = _divide_int(s_pair(i, j, lcm), 1, triples, None)
+        if r:
             add_element(r)
 
     # minimal generating set of the lead ideal
@@ -360,23 +454,21 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
         if all((leads[k] - leads[t]) & guard for t in kept):
             kept.append(k)
 
-    # interreduce tails; leads are pairwise indivisible so they survive,
-    # and so does each lead coefficient
+    # interreduce tails; leads are pairwise indivisible so they survive
     final = [G[k] for k in kept]
     final_triples = [triples[k] for k in kept]
     for idx in range(len(final)):
-        others = final[:idx] + final[idx + 1:]
-        other_triples = DivisorTriples(final_triples[:idx] + final_triples[idx + 1:], packing, key)
-        final[idx] = normal_form(final[idx], others, order, False, other_triples)
-        if final[idx].packing.bits != packing.bits:
-            raise PackingOverflow
+        others = DivisorTriples(final_triples[:idx] + final_triples[idx + 1:], packing, key)
         lead = final_triples[idx][0]
-        final_triples[idx] = _triple(final[idx].packed, {m: key(m) for m in final[idx].packed},
-                                     packing.width, lead)
+        r, _ = _divide_int(final[idx], 1, others, None)
+        final[idx], _ = _primitive(r, lead)
+        final_triples[idx] = _triple(final[idx], {m: key(m) for m in final[idx]}, width, lead)
 
     # kept is ascending in lead order and interreduction keeps the leads,
     # so reversing sorts the basis by decreasing lead monomial
-    return GroebnerBasis(context, order, final[::-1])
+    return GroebnerBasis(context, order, [Polynomial.from_packed(context, packing,
+                                                                 _fractions(ints, t[1]))
+                                          for ints, t in zip(final[::-1], final_triples[::-1])])
 
 
 def syzygy_columns(gens: Sequence[Polynomial]) -> list[list[Polynomial]]:

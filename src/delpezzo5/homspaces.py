@@ -39,6 +39,7 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     ``source``.  When ``target`` contains ``source``, the S-pair
     syzygies of basis pairs with coprime leads are skipped: they add
     nothing beyond the Koszul relations, which are zero in S/target.
+    Containment is tested only when some pair of leads is coprime.
     The ambient generators' blocks are always kept.  The solve runs on
     packed monomials, at the target basis's packing or wider when a
     monomial needs it.
@@ -83,8 +84,11 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     if not unknowns:
         return 0
 
-    # one equation block per S-pair syzygy and per ambient generator
-    blocks = basis_syzygies(gb, skip_coprime=target.contains_ideal(source)) + ambient
+    # one equation block per S-pair syzygy and per ambient generator; the
+    # containment test can only change the blocks when some leads are coprime
+    leads, lcm = gb.triples.leads, gb.packing.lcm
+    coprime = any(lcm(a, b) == a + b for k, a in enumerate(leads) for b in leads[k + 1:])
+    blocks = basis_syzygies(gb, skip_coprime=coprime and target.contains_ideal(source)) + ambient
 
     packing = max(tgb.packing, gb.packing, target.context.packing(max(by_degree)),
                   key=lambda k: k.bits)

@@ -4,6 +4,7 @@ import random
 from bisect import insort
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
@@ -13,7 +14,7 @@ from delpezzo5.groebner import (GroebnerBasis, normal_form, reduced_groebner_bas
 from delpezzo5.hilbert import degree_monomials
 from delpezzo5.ideals import Ideal
 from delpezzo5.linalg import SparseEchelon
-from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext,
+from delpezzo5.polyring import (GREVLEX, LEX, PackingOverflow, Polynomial, RingContext,
                                 elimination_order, mono_div, mono_divides, mono_lcm,
                                 parse_polynomial, variable_last_order)
 
@@ -370,7 +371,7 @@ def reference_basis(gens, order):
         if any(k not in (i, j) and mono_divides(leads[k], lcm)
                and not open_pair(i, k) and not open_pair(j, k) for k in range(len(G))):
             continue
-        r, tau = groebner._s_pair(G, groebner.divisor_triples(G, order), i, j, order, True)
+        r, tau = groebner._s_pair(G, groebner.divisor_triples(G, order), i, j, order)
         if r.is_zero():
             continue
         lc = r.lead_coefficient(order)
@@ -409,11 +410,42 @@ def divided(monkeypatch, division, build):
     return build(), seen
 
 
+def primitive_terms(terms):
+    """The terms {exponents: coefficient} scaled to coprime ints, the
+    coefficient of the largest exponent tuple positive: the same map for
+    every nonzero multiple of the terms."""
+    if not terms:
+        return {}
+    fracs = {e: Fraction(c) for e, c in terms.items()}
+    den = lcm(*(c.denominator for c in fracs.values()))
+    ints = {e: int(c * den) for e, c in fracs.items()}
+    g = gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    return {e: c // g for e, c in ints.items()}
+
+
+def divided_ints(monkeypatch, build):
+    """The result of ``build()`` and, in `primitive_terms` form, every
+    dividend it hands to the integer kernel ``groebner._divide_int``."""
+    seen = []
+    original = groebner._divide_int
+
+    def recording(work, den, triples, quotients):
+        unpack = triples.packing.unpack
+        seen.append(primitive_terms({unpack(m): c for m, c in work.items()}))
+        return original(work, den, triples, quotients)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_divide_int", recording)
+        return build(), seen
+
+
 class TestReferenceSelection:
-    """The library hands `normal_form` the same S-polynomials, in the same
-    sequence, as the reference with its linear selection, followed by the
-    same elements to interreduce; this pins the order in which pairs are
-    selected."""
+    """The library hands its integer kernel the same S-polynomials, up to
+    a nonzero scalar and in the same sequence, as the reference with its
+    linear selection hands `normal_form`, followed by the same elements
+    to interreduce; this pins the order in which pairs are selected."""
 
     @pytest.mark.parametrize("nvars, linear_term", [(3, False), (3, True), (4, False)],
                              ids=["3vars-homogeneous", "3vars-inhomogeneous", "4vars-homogeneous"])
@@ -428,12 +460,12 @@ class TestReferenceSelection:
             if all(g.is_zero() for g in gens):
                 continue
             for order in orders:
-                gb, inputs = divided(monkeypatch, normal_form,
-                                     lambda: reduced_groebner_basis(gens, order))
+                gb, inputs = divided_ints(monkeypatch,
+                                          lambda: reduced_groebner_basis(gens, order))
                 (ref, _), ref_inputs = divided(monkeypatch, reference_normal_form,
                                                lambda: reference_basis(gens, order))
                 assert ref.elements == gb.elements
-                assert ref_inputs == inputs
+                assert [primitive_terms(p.terms) for p in ref_inputs] == inputs
 
 
 class TestWideExponents:
@@ -466,7 +498,8 @@ class TestWideExponents:
         (["x^2 - y", "x^100*y^100 - 1"], ["y^150 - 1", "x^2 - y"]),
         (["x^300 - y^300", "x^2 - y"], ["y^300 - y^150", "x^2 - y"]),
         (["x^2 - y", "x^100*y^90 - x*y"], None),
-    ], ids=["widened-midway", "parsed-wide", "mixed"])
+        (["x^120 - y^100", "x*y^30 - x"], None),
+    ], ids=["widened-midway", "parsed-wide", "mixed", "s-pair-wide"])
     def test_basis_matches_the_tuple_reference(self, texts, expected, order, monkeypatch):
         gens = [p2(t) for t in texts]
         gb = reduced_groebner_basis(gens, order)
@@ -476,6 +509,91 @@ class TestWideExponents:
             assert gb.elements == tuple(p2(t) for t in expected)
         monkeypatch.setattr(groebner, "normal_form", reference_normal_form)
         assert reference_basis(gens, order)[0].elements == gb.elements
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    def test_restart_from_the_s_pair_guard(self, order, monkeypatch):
+        # the S-pair y^30*(x^120 - y^100) - x^119*(x*y^30 - x) has the term
+        # y^130: building it overflows the 8-bit run before any division does
+        runs, raised = [], []
+        buchberger, divide_int = groebner._buchberger, groebner._divide_int
+
+        def run(context, gens, order, packing):
+            runs.append([packing.bits, False])
+            try:
+                return buchberger(context, gens, order, packing)
+            except PackingOverflow:
+                runs[-1][1] = True
+                raise
+
+        def divide(work, den, triples, quotients):
+            try:
+                return divide_int(work, den, triples, quotients)
+            except PackingOverflow:
+                raised.append(triples.packing.bits)
+                raise
+
+        monkeypatch.setattr(groebner, "_buchberger", run)
+        monkeypatch.setattr(groebner, "_divide_int", divide)
+        gb = reduced_groebner_basis([p2("x^120 - y^100"), p2("x*y^30 - x")], order)
+        assert runs == [[8, True], [16, False]]
+        assert 8 not in raised
+        assert gb.packing.bits == 16
+
+
+class TestIntegerKernel:
+    """The fraction-free division on divisors whose leads are neither 1
+    nor integral, dividends with mixed denominators, and a division that
+    scales its work at every step."""
+
+    XYZ_DIVISORS = ["3/4*x - 2*y", "5/3*y^2 + 1/2*x*z - 7/6*z^2", "2/5*x*z^2 - 9/4*y^3"]
+    DIVIDENDS = ["1/6*x^3*y - 7/10*y^2*z + 2/9*z^3",
+                 "11/12*x^4 - 5/8*x*y*z^2 + 3/7*y^4 - 1/15",
+                 "-4/9*x^2*z^3 + 13/6*y^5 + 1/4*x*y*z"]
+    ORDERS = [GREVLEX, LEX, elimination_order(3, (0,)), variable_last_order(3, 0)]
+    ORDER_IDS = ["grevlex", "lex", "block", "variable-last"]
+
+    @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+    def test_quotients_are_exact_and_match_the_reference(self, order):
+        divisors = [parse_polynomial(t, XYZ) for t in self.XYZ_DIVISORS]
+        for text in self.DIVIDENDS:
+            p = parse_polynomial(text, XYZ)
+            r, q = normal_form(p, divisors, order, with_quotients=True)
+            assert p == sum((qi * d for qi, d in zip(q, divisors)), r)
+            assert (r, q) == reference_normal_form(p, divisors, order, with_quotients=True)
+            assert normal_form(p, divisors, order) == r
+
+    def test_work_scaled_at_every_step(self, monkeypatch):
+        # x^6 by 3*x - y: each step down to y^6 meets lead 3 with the
+        # coefficient 5, prime to it, so the work is scaled by 3 six times
+        dens = []
+        divide_int = groebner._divide_int
+
+        def divide(work, den, triples, quotients):
+            remainder, den = divide_int(work, den, triples, quotients)
+            dens.append(den)
+            return remainder, den
+
+        monkeypatch.setattr(groebner, "_divide_int", divide)
+        p, d = p2("1/2*x^6 + 1/5*x*y^2"), p2("3*x - y")
+        r, (q,) = normal_form(p, [d], GREVLEX, with_quotients=True)
+        assert dens == [10 * 3 ** 6]
+        assert r == p2("1/1458*y^6 + 1/15*y^3")
+        assert p == q * d + r
+        assert (r, [q]) == reference_normal_form(p, [d], GREVLEX, with_quotients=True)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+    def test_basis_matches_the_reference(self, order, monkeypatch):
+        gens = [parse_polynomial(t, XYZ) for t in self.XYZ_DIVISORS + self.DIVIDENDS[:1]]
+        rng = random.Random(211)
+        seeded = [Polynomial(XYZ, {e: Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+                                   for e in random_form(rng, XYZ, 2, 4).terms})
+                  for _ in range(2)]
+        cases = [gens[:2], gens[1:], [*gens[:1], *seeded], gens]
+        for case in cases:
+            gb = reduced_groebner_basis(case, order)
+            with monkeypatch.context() as patch:
+                patch.setattr(groebner, "normal_form", reference_normal_form)
+                assert reference_basis(case, order)[0].elements == gb.elements
 
 
 class TestContextChecks:

@@ -352,7 +352,7 @@ class TestNormalFormCount:
     containment check and the solve are all counted."""
 
     # (relative, ambient) normal forms of one catalogued conic and quartic
-    PINNED = {"conic": (30, 10), "quartic": (86, 61)}
+    PINNED = {"conic": (25, 5), "quartic": (70, 45)}
 
     def counted_solves(self, monkeypatch, curve, ambient):
         original = groebner.normal_form
@@ -438,6 +438,24 @@ class TestKoszulPairs:
             for twist in (-1, 0, 1):
                 TestReferenceSolve().check(monkeypatch, source, target, twist)
         assert skipped > 0
+
+    def test_containment_tested_only_with_coprime_leads(self, monkeypatch):
+        # (x^2, x*y, x*z) has no coprime pair of leads, (x, y^2) has one;
+        # the dimensions are those of the solve on all pairs either way
+        tests = []
+        contains_ideal = Ideal.contains_ideal
+
+        def counted(self, other):
+            tests.append(other)
+            return contains_ideal(self, other)
+
+        monkeypatch.setattr(Ideal, "contains_ideal", counted)
+        for texts, tested in ((("x^2", "x*y", "x*z"), 0), (("x", "y^2"), 1)):
+            source = ideal(P3, *texts)
+            tests.clear()
+            dimension = graded_hom_dimension(source, source)
+            assert len(tests) == tested
+            assert dimension == all_pairs_dimension(source, source) > 0
 
     def test_ambient_dimension_through_the_smaller_ring(self):
         # I = Ibar S + (x_1..x_c) gives I/I^2 = Ibar/Ibar^2 + (R/Ibar)(-1)^c,

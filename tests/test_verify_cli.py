@@ -39,6 +39,11 @@ class TestReports:
         with pytest.raises(ValueError, match="check degree"):
             run_suite("section-3", check_degree=degree)
 
+    @pytest.mark.parametrize("degree", [17, 99999999999999999999])
+    def test_unbounded_check_degree_rejected(self, degree):
+        with pytest.raises(ValueError, match="check degree must be at most 16"):
+            run_suite("section-3", check_degree=degree)
+
     def test_census_crash_is_a_failed_check(self, monkeypatch):
         def broken(model):
             raise RuntimeError("census unavailable")
@@ -313,6 +318,12 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: check degree")
+
+    def test_huge_check_degree_exit_two(self, capsys):
+        assert cli.main(["suite", "all", "--check-degree", "99999999999999999999"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: check degree must be at most 16")
 
     def test_bad_pick_exit_two(self, capsys):
         assert cli.main(["residual", "--line", "l0", "--pick", "0,7"]) == 2
