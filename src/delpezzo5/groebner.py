@@ -10,7 +10,9 @@ Division, pair selection and interreduction run on packed monomials
 (`polyring.Packing`): a product is an integer sum, divisibility one mask
 test, and an order key one int, the key of a product being the sum of
 the keys.  A product that outgrows its packing restarts the division,
-or the Buchberger run, at a wider one, so no field ever wraps.
+or the Buchberger run, at a wider one, so no field ever wraps; the
+S-pair syzygies of a homogeneous basis are sized from its largest lcm
+degree and never restart.
 
 Division is fraction-free (primitive pseudo-division, cf. Bareiss 1968,
 as in `linalg`): each divisor is held as a rational scale times a
@@ -19,8 +21,10 @@ denominator, and a reduction scales the dividend by an integer instead
 of dividing by the lead coefficient.  Buchberger holds every element as
 a primitive integer polynomial from its first generator to its last
 interreduction; only the final reduced basis is made monic, in
-Fractions.  `normal_form` keeps its exact Fraction results, converting
-the dividend once on the way in and the remainder once on the way out.
+Fractions.  One builder, `_s_polynomial`, forms every S-polynomial in
+ints, for Buchberger and for `basis_syzygies` alike.  `normal_form`
+keeps its exact Fraction results, converting the dividend once on the
+way in and the remainder once on the way out.
 """
 from __future__ import annotations
 
@@ -296,22 +300,32 @@ class GroebnerBasis:
         return f"GroebnerBasis([{inner}], order={self.order!r})"
 
 
-def _s_pair(G: Sequence[Polynomial], triples: DivisorTriples, i: int, j: int,
-            order: MonomialOrder):
-    """Remainder r of the S-pair x^mi G[i] - x^mj G[j] by G, whose divisor
-    triples are given, and the list tau = x^mi e_i - x^mj e_j - q, where
-    q are the reduction's quotients, so that ``sum(tau[t] * G[t]) == r``;
-    when r is zero, tau is a syzygy of G."""
-    packing, context = triples.packing, G[i].context
-    lead_i, lead_j = triples[i][0], triples[j][0]
-    lcm = packing.lcm(lead_i, lead_j)
-    xi = Polynomial.from_packed(context, packing, {lcm - lead_i: ONE})
-    xj = Polynomial.from_packed(context, packing, {lcm - lead_j: ONE})
-    r, q = normal_form(G[i] * xi - G[j] * xj, G, order, True, triples)
-    tau = [-qt for qt in q]
-    tau[i] = tau[i] + xi
-    tau[j] = tau[j] - xj
-    return r, tau
+def _s_polynomial(triples: DivisorTriples, i: int, j: int, lcm: int) -> dict[int, int]:
+    """(lc_j / g) x^a tail_i - (lc_i / g) x^b tail_j, with g = gcd(lc_i, lc_j)
+    and x^a = lcm / lead_i, x^b = lcm / lead_j: the packed integer terms of
+    lcm(lc_i, lc_j) times the S-polynomial of the monic divisors i and j,
+    the leads cancelled.  Each tail step lands at ``(key(lcm) << width) +
+    lcm + step``, as in `_divide_int`; raises `PackingOverflow` when a
+    product reaches a guard bit."""
+    packing = triples.packing
+    low = (1 << packing.width) - 1
+    base = (triples.key(lcm) << packing.width) + lcm
+    (_, lc_i, tail_i, _), (_, lc_j, tail_j, _) = triples[i], triples[j]
+    g = gcd(lc_i, lc_j)
+    s: dict[int, int] = {}
+    seen = 0
+    for (steps, coeffs), scale in ((tail_i, lc_j // g), (tail_j, -(lc_i // g))):
+        for step, c in zip(steps, coeffs):
+            t = (base + step) & low
+            seen |= t
+            acc = s.get(t, 0) + scale * c
+            if acc:
+                s[t] = acc
+            else:
+                del s[t]
+    if seen & packing.guard:
+        raise PackingOverflow
+    return s
 
 
 def basis_syzygies(gb: GroebnerBasis, skip_coprime: bool = False) -> list[list[Polynomial]]:
@@ -328,18 +342,38 @@ def basis_syzygies(gb: GroebnerBasis, skip_coprime: bool = False) -> list[list[P
     of taus whose leads lie strictly below lcm_ij; by induction on the
     lcm, every coprime tau lies in the span of the other taus and the
     K's.  A caller that maps every K to zero, as a Hom solve into S/J
-    with J containing the elements does, loses nothing by the skip."""
-    G, triples = gb.elements, gb.triples
-    leads, lcm = triples.leads, triples.packing.lcm
+    with J containing the elements does, loses nothing by the skip.
+
+    Each S-polynomial is built in ints by `_s_polynomial`, as in
+    Buchberger, and divided over the denominator lcm(lc_i, lc_j), so the
+    quotients are those of the S-polynomial of the reduced, hence monic,
+    elements.  The elements must be homogeneous: every term of a pair's
+    reduction then has the degree of its lcm, so one packing that holds
+    the largest lcm degree serves every division."""
+    G, context = gb.elements, gb.context
+    if not all(g.is_homogeneous() for g in G):
+        raise ValueError("S-pair syzygies need a homogeneous basis")
+    leads, lcm_of = gb.triples.leads, gb.packing.lcm
+    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
+             if not (skip_coprime and lcm_of(leads[i], leads[j]) == leads[i] + leads[j])]
+    top = max((gb.packing.degree(lcm_of(leads[i], leads[j])) for i, j in pairs), default=0)
+    packing = max(gb.packing, context.packing(top), key=lambda k: k.bits)
+    triples = gb.triples if packing.bits == gb.packing.bits else \
+        divisor_triples(G, gb.order, packing)
+    leads, lcm_of = triples.leads, packing.lcm
     syzygies = []
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            if skip_coprime and lcm(leads[i], leads[j]) == leads[i] + leads[j]:
-                continue
-            r, tau = _s_pair(G, triples, i, j, gb.order)
-            if not r.is_zero():
-                raise AssertionError("S-pair of a Groebner basis must reduce to zero")
-            syzygies.append(tau)
+    for i, j in pairs:
+        m = lcm_of(leads[i], leads[j])
+        quotients = [{} for _ in G]
+        r, _ = _divide_int(_s_polynomial(triples, i, j, m), lcm(triples[i][1], triples[j][1]),
+                           triples, quotients)
+        if r:
+            raise AssertionError("S-pair of a Groebner basis must reduce to zero")
+        # the S-polynomial's terms lie below the lcm, so x^a is not in q_i
+        tau = [{t: -c for t, c in q.items()} for q in quotients]
+        tau[i][m - leads[i]] = ONE
+        tau[j][m - leads[j]] = -ONE
+        syzygies.append([Polynomial.from_packed(context, packing, t) for t in tau])
     return syzygies
 
 
@@ -400,31 +434,6 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
             heappush(queue, (degree(lcm), key(lcm), k, new))
             pairs.add((k, new))
 
-    def s_pair(i: int, j: int, lcm: int) -> dict[int, int]:
-        # (lc_j / g) x^a G[i] - (lc_i / g) x^b G[j] with g = gcd(lc_i, lc_j):
-        # an integer multiple of the S-polynomial, the leads cancelled
-        lc_i, lc_j = triples[i][1], triples[j][1]
-        g = gcd(lc_i, lc_j)
-        shift, scale = lcm - leads[i], lc_j // g
-        s = {m + shift: scale * c for m, c in G[i].items() if m != leads[i]}
-        seen = 0
-        for m in s:
-            seen |= m
-        shift, scale = lcm - leads[j], lc_i // g
-        for m, c in G[j].items():
-            if m == leads[j]:
-                continue
-            t = m + shift
-            seen |= t
-            acc = s.get(t, 0) - scale * c
-            if acc:
-                s[t] = acc
-            else:
-                del s[t]
-        if seen & guard:
-            raise PackingOverflow
-        return s
-
     for g in gens:
         add_element(_integer_terms(g.repacked(packing).packed)[0])
 
@@ -443,7 +452,7 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
                 break
         if chain:
             continue
-        r, _ = _divide_int(s_pair(i, j, lcm), 1, triples, None)
+        r, _ = _divide_int(_s_polynomial(triples, i, j, lcm), 1, triples, None)
         if r:
             add_element(r)
 

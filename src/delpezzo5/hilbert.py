@@ -232,46 +232,43 @@ def _numerator(monos: tuple[Exponents, ...], nvars: int) -> list[int]:
     """Numerator of the Hilbert series of S/(monomial ideal), over the
     standard denominator (1-t)^nvars.
 
-    Pivot recursion: for a variable x,
-    N(M) = N(M + (x)) + t * N(M : x),
-    from the exact sequence 0 -> (S/(M:x))(-1) -> S/M -> S/(M+(x)) -> 0.
+    Pivot recursion (Bigatti 1997): for a variable x and k >= 1,
+    N(M) = N(M + (x^k)) + t^k * N(M : x^k), from the exact sequence
+    0 -> (S/(M:x^k))(-k) -> S/M -> S/(M+(x^k)) -> 0.  x is the variable
+    in most generators with another variable, and k the median of its
+    exponents there, so the recursion depth does not grow with the
+    exponents.
     """
     monos = _minimalize(list(monos))
     if not monos:
         return [1]
     if monos[0] == (0,) * nvars:
         return [0]
-    # complete-intersection base case: pure powers of distinct variables
-    pure = True
-    seen_vars = set()
-    for m in monos:
-        support = [i for i, e in enumerate(m) if e]
-        if len(support) != 1 or support[0] in seen_vars:
-            pure = False
-            break
-        seen_vars.add(support[0])
-    if pure:
-        acc = [1]
-        for m in monos:
-            a = sum(m)
-            factor = [1] + [0] * (a - 1) + [-1]
-            acc = _poly_mul(acc, factor)
-        return acc
-
     counts = [0] * nvars
+    mixed = []
     for m in monos:
         support = [i for i, e in enumerate(m) if e]
         if len(support) > 1:
+            mixed.append(m)
             for i in support:
                 counts[i] += 1
-    pivot = max(range(nvars), key=lambda i: counts[i])
+    if not mixed:
+        # minimal pure powers are of distinct variables: a complete intersection
+        acc = [1]
+        for m in monos:
+            acc = _poly_mul(acc, [1] + [0] * (sum(m) - 1) + [-1])
+        return acc
 
-    plus = [m for m in monos if m[pivot] == 0] + [
-        tuple(1 if i == pivot else 0 for i in range(nvars))]
-    colon = [tuple(e - 1 if i == pivot and e else e for i, e in enumerate(m)) for m in monos]
+    pivot = max(range(nvars), key=lambda i: counts[i])
+    exps = sorted(m[pivot] for m in mixed if m[pivot])
+    k = exps[len(exps) // 2]
+
+    plus = [m for m in monos if m[pivot] < k] + [
+        tuple(k if i == pivot else 0 for i in range(nvars))]
+    colon = [tuple(max(e - k, 0) if i == pivot else e for i, e in enumerate(m)) for m in monos]
     n_plus = _numerator(tuple(plus), nvars)
     n_colon = _numerator(tuple(colon), nvars)
-    return _poly_add(n_plus, [0] + n_colon)
+    return _poly_add(n_plus, [0] * k + n_colon)
 
 
 def hilbert_series_numerator(ideal: Ideal) -> list[int]:

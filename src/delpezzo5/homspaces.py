@@ -11,7 +11,10 @@ the span of the others and the Koszul relation g_j e_i - g_i e_j, which
 maps to zero because g_i and g_j vanish in S/J (`basis_syzygies`).
 Restricting to homomorphisms that kill a smaller ideal I_X (for curves
 inside a fixed ambient variety X) adds one equation block per
-generator of I_X: the quotients of its division by the basis.
+generator of I_X: the quotients of its division by the basis.  All
+inputs are homogeneous, so the degree of every monomial the solve can
+meet is known before it starts, and it runs once at a packing that
+holds them.
 
 The dimension of the degree-0 part of Hom(I_C, S/I_C) is the tangent
 space to the Hilbert scheme of the ambient projective space at [C];
@@ -25,7 +28,7 @@ from .groebner import basis_syzygies
 from .hilbert import standard_monomials
 from .ideals import Ideal
 from .linalg import SparseEchelon
-from .polyring import GREVLEX, Exponents, Packing, PackingOverflow, Polynomial
+from .polyring import GREVLEX, Exponents, Packing, Polynomial
 
 ONE = Fraction(1)
 
@@ -40,9 +43,11 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     syzygies of basis pairs with coprime leads are skipped: they add
     nothing beyond the Koszul relations, which are zero in S/target.
     Containment is tested only when some pair of leads is coprime.
-    The ambient generators' blocks are always kept.  The solve runs on
-    packed monomials, at the target basis's packing or wider when a
-    monomial needs it.
+    The ambient generators' blocks are always kept.  The solve runs once
+    on packed monomials: everything being homogeneous, each product
+    c * x^m of a block and each term of its normal form has degree
+    deg c + deg g_k + twist, so the packing (the target basis's or
+    wider) is sized from those degrees before the solve starts.
     """
     if source.context != target.context:
         raise ValueError("source and target live in different ring contexts")
@@ -90,21 +95,21 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     coprime = any(lcm(a, b) == a + b for k, a in enumerate(leads) for b in leads[k + 1:])
     blocks = basis_syzygies(gb, skip_coprime=coprime and target.contains_ideal(source)) + ambient
 
-    packing = max(tgb.packing, gb.packing, target.context.packing(max(by_degree)),
-                  key=lambda k: k.bits)
-    while True:
-        try:
-            return unknowns - _rank(tgb, bases, blocks, packing)
-        except PackingOverflow:
-            packing = target.context.packing(packing.limit + 1)
+    top = max(by_degree)
+    for coeffs in blocks:
+        for g, c, basis in zip(gb, coeffs, bases):
+            if basis and not c.is_zero():
+                top = max(top, c.total_degree() + g.total_degree() + twist)
+    packing = max(tgb.packing, target.context.packing(top), key=lambda k: k.bits)
+    return unknowns - _rank(tgb, bases, blocks, packing)
 
 
 def _rank(tgb, bases: list[list[Exponents]], blocks: list[list[Polynomial]],
           packing: Packing) -> int:
     """Rank of the equations sum_i coeffs[i] * phi(g_i) = 0 in S/target,
     one block of coefficients at a time, with every monomial packed by
-    ``packing``; raises `PackingOverflow` when one outgrows it."""
-    context, guard = tgb.context, packing.guard
+    ``packing``, whose fields hold every product's degree."""
+    context = tgb.context
     columns = []  # (first unknown, packed standard monomials) per basis element
     first = 0
     for basis in bases:
@@ -116,30 +121,19 @@ def _rank(tgb, bases: list[list[Exponents]], blocks: list[list[Polynomial]],
     # over the terms c_e * x^e of c.  So each monomial is reduced once per
     # solve, and the memo dies with it.
     reduced: dict[int, dict[int, Fraction]] = {}
-
-    def reduce_monomial(t: int) -> dict[int, Fraction]:
-        nf = tgb.normal_form(Polynomial.from_packed(context, packing, {t: ONE}))
-        if nf.packing.bits != packing.bits:
-            raise PackingOverflow
-        reduced[t] = nf.packed
-        return nf.packed
-
     for coeffs in blocks:
         rows: dict[int, dict[int, Fraction]] = {}
         for (start, basis), c in zip(columns, coeffs):
-            if c.is_zero():
+            if not basis or c.is_zero():
                 continue
-            if c.packing.bits > packing.bits:
-                raise PackingOverflow
             cterms = c.repacked(packing).packed
             for u, m in enumerate(basis, start):
                 for e, ce in cterms.items():
                     t = e + m
-                    if t & guard:
-                        raise PackingOverflow
                     nf = reduced.get(t)
                     if nf is None:
-                        nf = reduce_monomial(t)
+                        nf = reduced[t] = tgb.normal_form(
+                            Polynomial.from_packed(context, packing, {t: ONE})).packed
                     for mono, value in nf.items():
                         row = rows.setdefault(mono, {})
                         row[u] = row.get(u, 0) + ce * value

@@ -49,9 +49,6 @@ class Ideal:
             self._gb_cache[order] = gb
         return gb
 
-    def normal_form(self, p: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-        return self.groebner(order).normal_form(p)
-
     def contains(self, p: Polynomial) -> bool:
         return self.groebner().contains(p)
 

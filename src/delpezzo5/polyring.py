@@ -264,9 +264,6 @@ class MonomialOrder:
         entries are all below ``base``."""
         raise NotImplementedError
 
-    def greater(self, a: Exponents, b: Exponents) -> bool:
-        return self.key(a) > self.key(b)
-
 
 class LexOrder(MonomialOrder):
     def key(self, exps: Exponents):
@@ -475,9 +472,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         """Homogeneous for the standard grading (zero counts as yes)."""
         return len(set(map(self.packing.degree, self.packed))) <= 1
-
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
 
     def variables_occurring(self) -> set[str]:
         names = self.context.variables

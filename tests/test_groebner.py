@@ -371,7 +371,12 @@ def reference_basis(gens, order):
         if any(k not in (i, j) and mono_divides(leads[k], lcm)
                and not open_pair(i, k) and not open_pair(j, k) for k in range(len(G))):
             continue
-        r, tau = groebner._s_pair(G, groebner.divisor_triples(G, order), i, j, order)
+        xi = context.monomial(mono_div(lcm, leads[i]))
+        xj = context.monomial(mono_div(lcm, leads[j]))
+        r, q = groebner.normal_form(xi * G[i] - xj * G[j], G, order, with_quotients=True)
+        tau = [-qt for qt in q]
+        tau[i] += xi
+        tau[j] -= xj
         if r.is_zero():
             continue
         lc = r.lead_coefficient(order)

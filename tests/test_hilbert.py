@@ -125,6 +125,24 @@ class TestSeriesNumerator:
                         for k, c in enumerate(N) if d - k >= 0)
             assert total == hilbert_function_direct(I, d)
 
+    def test_seeded_monomial_ideals_against_a_count(self):
+        # exponents up to 12, so pivots x^k with k > 1 run
+        rng = random.Random(1997)
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            ctx = RingContext(("x", "y", "z", "w")[:n])
+            gens = [tuple(rng.randint(0, 12) for _ in range(n)) for _ in range(rng.randint(2, 5))]
+            gens = [g for g in gens if any(g)]
+            if not gens:
+                continue
+            N = hilbert_series_numerator(Ideal(ctx, [ctx.monomial(g) for g in gens]))
+            for d in range(max(map(sum, gens)) + 3):
+                from_series = sum(c * comb(d - k + n - 1, n - 1)
+                                  for k, c in enumerate(N) if d - k >= 0)
+                count = sum(not any(mono_divides(g, m) for g in gens)
+                            for m in degree_monomials(n, d))
+                assert from_series == count, (gens, d)
+
 
 class TestHilbertPolynomial:
     def test_threefold(self):

@@ -12,8 +12,8 @@ from delpezzo5.hilbert import degree_monomials, standard_monomials
 from delpezzo5.homspaces import graded_hom_dimension, tangent_dimension
 from delpezzo5.ideals import Ideal
 from delpezzo5.linalg import SparseEchelon
-from delpezzo5.polyring import (GREVLEX, Polynomial, RingContext, mono_div, mono_lcm,
-                                parse_polynomial)
+from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext, elimination_order,
+                                mono_div, mono_lcm, parse_polynomial)
 
 from test_groebner import reference_basis
 
@@ -186,8 +186,9 @@ def coprime(a, b):
 
 def s_pair_syzygies(gb, skip_coprime=False):
     """tau = x^mi e_i - x^mj e_j - q for each pair i < j of basis elements,
-    formed here from a division of the S-pair by the basis; with
-    ``skip_coprime``, only the pairs whose leads share a variable."""
+    formed here from a division of the S-pair by the basis under its
+    order; with ``skip_coprime``, only the pairs whose leads share a
+    variable."""
     G, ctx, leads = gb.elements, gb.context, gb.lead_monomials()
     blocks = []
     for i in range(len(G)):
@@ -196,13 +197,53 @@ def s_pair_syzygies(gb, skip_coprime=False):
                 continue
             lcm = mono_lcm(leads[i], leads[j])
             xi, xj = ctx.monomial(mono_div(lcm, leads[i])), ctx.monomial(mono_div(lcm, leads[j]))
-            r, q = normal_form(xi * G[i] - xj * G[j], G, GREVLEX, with_quotients=True)
+            r, q = normal_form(xi * G[i] - xj * G[j], G, gb.order, with_quotients=True)
             assert r.is_zero()
             tau = [-qt for qt in q]
             tau[i] += xi
             tau[j] -= xj
             blocks.append(tau)
     return blocks
+
+
+class TestSharedSPolynomial:
+    """`groebner.basis_syzygies` builds each S-polynomial in ints, as
+    Buchberger does, and divides it in the integer kernel; its taus must
+    be those of the S-pair formed and divided here, one by one."""
+
+    XYZ = RingContext(("x", "y", "z"))
+    RATIONAL = ["3/4*x*y - 2*z^2", "5/3*y^2 + 1/2*x*z - 7/6*z^2",
+                "2/5*x*z - 9/4*y^2 + 1/3*y*z"]
+
+    def check(self, gb):
+        for skip in (False, True):
+            assert groebner.basis_syzygies(gb, skip_coprime=skip) \
+                == s_pair_syzygies(gb, skip_coprime=skip)
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX, elimination_order(3, (0,))],
+                             ids=["grevlex", "lex", "elimination"])
+    def test_rational_generators(self, order):
+        # the monic basis's primitive forms have leads such as 3 and 215
+        gb = ideal(self.XYZ, *self.RATIONAL).groebner(order)
+        assert any(t[1] != 1 for t in gb.triples)
+        self.check(gb)
+
+    @pytest.mark.parametrize("ctx, texts", [
+        (XY, ("x^100", "y^100")),
+        (XYZ, ("x^60*y^20 - z^80", "x^20*y^60 + x^40*z^40")),
+    ], ids=["coprime-powers", "shared-leads"])
+    def test_lcm_degree_past_the_basis_packing(self, ctx, texts):
+        # the basis fits 8-bit fields, its largest lcm degree does not
+        gb = ideal(ctx, *texts).groebner(GREVLEX)
+        assert gb.packing.bits == 8
+        taus = groebner.basis_syzygies(gb)
+        assert {c.packing.bits for tau in taus for c in tau} == {16}
+        self.check(gb)
+
+    def test_inhomogeneous_basis_rejected(self):
+        gb = ideal(XY, "x^2 - y", "x*y - 1").groebner(GREVLEX)
+        with pytest.raises(ValueError, match="homogeneous"):
+            groebner.basis_syzygies(gb)
 
 
 def reference_hom_rows(source, target, twist=0, within=None, skip_coprime=False):
@@ -313,9 +354,10 @@ class TestReferenceSolve:
 
     def test_products_past_the_first_packing(self, monkeypatch):
         # the Koszul syzygy's y^100 times the standard monomial x*y^99 of
-        # J = (x^101, y^101) is x*y^199, past the 8-bit fields: the solve
-        # restarts at 16 bits.  J does not contain I, so the pair is kept;
-        # its one equation matches the x^100 y^100 coefficients
+        # J = (x^101, y^101) is x*y^199, past the 8-bit fields: the solve,
+        # sized from that degree before it starts, runs once at 16 bits.
+        # J does not contain I, so the pair is kept; its one equation
+        # matches the x^100 y^100 coefficients
         I, J = ideal(XY, "x^100", "y^100"), ideal(XY, "x^101", "y^101")
         widths = []
         solve = homspaces._rank
@@ -326,7 +368,7 @@ class TestReferenceSolve:
 
         monkeypatch.setattr(homspaces, "_rank", recording)
         assert graded_hom_dimension(I, J) == 2 * 101 - 1
-        assert widths == [8, 16]
+        assert widths == [16]
         self.check(monkeypatch, I, J)
         # Hom(I, S/I)_0 = (S/I)_100 twice, for the complete intersection I
         assert graded_hom_dimension(I, I) == 2 * 99
@@ -346,13 +388,15 @@ class TestReferenceSolve:
 
 
 class TestNormalFormCount:
-    """Every reduction of a Hom solve, memo misses included, goes through
-    `groebner.normal_form`, which the benchmark's tracer counts.  The
-    counts are pinned for fresh ideals, so that the bases, the ambient
-    containment check and the solve are all counted."""
+    """Every monomial reduction of a Hom solve, memo misses included, goes
+    through `groebner.normal_form`, which the benchmark's tracer counts;
+    the divisions of the S-pair syzygies (`groebner.basis_syzygies`)
+    and of Buchberger run in the integer kernel and do not.  The counts
+    are pinned for fresh ideals, so that the ambient containment check
+    and the solve are both counted."""
 
     # (relative, ambient) normal forms of one catalogued conic and quartic
-    PINNED = {"conic": (25, 5), "quartic": (70, 45)}
+    PINNED = {"conic": (25, 5), "quartic": (61, 36)}
 
     def counted_solves(self, monkeypatch, curve, ambient):
         original = groebner.normal_form

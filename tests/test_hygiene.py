@@ -1,7 +1,8 @@
 """Source hygiene: every module of the package uses each name it imports,
 imports no private name of another package module, reads every private
 helper it defines, every name the benchmark's tracer rebinds still
-exists, and every exported name has a caller outside the tests."""
+exists, and every exported name and every public method of an exported
+class has a caller outside the tests."""
 import ast
 import importlib
 import importlib.util
@@ -132,11 +133,22 @@ def test_traced_names_resolve():
         assert callable(getattr(verify, attr, None)), f"verify.{attr}"
 
 
+def read_names(tree):
+    """(name, line) of each name the tree reads, as a name, an attribute
+    or a string (the benchmark's tracer binds names by string)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
 def exports_without_caller(exports, sources: dict[str, str]) -> list[str]:
-    """Exported names that no source reads, as a name, an attribute or a
-    string (the benchmark's tracer binds names by string).  A read inside
-    the top-level definition of the same name, like a class's
-    ``isinstance(other, Cls)``, does not count."""
+    """Exported names that no source reads.  A read inside the top-level
+    definition of the same name, like a class's ``isinstance(other,
+    Cls)``, does not count."""
     read = set()
     for source in sources.values():
         tree = ast.parse(source)
@@ -144,19 +156,33 @@ def exports_without_caller(exports, sources: dict[str, str]) -> list[str]:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own[node.name] = (node.lineno, node.end_lineno)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                name = node.value
-            else:
-                continue
+        for name, line in read_names(tree):
             first, last = own.get(name, (0, -1))
-            if not first <= node.lineno <= last:
+            if not first <= line <= last:
                 read.add(name)
     return sorted(set(exports) - read)
+
+
+def methods_without_caller(classes, sources: dict[str, str]) -> list[str]:
+    """``Class.method`` for each public method of the named classes,
+    defined at the top level of a source, whose name no source reads
+    outside the method's own body.  Only the name is matched, so a dead
+    method whose name other code reads goes unflagged: a method named
+    like a live function or a live method of another class, as
+    ``Ideal.normal_form`` was beside ``groebner.normal_form``, passes."""
+    defined, reads = [], {}
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name in classes:
+                defined += [(path, node.name, item) for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("_")]
+        for name, line in read_names(tree):
+            reads.setdefault(name, []).append((path, line))
+    return sorted(f"{cls}.{item.name}" for path, cls, item in defined
+                  if all(p == path and item.lineno <= line <= item.end_lineno
+                         for p, line in reads.get(item.name, ())))
 
 
 def test_detector_flags_an_export_without_a_caller():
@@ -173,6 +199,22 @@ def test_detector_flags_an_export_without_a_caller():
         == ["Lonely", "unread"]
 
 
+def test_detector_flags_a_method_without_a_caller():
+    sources = {
+        "lib.py": ("class Node:\n"
+                   "    def walk(self):\n        return self.walk()\n"
+                   "    def size(self):\n        return 1\n"
+                   "    def depth(self):\n        return self.size()\n"
+                   "    def _hidden(self):\n        pass\n"
+                   "class Other:\n"
+                   "    def lonely(self):\n        pass\n"
+                   "def lookup(node):\n    return node.depth()\n"),
+        "demo.py": "import lib\nNAMES = ['lookup']\n",
+    }
+    # walk reads itself only; Other is not among the classes checked
+    assert methods_without_caller(["Node"], sources) == ["Node.walk"]
+
+
 def test_every_export_has_a_caller():
     # callers are the package's modules apart from __init__, the demos,
     # the scripts and the benchmark; tests do not count
@@ -180,3 +222,5 @@ def test_every_export_has_a_caller():
                        for p in sorted((ROOT / folder).glob("*.py"))]
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
     assert exports_without_caller(delpezzo5.__all__, sources) == []
+    classes = [name for name in delpezzo5.__all__ if isinstance(getattr(delpezzo5, name), type)]
+    assert methods_without_caller(classes, sources) == []

@@ -278,6 +278,19 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("ring, expected", [
+        ("x, y", ["2"]),
+        ("x, y, z", ["2*m + 2247002", "(degree, genus) = (2, -2247001)"]),
+    ], ids=["two-variables", "three-variables"])
+    def test_hp_large_exponents(self, tmp_path, capsys, ring, expected):
+        # the series numerator's recursion once went one level per unit of
+        # exponent and died with a RecursionError
+        e = 3000 if ring == "x, y" else 1500
+        path = tmp_path / "wide.txt"
+        path.write_text(f"ring: {ring}\ngens:\nx^{e}*y\nx*y^{e}\n")
+        assert cli.main(["hp", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
     def test_hp_exponent_beyond_the_index_range_exit_two(self, tmp_path, capsys):
         # the exponent exceeds sys.maxsize, so counting its monomials
         # raises OverflowError before anything is allocated; the message
