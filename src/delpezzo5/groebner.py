@@ -24,7 +24,9 @@ interreduction; only the final reduced basis is made monic, in
 Fractions.  One builder, `_s_polynomial`, forms every S-polynomial in
 ints, for Buchberger and for `basis_syzygies` alike.  `normal_form`
 keeps its exact Fraction results, converting the dividend once on the
-way in and the remainder once on the way out.
+way in and the remainder once on the way out.  A `GroebnerBasis` keeps
+its divisor triples per field width, and `monomial_remainder` returns a
+monomial's remainder as the kernel's ints over one denominator.
 """
 from __future__ import annotations
 
@@ -156,8 +158,7 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOr
     given, are the divisors' `divisor_triples` under ``order``, held by
     a caller that divides by the same list many times.  The division
     itself runs in ints (`_divide_int`): p is converted once on the way in
-    and the remainder once on the way out, or p itself is the remainder
-    when none of its terms is reducible.  The results are packed like
+    and the remainder once on the way out.  The results are packed like
     the triples, or wider when a product outgrows them.
     """
     if divisors and divisors[0].context != p.context:
@@ -175,10 +176,7 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOr
             packing = p.context.packing(packing.limit + 1)
             triples = divisor_triples(divisors, order, packing)
 
-    if new_den == den and remainder == work:
-        r = p.repacked(packing)  # no term was reducible
-    else:
-        r = Polynomial.from_packed(p.context, packing, _fractions(remainder, new_den))
+    r = Polynomial.from_packed(p.context, packing, _fractions(remainder, new_den))
     if quotients is None:
         return r
     return r, [Polynomial.from_packed(p.context, packing, q) for q in quotients]
@@ -252,9 +250,9 @@ def _divide_int(work: dict[int, int], den: int, triples: DivisorTriples,
 class GroebnerBasis:
     """Reduced basis and its order.
 
-    ``triples`` holds each element's ``(lead, lc, tail, scale)``, built on
-    first use, so that dividing by the basis never recomputes a lead
-    term; the elements and the triples share one ``packing``.
+    `triples_at` holds each element's ``(lead, lc, tail, scale)`` per
+    field width, built on first use, so that dividing by the basis never
+    recomputes a lead term; the elements share one ``packing``.
     """
 
     __slots__ = ("context", "order", "elements", "packing", "_triples")
@@ -266,25 +264,31 @@ class GroebnerBasis:
         self.order = order
         self.elements = tuple(g.repacked(packing) for g in elements)
         self.packing = packing
-        self._triples = None
+        self._triples: dict[int, DivisorTriples] = {}  # field width -> triples
 
-    @property
-    def triples(self) -> DivisorTriples:
-        if self._triples is None:
-            self._triples = divisor_triples(self.elements, self.order, self.packing)
-        return self._triples
+    def triples_at(self, packing: Packing) -> DivisorTriples:
+        """The elements' `divisor_triples` under ``packing``, built once per width."""
+        if packing.bits not in self._triples:
+            self._triples[packing.bits] = divisor_triples(self.elements, self.order, packing)
+        return self._triples[packing.bits]
 
     def normal_form(self, p: Polynomial, with_quotients: bool = False):
         # checked here too: the zero ideal has no element to check against
         if p.context != self.context:
             raise ValueError("ring context mismatch")
-        return normal_form(p, self.elements, self.order, with_quotients, self.triples)
+        wide = max(self.packing, p.packing, key=lambda k: k.bits)
+        return normal_form(p, self.elements, self.order, with_quotients, self.triples_at(wide))
+
+    def monomial_remainder(self, m: int, packing: Packing) -> tuple[dict[int, int], int]:
+        """Ints ``(r, den)``, ``r / den`` the remainder of the packed monomial m
+        by the elements; raises `PackingOverflow` when a product outgrows ``packing``."""
+        return _divide_int({m: 1}, 1, self.triples_at(packing), None)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
 
     def lead_monomials(self) -> list[Exponents]:
-        return [self.packing.unpack(t[0]) for t in self.triples]
+        return [self.packing.unpack(t[0]) for t in self.triples_at(self.packing)]
 
     def is_weight_homogeneous(self) -> bool:
         return all(g.is_weight_homogeneous() for g in self.elements)
@@ -353,13 +357,12 @@ def basis_syzygies(gb: GroebnerBasis, skip_coprime: bool = False) -> list[list[P
     G, context = gb.elements, gb.context
     if not all(g.is_homogeneous() for g in G):
         raise ValueError("S-pair syzygies need a homogeneous basis")
-    leads, lcm_of = gb.triples.leads, gb.packing.lcm
+    leads, lcm_of = gb.triples_at(gb.packing).leads, gb.packing.lcm
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
              if not (skip_coprime and lcm_of(leads[i], leads[j]) == leads[i] + leads[j])]
     top = max((gb.packing.degree(lcm_of(leads[i], leads[j])) for i, j in pairs), default=0)
     packing = max(gb.packing, context.packing(top), key=lambda k: k.bits)
-    triples = gb.triples if packing.bits == gb.packing.bits else \
-        divisor_triples(G, gb.order, packing)
+    triples = gb.triples_at(packing)
     leads, lcm_of = triples.leads, packing.lcm
     syzygies = []
     for i, j in pairs:

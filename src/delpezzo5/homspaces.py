@@ -14,7 +14,9 @@ inside a fixed ambient variety X) adds one equation block per
 generator of I_X: the quotients of its division by the basis.  All
 inputs are homogeneous, so the degree of every monomial the solve can
 meet is known before it starts, and it runs once at a packing that
-holds them.
+holds them, in ints from the division kernel to the echelon (both
+fraction-free, cf. Bareiss 1968): monomial remainders come as ints over
+one denominator, and each block is scaled by one int (see `_rank`).
 
 The dimension of the degree-0 part of Hom(I_C, S/I_C) is the tangent
 space to the Hilbert scheme of the ambient projective space at [C];
@@ -22,15 +24,13 @@ with ``within`` it is the tangent space of the Hilbert scheme of X.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .groebner import basis_syzygies
 from .hilbert import standard_monomials
 from .ideals import Ideal
 from .linalg import SparseEchelon
 from .polyring import GREVLEX, Exponents, Packing, Polynomial
-
-ONE = Fraction(1)
 
 
 def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
@@ -91,8 +91,8 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
 
     # one equation block per S-pair syzygy and per ambient generator; the
     # containment test can only change the blocks when some leads are coprime
-    leads, lcm = gb.triples.leads, gb.packing.lcm
-    coprime = any(lcm(a, b) == a + b for k, a in enumerate(leads) for b in leads[k + 1:])
+    leads, lcm_of = gb.triples_at(gb.packing).leads, gb.packing.lcm
+    coprime = any(lcm_of(a, b) == a + b for k, a in enumerate(leads) for b in leads[k + 1:])
     blocks = basis_syzygies(gb, skip_coprime=coprime and target.contains_ideal(source)) + ambient
 
     top = max(by_degree)
@@ -108,8 +108,10 @@ def _rank(tgb, bases: list[list[Exponents]], blocks: list[list[Polynomial]],
           packing: Packing) -> int:
     """Rank of the equations sum_i coeffs[i] * phi(g_i) = 0 in S/target,
     one block of coefficients at a time, with every monomial packed by
-    ``packing``, whose fields hold every product's degree."""
-    context = tgb.context
+    ``packing``, whose fields hold every product's degree.  A block's
+    entries are sums of c_e * r / den, c_e a Fraction of the block and
+    r / den a monomial's remainder; scaling the block by the lcm of the
+    c_e.denominator * den makes them ints and keeps its row space."""
     columns = []  # (first unknown, packed standard monomials) per basis element
     first = 0
     for basis in bases:
@@ -120,9 +122,9 @@ def _rank(tgb, bases: list[list[Exponents]], blocks: list[list[Polynomial]],
     # Normal form is linear: NF(c * x^m) is the sum of c_e * NF(x^(e+m))
     # over the terms c_e * x^e of c.  So each monomial is reduced once per
     # solve, and the memo dies with it.
-    reduced: dict[int, dict[int, Fraction]] = {}
+    reduced: dict[int, tuple[dict[int, int], int]] = {}
     for coeffs in blocks:
-        rows: dict[int, dict[int, Fraction]] = {}
+        products = []  # (unknown, c_e, (r, den)) of each product c_e * x^e * x^m
         for (start, basis), c in zip(columns, coeffs):
             if not basis or c.is_zero():
                 continue
@@ -132,11 +134,16 @@ def _rank(tgb, bases: list[list[Exponents]], blocks: list[list[Polynomial]],
                     t = e + m
                     nf = reduced.get(t)
                     if nf is None:
-                        nf = reduced[t] = tgb.normal_form(
-                            Polynomial.from_packed(context, packing, {t: ONE})).packed
-                    for mono, value in nf.items():
-                        row = rows.setdefault(mono, {})
-                        row[u] = row.get(u, 0) + ce * value
+                        nf = reduced[t] = tgb.monomial_remainder(t, packing)
+                    if nf[0]:
+                        products.append((u, ce, nf))
+        scale = lcm(*(ce.denominator * den for _, ce, (_, den) in products))
+        rows: dict[int, dict[int, int]] = {}
+        for u, ce, (r, den) in products:
+            factor = ce.numerator * (scale // (ce.denominator * den))
+            for mono, value in r.items():
+                row = rows.setdefault(mono, {})
+                row[u] = row.get(u, 0) + factor * value
         # entries that cancelled are dropped, and a row left empty is skipped
         for row in rows.values():
             row = {u: v for u, v in row.items() if v}

@@ -787,7 +787,8 @@ def format_ideal_text(context: RingContext, polys: Sequence[Polynomial],
 
 
 def parse_ideal_text(text: str) -> tuple[RingContext, list[Polynomial]]:
-    """Parse the ring/weights/gens file format."""
+    """Parse the ring/weights/gens file format; ``gens:`` stands alone on
+    one line, and the generators follow it, one per line."""
     ring_line: str | None = None
     weights_line: str | None = None
     gen_lines: list[str] = []
@@ -805,6 +806,10 @@ def parse_ideal_text(text: str) -> tuple[RingContext, list[Polynomial]]:
                 raise ValueError("repeated weights: line")
             weights_line = line[len("weights:"):].strip()
         elif line.startswith("gens:"):
+            if seen_gens:
+                raise ValueError("repeated gens: line")
+            if line != "gens:":
+                raise ValueError(f"generators must follow the gens: line, one per line: {raw!r}")
             seen_gens = True
         elif seen_gens:
             gen_lines.append(line)
@@ -812,6 +817,8 @@ def parse_ideal_text(text: str) -> tuple[RingContext, list[Polynomial]]:
             raise ValueError(f"unexpected line before gens: {raw!r}")
     if ring_line is None:
         raise ValueError("missing ring: line")
+    if not seen_gens:
+        raise ValueError("missing gens: line")
     variables = [v.strip() for v in ring_line.split(",") if v.strip()]
     weights = None
     if weights_line is not None:

@@ -647,11 +647,29 @@ class TestGroebnerBasisObject:
                 continue
             for order in orders:
                 gb = reduced_groebner_basis(gens, order)
-                assert gb.triples == tuple(groebner.divisor_triples(gb.elements, order))
+                assert gb.triples_at(gb.packing) == tuple(groebner.divisor_triples(gb.elements, order))
                 for _ in range(4):
                     p = random_form(rng, ctx, rng.randint(1, 4), 4)
                     assert gb.normal_form(p, with_quotients=True) \
                         == normal_form(p, gb.elements, gb.order, True)
+
+    def test_wide_dividend_triples_built_once(self, monkeypatch):
+        # x^200*y needs 16-bit fields, the basis of (x^2, y) fits 8: both
+        # containment tests divide at 16 bits, by triples built once
+        built = []
+        original = groebner.divisor_triples
+
+        def counted(divisors, order, packing=None):
+            triples = original(divisors, order, packing)
+            built.append(triples.packing.bits)
+            return triples
+
+        monkeypatch.setattr(groebner, "divisor_triples", counted)
+        I = Ideal(XY, [p2("x^2"), p2("y")])
+        p = p2("x^200*y + x*y^2")
+        assert p.packing.bits == 16 and I.groebner().packing.bits == 8
+        assert I.contains(p) and I.contains(p)
+        assert built == [16]
 
     def test_lead_monomials_listed(self):
         gb = reduced_groebner_basis([p2("x*y - 1"), p2("y^2 - 1")], LEX)

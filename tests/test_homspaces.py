@@ -3,11 +3,12 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from delpezzo5 import dp5, groebner, homspaces
-from delpezzo5.groebner import normal_form, syzygy_columns
+from delpezzo5.groebner import GroebnerBasis, normal_form, syzygy_columns
 from delpezzo5.hilbert import degree_monomials, standard_monomials
 from delpezzo5.homspaces import graded_hom_dimension, tangent_dimension
 from delpezzo5.ideals import Ideal
@@ -225,7 +226,7 @@ class TestSharedSPolynomial:
     def test_rational_generators(self, order):
         # the monic basis's primitive forms have leads such as 3 and 215
         gb = ideal(self.XYZ, *self.RATIONAL).groebner(order)
-        assert any(t[1] != 1 for t in gb.triples)
+        assert any(t[1] != 1 for t in gb.triples_at(gb.packing))
         self.check(gb)
 
     @pytest.mark.parametrize("ctx, texts", [
@@ -296,8 +297,24 @@ def input_generator_hom_dimension(source, target, twist=0, within=None):
     return len(unknown_index) - ech.rank
 
 
+def primitive_row(row):
+    """The row as coprime ints, the entry at its smallest column with a
+    nonzero entry positive: the same for every nonzero multiple of it."""
+    den = lcm(*(Fraction(v).denominator for v in row.values()))
+    ints = {c: (Fraction(v) * den).numerator for c, v in row.items()}
+    g = gcd(*ints.values())
+    if ints[min(c for c, v in ints.items() if v)] < 0:
+        g = -g
+    return frozenset((c, v // g) for c, v in ints.items())
+
+
 def row_multiset(rows):
-    return Counter(frozenset(row.items()) for row in rows)
+    """The rows, each up to a nonzero factor, with their multiplicities."""
+    return Counter(map(primitive_row, rows))
+
+
+MONOMIAL_REMAINDER = GroebnerBasis.monomial_remainder
+RANK = homspaces._rank
 
 
 def rank(rows):
@@ -314,43 +331,66 @@ def all_pairs_dimension(source, target, twist=0, within=None):
 
 
 class TestReferenceSolve:
-    """The per-solve monomial memo must feed the echelon exactly the rows
-    that reducing every product c * x^m on its own gives, over the pairs
-    the solve keeps (all of them unless the target contains the source),
-    and the solve on the reduced basis must give the dimension of the
-    solve on all pairs and of the solve on the input generators."""
+    """The per-solve monomial memo must feed the echelon, in ints, the
+    rows that reducing every product c * x^m on its own gives, each up to
+    the nonzero factor that clears the block's denominators, over the
+    pairs the solve keeps (all of them unless the target contains the
+    source), and the solve on the reduced basis must give the dimension
+    of the solve on all pairs and of the solve on the input generators.
+
+    `check` returns how many monomial remainders had a denominator other
+    than 1 and how many block coefficients a non-unit denominator, the
+    two things the solve's block scaling clears."""
 
     def check(self, monkeypatch, source, target, twist=0, within=None):
         fed = []
+        scaled = Counter()
 
         class Recording(SparseEchelon):
             def add_row(self, row):
                 fed.append(dict(row))
                 return super().add_row(row)
 
+        def remainder(tgb, m, packing):
+            r, den = MONOMIAL_REMAINDER(tgb, m, packing)
+            scaled["den"] += den != 1
+            return r, den
+
+        def counted_rank(tgb, bases, blocks, packing):
+            scaled["coefficient"] += sum(c.denominator != 1 for coeffs in blocks
+                                         for p in coeffs for c in p.terms.values())
+            return RANK(tgb, bases, blocks, packing)
+
         monkeypatch.setattr(homspaces, "SparseEchelon", Recording)
+        monkeypatch.setattr(GroebnerBasis, "monomial_remainder", remainder)
+        monkeypatch.setattr(homspaces, "_rank", counted_rank)
         dim = graded_hom_dimension(source, target, twist, within)
+        assert all(type(v) is int for row in fed for v in row.values())
         assert dim == input_generator_hom_dimension(source, target, twist, within)
         ref = reference_hom_rows(source, target, twist, within)
         if ref is None:
             assert dim == 0 and fed == []
-            return
+            return scaled
         unknowns, rows = ref
         assert dim == unknowns - rank(rows)
         if target.contains_ideal(source):
             _, rows = reference_hom_rows(source, target, twist, within, skip_coprime=True)
         assert row_multiset(fed) == row_multiset(rows)
+        return scaled
 
     def test_seeded_ideals(self, monkeypatch):
         rng = random.Random(211)
         helper = TestPresentationIndependence()
+        scaled = Counter()
         for _ in range(6):
             source = helper.random_ideal(rng)
             target = helper.random_ideal(rng)
             within = Ideal(P3, [g * helper.random_form(rng, 1) for g in source.gens])
             for twist in (-1, 0, 1):
-                self.check(monkeypatch, source, target, twist)
-                self.check(monkeypatch, source, target, twist, within)
+                scaled += self.check(monkeypatch, source, target, twist)
+                scaled += self.check(monkeypatch, source, target, twist, within)
+        # the coefficients +-1, +-2 keep the blocks integral; remainders are not
+        assert scaled["den"] > 0
 
     def test_products_past_the_first_packing(self, monkeypatch):
         # the Koszul syzygy's y^100 times the standard monomial x*y^99 of
@@ -374,6 +414,23 @@ class TestReferenceSolve:
         assert graded_hom_dimension(I, I) == 2 * 99
         self.check(monkeypatch, I, I)
 
+    def test_triples_built_once_per_width(self, monkeypatch):
+        # each basis's triples are built once per width: I's at 8 bits for
+        # its leads and at 16 for its syzygy, J's at 8 for the containment
+        # test and at 16 for the 201 memo misses of the solve
+        built = []
+        original = groebner.divisor_triples
+
+        def counted(divisors, order, packing=None):
+            triples = original(divisors, order, packing)
+            built.append(triples.packing.bits)
+            return triples
+
+        monkeypatch.setattr(groebner, "divisor_triples", counted)
+        I, J = ideal(XY, "x^100", "y^100"), ideal(XY, "x^101", "y^101")
+        assert graded_hom_dimension(I, J) == 2 * 101 - 1
+        assert sorted(built) == [8, 8, 16, 16]
+
     def test_catalogued_curves(self, monkeypatch):
         model = dp5.build_model()
         curves = [
@@ -382,29 +439,41 @@ class TestReferenceSolve:
             dp5.expected_cubic_rows(model)[0][1],
             dp5.expected_quartic_rows(model)[0][0],
         ]
+        scaled = Counter()
         for curve in curves:
-            self.check(monkeypatch, curve, curve)
-            self.check(monkeypatch, curve, curve, within=model.threefold)
+            scaled += self.check(monkeypatch, curve, curve)
+            scaled += self.check(monkeypatch, curve, curve, within=model.threefold)
+        # the threefold's basis has primitive leads 3, 2 and 8
+        assert scaled["den"] > 0 and scaled["coefficient"] > 0
 
 
 class TestNormalFormCount:
-    """Every monomial reduction of a Hom solve, memo misses included, goes
-    through `groebner.normal_form`, which the benchmark's tracer counts;
-    the divisions of the S-pair syzygies (`groebner.basis_syzygies`)
-    and of Buchberger run in the integer kernel and do not.  The counts
-    are pinned for fresh ideals, so that the ambient containment check
-    and the solve are both counted."""
+    """A Hom solve reduces each monomial once, in the integer kernel,
+    through `GroebnerBasis.monomial_remainder`; `groebner.normal_form`,
+    which the benchmark's tracer counts, sees only the containment test
+    and the ambient generators' divisions.  The divisions of the S-pair
+    syzygies (`groebner.basis_syzygies`) and of Buchberger run in the
+    integer kernel and pass through neither.  The counts are pinned for
+    fresh ideals, so that the ambient containment check and the solve
+    are both counted."""
 
     # (relative, ambient) normal forms of one catalogued conic and quartic
-    PINNED = {"conic": (25, 5), "quartic": (61, 36)}
+    PINNED = {"conic": (10, 5), "quartic": (13, 8)}
+    # (relative, ambient) monomial remainders of the same solves
+    MONOMIALS = {"conic": (15, 0), "quartic": (48, 28)}
 
     def counted_solves(self, monkeypatch, curve, ambient):
         original = groebner.normal_form
         calls = [0]
+        reduced = []
 
         def counted(*args, **kwargs):
             calls[0] += 1
             return original(*args, **kwargs)
+
+        def remainder(tgb, m, packing):
+            reduced.append(m)
+            return MONOMIAL_REMAINDER(tgb, m, packing)
 
         # rebind it in every module that holds it, as perfbench/spans.py does
         for name, module in list(sys.modules.items()):
@@ -412,14 +481,19 @@ class TestNormalFormCount:
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counted)
-        counts = []
+        monkeypatch.setattr(GroebnerBasis, "monomial_remainder", remainder)
+        counts, monomials = [], []
         for within in (ambient, None):
             calls[0] = 0
+            reduced.clear()
             fresh = Ideal(curve.context, curve.gens)
             fresh_within = None if within is None else Ideal(within.context, within.gens)
             tangent_dimension(fresh, within=fresh_within)
             counts.append(calls[0])
-        return tuple(counts)
+            # the memo reduces each monomial once per solve
+            assert len(set(reduced)) == len(reduced)
+            monomials.append(len(reduced))
+        return tuple(counts), tuple(monomials)
 
     def test_pinned_counts(self, monkeypatch):
         model = dp5.build_model()
@@ -428,7 +502,7 @@ class TestNormalFormCount:
                   "quartic": dp5.expected_quartic_rows(model)[0][0]}
         for name, curve in curves.items():
             assert self.counted_solves(monkeypatch, curve, model.threefold) \
-                == self.PINNED[name], name
+                == (self.PINNED[name], self.MONOMIALS[name]), name
 
 
 def catalogued_curves():

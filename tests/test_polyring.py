@@ -325,10 +325,14 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_polynomial(text, XYZ)
 
+    # repeated header lines, then the gens: line's own faults
     @pytest.mark.parametrize("text", [
         "ring: x\nring: x, y\ngens:\nx\n",
         "ring: x, y\nweights: 1, 2\nweights: 2, 1\ngens:\nx\n",
-    ], ids=["ring", "weights"])
+        "ring: x, y\ngens: x*y\n",
+        "ring: x, y\ngens:\nx\ngens:\ny\n",
+        "ring: x, y\n",
+    ], ids=["ring", "weights", "gens-text", "gens-twice", "gens-missing"])
     def test_repeated_header_line_rejected(self, text):
         with pytest.raises(ValueError):
             parse_ideal_text(text)

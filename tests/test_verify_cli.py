@@ -352,6 +352,9 @@ class TestCLI:
             "ring: x, y\ngens:\nx y\n",                           # missing '*'
             "ring: x\nring: x, y\ngens:\nx\n",                   # repeated ring line
             "ring: x, y\nweights: 1, 2\nweights: 2, 1\ngens:\nx\n",  # repeated weights
+            "ring: x, y\ngens: x*y\n",                           # text after gens:
+            "ring: x, y\ngens:\nx\ngens:\ny\n",                 # repeated gens line
+            "ring: x, y\n",                                       # no gens line
         ]
         for k, text in enumerate(bad):
             path = tmp_path / f"bad{k}.txt"
