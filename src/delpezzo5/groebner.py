@@ -11,22 +11,24 @@ Division, pair selection and interreduction run on packed monomials
 test, and an order key one int, the key of a product being the sum of
 the keys.  A product that outgrows its packing restarts the division,
 or the Buchberger run, at a wider one, so no field ever wraps; the
-S-pair syzygies of a homogeneous basis are sized from its largest lcm
-degree and never restart.
+S-pair syzygies of a homogeneous basis run at a packing their caller
+sizes from its largest lcm degree, and never restart.
 
 Division is fraction-free (primitive pseudo-division, cf. Bareiss 1968,
-as in `linalg`): each divisor is held as a rational scale times a
-primitive integer polynomial, the dividend as ints over one running
-denominator, and a reduction scales the dividend by an integer instead
-of dividing by the lead coefficient.  Buchberger holds every element as
+as in `linalg`, whose `integer_terms` and `primitive` make every
+conversion to ints): each divisor is held as a primitive integer
+polynomial, the dividend and the quotients as ints over one running
+denominator, and a reduction scales them by an integer instead of
+dividing by the lead coefficient.  Buchberger holds every element as
 a primitive integer polynomial from its first generator to its last
 interreduction; only the final reduced basis is made monic, in
 Fractions.  One builder, `_s_polynomial`, forms every S-polynomial in
-ints, for Buchberger and for `basis_syzygies` alike.  `normal_form`
-keeps its exact Fraction results, converting the dividend once on the
-way in and the remainder once on the way out.  A `GroebnerBasis` keeps
-its divisor triples per field width, and `monomial_remainder` returns a
-monomial's remainder as the kernel's ints over one denominator.
+ints, for Buchberger and for `basis_syzygies` (which returns ints)
+alike.  `normal_form` keeps its exact Fraction results, converting the
+dividend once on the way in and the results once on the way out.  A
+`GroebnerBasis` keeps its divisor triples per field width, and
+`monomial_remainder` returns a monomial's remainder as the kernel's
+ints over one denominator.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from heapq import heappop, heappush
 from math import gcd, lcm
 from typing import Callable, Sequence
 
+from .linalg import integer_terms, primitive
 from .polyring import (
     GREVLEX,
     Exponents,
@@ -47,9 +50,7 @@ from .polyring import (
     elimination_order,
 )
 
-ONE = Fraction(1)
-
-Triple = tuple  # (lead, lc, (steps, coefficients), scale) of one divisor; see `divisor_triples`
+Triple = tuple  # (lead, lc, (steps, coefficients)) of one divisor; see `divisor_triples`
 
 
 class DivisorTriples(tuple):
@@ -72,20 +73,6 @@ def _widest(polys: Sequence[Polynomial], context: RingContext) -> Packing:
     return packing
 
 
-def _integer_terms(packed: dict[int, Fraction]) -> tuple[dict[int, int], int]:
-    """(ints, den) with ``packed == ints / den``, den the lcm of the
-    coefficients' denominators."""
-    ints = {}
-    for m, c in packed.items():
-        if c.denominator != 1:
-            break
-        ints[m] = c.numerator
-    else:
-        return ints, 1
-    den = lcm(*(c.denominator for c in packed.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in packed.items()}, den
-
-
 def _fractions(ints: dict[int, int], den: int) -> dict[int, Fraction]:
     """The terms ``ints / den`` as Fractions; den is positive."""
     if den == 1:
@@ -93,34 +80,22 @@ def _fractions(ints: dict[int, int], den: int) -> dict[int, Fraction]:
     return {m: Fraction(c, den) for m, c in ints.items()}
 
 
-def _primitive(ints: dict[int, int], lead: int) -> tuple[dict[int, int], int]:
-    """The nonzero ``ints`` divided by their content, signed so that the
-    coefficient at ``lead`` is positive, and the signed content divided out."""
-    g = gcd(*ints.values())
-    if ints[lead] < 0:
-        g = -g
-    if g != 1:
-        ints = {m: c // g for m, c in ints.items()}
-    return ints, g
-
-
-def _triple(ints: dict[int, int], keys: dict[int, int], width: int, lead: int,
-            scale: int | Fraction = 1) -> Triple:
-    """(lead, lc, tail, scale) of the polynomial ``scale * ints`` from its
-    primitive integer terms, whose lead coefficient is positive, and
-    their order keys."""
+def _triple(ints: dict[int, int], keys: dict[int, int], width: int, lead: int) -> Triple:
+    """(lead, lc, tail) of the primitive integer terms ``ints``, whose lead
+    coefficient is positive, from their order keys."""
     top = keys[lead]
     tail = [(((keys[m] - top) << width) + m - lead, c) for m, c in ints.items() if m != lead]
-    return lead, ints[lead], (tuple(s for s, _ in tail), tuple(c for _, c in tail)), scale
+    return lead, ints[lead], (tuple(s for s, _ in tail), tuple(c for _, c in tail))
 
 
 def divisor_triples(divisors: Sequence[Polynomial], order: MonomialOrder,
                     packing: Packing | None = None) -> DivisorTriples:
-    """The ``(lead, lc, tail, scale)`` triple of each divisor, as
-    `normal_form` reads them, under ``packing`` (by default the widest of
-    the divisors'): the divisor is ``scale`` times a primitive integer
-    polynomial (int coefficients with gcd 1 and a positive lead), whose
-    packed lead monomial, lead coefficient lc and tail the triple holds.
+    """The ``(lead, lc, tail)`` triple of each divisor, as `normal_form`
+    reads them, under ``packing`` (by default the widest of the
+    divisors'): the packed lead monomial, the lead coefficient lc and
+    the tail of the divisor's primitive integer form (`linalg.primitive`:
+    int coefficients with gcd 1 and a positive lead), a nonzero rational
+    multiple of the divisor.
     The tail lists, for every other term ``c * x^e``, its int coefficient
     c and its step ``((key(e) - key(lead)) << width) + e - lead``, with e
     packed and key the order's int key.  A step added to
@@ -140,10 +115,8 @@ def divisor_triples(divisors: Sequence[Polynomial], order: MonomialOrder,
         packed = d.repacked(packing).packed
         keys = {m: key(m) for m in packed}
         lead = max(keys, key=keys.get)
-        ints, den = _integer_terms(packed)
-        ints, content = _primitive(ints, lead)
-        scale = 1 if content == den else Fraction(content, den)
-        triples.append(_triple(ints, keys, packing.width, lead, scale))
+        ints, _ = primitive(integer_terms(packed)[0], lead)
+        triples.append(_triple(ints, keys, packing.width, lead))
     return DivisorTriples(triples, packing, key)
 
 
@@ -158,7 +131,7 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOr
     given, are the divisors' `divisor_triples` under ``order``, held by
     a caller that divides by the same list many times.  The division
     itself runs in ints (`_divide_int`): p is converted once on the way in
-    and the remainder once on the way out.  The results are packed like
+    and the remainder and quotients once on the way out.  The results are packed like
     the triples, or wider when a product outgrows them.
     """
     if divisors and divisors[0].context != p.context:
@@ -169,33 +142,42 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOr
     while True:
         quotients = [{} for _ in divisors] if with_quotients else None
         try:
-            work, den = _integer_terms(p.repacked(packing).packed)
-            remainder, new_den = _divide_int(work, den, triples, quotients)
+            work, den = integer_terms(p.repacked(packing).packed)
+            remainder, den = _divide_int(work, den, triples, quotients)
             break
         except PackingOverflow:
             packing = p.context.packing(packing.limit + 1)
             triples = divisor_triples(divisors, order, packing)
 
-    r = Polynomial.from_packed(p.context, packing, _fractions(remainder, new_den))
+    r = Polynomial.from_packed(p.context, packing, _fractions(remainder, den))
     if quotients is None:
         return r
-    return r, [Polynomial.from_packed(p.context, packing, q) for q in quotients]
+    # q_k / den is the quotient by d's primitive form, lc / lead_coefficient(d) times d
+    out = []
+    for q, d, (lead, lc, _) in zip(quotients, divisors, triples):
+        if q:
+            top = d.repacked(packing).packed[lead]
+            num, dn = lc * top.denominator, den * top.numerator
+            q = {t: Fraction(c * num, dn) for t, c in q.items()}
+        out.append(Polynomial.from_packed(p.context, packing, q))
+    return r, out
 
 
 def _divide_int(work: dict[int, int], den: int, triples: DivisorTriples,
-                quotients: list[dict[int, Fraction]] | None) -> tuple[dict[int, int], int]:
+                quotients: list[dict[int, int]] | None) -> tuple[dict[int, int], int]:
     """Fraction-free division of ``work / den`` by the divisors (primitive
     pseudo-division, cf. Bareiss 1968): the remainder is ``r / den``
     for the returned ``(r, den)``, r's packed terms largest first.
 
     One running denominator serves the whole division.  A term c meets
     a divisor's lead coefficient lc: with g = gcd(c, lc), the work, the
-    remainder found so far and the denominator are scaled by lc / g
-    when that is not 1, and then (c / g) times the divisor's integer
-    tail is subtracted, so no coefficient is ever a Fraction.
-    ``quotients``, when given, gets the exact Fraction quotients, each
-    term ``(c / g) / (den * scale)``.  Raises `PackingOverflow` when a
-    product reaches a guard bit."""
+    remainder found so far, the quotients and the denominator are scaled
+    by lc / g when that is not 1, and then (c / g) times the divisor's
+    integer tail is subtracted, so no coefficient is ever a Fraction.
+    ``quotients``, when given, gets int quotients q_k with the invariant
+    ``work / den == (r + sum(q_k * P_k)) / den`` for the entry dividend
+    work / den, P_k the primitive form of divisor k.  Raises
+    `PackingOverflow` when a product reaches a guard bit."""
     work = dict(work)
     remainder: dict[int, int] = {}
     key, leads = triples.key, triples.leads
@@ -216,7 +198,7 @@ def _divide_int(work: dict[int, int], den: int, triples: DivisorTriples,
         else:
             remainder[m] = c
             continue
-        _, lc, (steps, coeffs), scale = triples[hit]
+        _, lc, (steps, coeffs) = triples[hit]
         if lc != 1:
             g = gcd(c, lc)
             if g != lc:
@@ -224,13 +206,14 @@ def _divide_int(work: dict[int, int], den: int, triples: DivisorTriples,
                 work = {t: v * a for t, v in work.items()}
                 if remainder:
                     remainder = {t: v * a for t, v in remainder.items()}
+                if quotients is not None:
+                    quotients[:] = [{t: v * a for t, v in q.items()} for q in quotients]
                 den *= a
             c //= g
         if quotients is not None:
             # terms only shrink, so no monomial is reduced twice and each
             # quotient term is set once
-            factor = Fraction(c, den) if den != 1 else Fraction(c)
-            quotients[hit][m - lead] = factor if scale == 1 else factor / scale
+            quotients[hit][m - lead] = c
         # the lead term cancels m itself; the tail lands at m + (e - lead)
         for step, ce in zip(steps, coeffs):
             new = code + step
@@ -250,9 +233,9 @@ def _divide_int(work: dict[int, int], den: int, triples: DivisorTriples,
 class GroebnerBasis:
     """Reduced basis and its order.
 
-    `triples_at` holds each element's ``(lead, lc, tail, scale)`` per
-    field width, built on first use, so that dividing by the basis never
-    recomputes a lead term; the elements share one ``packing``.
+    `triples_at` holds each element's ``(lead, lc, tail)`` per field
+    width, built on first use (none before), so that dividing by the basis
+    never recomputes a lead term; the elements share one ``packing``.
     """
 
     __slots__ = ("context", "order", "elements", "packing", "_triples")
@@ -264,10 +247,12 @@ class GroebnerBasis:
         self.order = order
         self.elements = tuple(g.repacked(packing) for g in elements)
         self.packing = packing
-        self._triples: dict[int, DivisorTriples] = {}  # field width -> triples
+        self._triples: dict[int, DivisorTriples] | None = None  # field width -> triples
 
     def triples_at(self, packing: Packing) -> DivisorTriples:
         """The elements' `divisor_triples` under ``packing``, built once per width."""
+        if self._triples is None:
+            self._triples = {}
         if packing.bits not in self._triples:
             self._triples[packing.bits] = divisor_triples(self.elements, self.order, packing)
         return self._triples[packing.bits]
@@ -314,7 +299,7 @@ def _s_polynomial(triples: DivisorTriples, i: int, j: int, lcm: int) -> dict[int
     packing = triples.packing
     low = (1 << packing.width) - 1
     base = (triples.key(lcm) << packing.width) + lcm
-    (_, lc_i, tail_i, _), (_, lc_j, tail_j, _) = triples[i], triples[j]
+    (_, lc_i, tail_i), (_, lc_j, tail_j) = triples[i], triples[j]
     g = gcd(lc_i, lc_j)
     s: dict[int, int] = {}
     seen = 0
@@ -332,7 +317,8 @@ def _s_polynomial(triples: DivisorTriples, i: int, j: int, lcm: int) -> dict[int
     return s
 
 
-def basis_syzygies(gb: GroebnerBasis, skip_coprime: bool = False) -> list[list[Polynomial]]:
+def basis_syzygies(gb: GroebnerBasis, packing: Packing,
+                   skip_coprime: bool = False) -> list[list[dict[int, int]]]:
     """The S-pair syzygy tau of each pair i < j of ``gb.elements``; by
     Schreyer's theorem they generate all relations among the elements.
 
@@ -351,32 +337,32 @@ def basis_syzygies(gb: GroebnerBasis, skip_coprime: bool = False) -> list[list[P
     Each S-polynomial is built in ints by `_s_polynomial`, as in
     Buchberger, and divided over the denominator lcm(lc_i, lc_j), so the
     quotients are those of the S-polynomial of the reduced, hence monic,
-    elements.  The elements must be homogeneous: every term of a pair's
-    reduction then has the degree of its lcm, so one packing that holds
-    the largest lcm degree serves every division."""
-    G, context = gb.elements, gb.context
+    elements.  Each comes as den * tau, den the division's final
+    denominator, one packed int dict per element: -q_k * lc_k off the
+    leads, q_k the int quotient by the primitive form with lead lc_k, and
+    +-den at lcm / lead_i and lcm / lead_j.  The elements must be
+    homogeneous: every term of a pair's reduction then has the degree of
+    its lcm, so the caller's ``packing`` holds the largest lcm degree."""
+    G = gb.elements
     if not all(g.is_homogeneous() for g in G):
         raise ValueError("S-pair syzygies need a homogeneous basis")
-    leads, lcm_of = gb.triples_at(gb.packing).leads, gb.packing.lcm
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
-             if not (skip_coprime and lcm_of(leads[i], leads[j]) == leads[i] + leads[j])]
-    top = max((gb.packing.degree(lcm_of(leads[i], leads[j])) for i, j in pairs), default=0)
-    packing = max(gb.packing, context.packing(top), key=lambda k: k.bits)
     triples = gb.triples_at(packing)
     leads, lcm_of = triples.leads, packing.lcm
+    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
+             if not (skip_coprime and lcm_of(leads[i], leads[j]) == leads[i] + leads[j])]
     syzygies = []
     for i, j in pairs:
         m = lcm_of(leads[i], leads[j])
         quotients = [{} for _ in G]
-        r, _ = _divide_int(_s_polynomial(triples, i, j, m), lcm(triples[i][1], triples[j][1]),
-                           triples, quotients)
+        r, den = _divide_int(_s_polynomial(triples, i, j, m), lcm(triples[i][1], triples[j][1]),
+                             triples, quotients)
         if r:
             raise AssertionError("S-pair of a Groebner basis must reduce to zero")
         # the S-polynomial's terms lie below the lcm, so x^a is not in q_i
-        tau = [{t: -c for t, c in q.items()} for q in quotients]
-        tau[i][m - leads[i]] = ONE
-        tau[j][m - leads[j]] = -ONE
-        syzygies.append([Polynomial.from_packed(context, packing, t) for t in tau])
+        tau = [{t: -c * lc for t, c in q.items()} for q, (_, lc, _) in zip(quotients, triples)]
+        tau[i][m - leads[i]] = den
+        tau[j][m - leads[j]] = -den
+        syzygies.append(tau)
     return syzygies
 
 
@@ -426,7 +412,7 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
         nonlocal triples
         keys = {m: key(m) for m in ints}
         lead = max(keys, key=keys.get)
-        ints, _ = _primitive(ints, lead)
+        ints, _ = primitive(ints, lead)
         new = len(G)
         G.append(ints)
         leads.append(lead)
@@ -438,7 +424,7 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
             pairs.add((k, new))
 
     for g in gens:
-        add_element(_integer_terms(g.repacked(packing).packed)[0])
+        add_element(integer_terms(g.repacked(packing).packed)[0])
 
     while queue:
         _, _, i, j = heappop(queue)
@@ -473,7 +459,7 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
         others = DivisorTriples(final_triples[:idx] + final_triples[idx + 1:], packing, key)
         lead = final_triples[idx][0]
         r, _ = _divide_int(final[idx], 1, others, None)
-        final[idx], _ = _primitive(r, lead)
+        final[idx], _ = primitive(r, lead)
         final_triples[idx] = _triple(final[idx], {m: key(m) for m in final[idx]}, width, lead)
 
     # kept is ascending in lead order and interreduction keeps the leads,
@@ -512,7 +498,7 @@ def syzygy_columns(gens: Sequence[Polynomial]) -> list[list[Polynomial]]:
         tag = [0] * width
         tag[n + k] = 1
         terms = {e + (0,) * m + (1,): -c for e, c in f.terms.items()}
-        terms[tuple(tag)] = ONE
+        terms[tuple(tag)] = Fraction(1)
         relations.append(Polynomial(tagged, terms))
     gb = reduced_groebner_basis(relations, elimination_order(width, (n + m,)))
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .ideals import Ideal
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, integer_terms
 from .polyring import GREVLEX, LEX, Exponents, Packing, Polynomial, mono_divides
 
 
@@ -190,9 +190,8 @@ def hilbert_function_direct(ideal: Ideal, d: int) -> int:
             continue
         if d - gd not in shifts:
             shifts[d - gd] = [key(packing.pack(s)) for s in degree_monomials(n, d - gd)]
-        packed = g.repacked(packing).packed
-        den = lcm(*(c.denominator for c in packed.values()))
-        terms = [(key(m), c.numerator * (den // c.denominator)) for m, c in packed.items()]
+        ints, _ = integer_terms(g.repacked(packing).packed)
+        terms = [(key(m), c) for m, c in ints.items()]
         for shift in shifts[d - gd]:
             ech.add_row({shift + m: c for m, c in terms})
     return comb(d + n - 1, n - 1) - ech.rank

@@ -15,8 +15,9 @@ generator of I_X: the quotients of its division by the basis.  All
 inputs are homogeneous, so the degree of every monomial the solve can
 meet is known before it starts, and it runs once at a packing that
 holds them, in ints from the division kernel to the echelon (both
-fraction-free, cf. Bareiss 1968): monomial remainders come as ints over
-one denominator, and each block is scaled by one int (see `_rank`).
+fraction-free, cf. Bareiss 1968): the equation blocks come as ints, each
+monomial's remainder as ints over one denominator, and each block is
+scaled by the lcm of its remainders' denominators only (see `_rank`).
 
 The dimension of the degree-0 part of Hom(I_C, S/I_C) is the tangent
 space to the Hilbert scheme of the ambient projective space at [C];
@@ -29,8 +30,8 @@ from math import lcm
 from .groebner import basis_syzygies
 from .hilbert import standard_monomials
 from .ideals import Ideal
-from .linalg import SparseEchelon
-from .polyring import GREVLEX, Exponents, Packing, Polynomial
+from .linalg import SparseEchelon, integer_terms
+from .polyring import GREVLEX, Exponents, Packing
 
 
 def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
@@ -46,8 +47,9 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     The ambient generators' blocks are always kept.  The solve runs once
     on packed monomials: everything being homogeneous, each product
     c * x^m of a block and each term of its normal form has degree
-    deg c + deg g_k + twist, so the packing (the target basis's or
-    wider) is sized from those degrees before the solve starts.
+    deg c + deg g_k + twist, a kept pair's lcm degree (where its syzygy is
+    divided) or an ambient generator's degree plus the twist: the packing
+    (the target basis's or wider) is sized from those before any division.
     """
     if source.context != target.context:
         raise ValueError("source and target live in different ring contexts")
@@ -89,29 +91,32 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     if not unknowns:
         return 0
 
-    # one equation block per S-pair syzygy and per ambient generator; the
-    # containment test can only change the blocks when some leads are coprime
+    # the containment test can only change the blocks when some leads are coprime
     leads, lcm_of = gb.triples_at(gb.packing).leads, gb.packing.lcm
-    coprime = any(lcm_of(a, b) == a + b for k, a in enumerate(leads) for b in leads[k + 1:])
-    blocks = basis_syzygies(gb, skip_coprime=coprime and target.contains_ideal(source)) + ambient
-
-    top = max(by_degree)
-    for coeffs in blocks:
-        for g, c, basis in zip(gb, coeffs, bases):
-            if basis and not c.is_zero():
-                top = max(top, c.total_degree() + g.total_degree() + twist)
+    pairs = [(lcm_of(a, b), a + b) for k, a in enumerate(leads) for b in leads[k + 1:]]
+    skip = any(m == product for m, product in pairs) and target.contains_ideal(source)
+    degrees = [w.total_degree() for w in within.gens] if within is not None else []
+    degrees += [gb.packing.degree(m) for m, product in pairs if not (skip and m == product)]
+    top = max(max(by_degree), max(degrees, default=0) + max(twist, 0))
     packing = max(tgb.packing, target.context.packing(top), key=lambda k: k.bits)
+
+    # one int block per kept S-pair syzygy and per ambient generator (cleared as a whole)
+    blocks = basis_syzygies(gb, packing, skip)
+    for q in ambient:
+        cleared = [integer_terms(qk.repacked(packing).packed) for qk in q]
+        den = lcm(*(d for _, d in cleared))
+        blocks.append([{t: c * (den // d) for t, c in ints.items()} for ints, d in cleared])
     return unknowns - _rank(tgb, bases, blocks, packing)
 
 
-def _rank(tgb, bases: list[list[Exponents]], blocks: list[list[Polynomial]],
+def _rank(tgb, bases: list[list[Exponents]], blocks: list[list[dict[int, int]]],
           packing: Packing) -> int:
     """Rank of the equations sum_i coeffs[i] * phi(g_i) = 0 in S/target,
-    one block of coefficients at a time, with every monomial packed by
-    ``packing``, whose fields hold every product's degree.  A block's
-    entries are sums of c_e * r / den, c_e a Fraction of the block and
+    one block of int coefficients at a time, with every monomial packed
+    by ``packing``, whose fields hold every product's degree.  A block's
+    entries are sums of c_e * r / den, c_e an int of the block and
     r / den a monomial's remainder; scaling the block by the lcm of the
-    c_e.denominator * den makes them ints and keeps its row space."""
+    remainders' den makes them ints and keeps its row space."""
     columns = []  # (first unknown, packed standard monomials) per basis element
     first = 0
     for basis in bases:
@@ -126,21 +131,20 @@ def _rank(tgb, bases: list[list[Exponents]], blocks: list[list[Polynomial]],
     for coeffs in blocks:
         products = []  # (unknown, c_e, (r, den)) of each product c_e * x^e * x^m
         for (start, basis), c in zip(columns, coeffs):
-            if not basis or c.is_zero():
+            if not basis or not c:
                 continue
-            cterms = c.repacked(packing).packed
             for u, m in enumerate(basis, start):
-                for e, ce in cterms.items():
+                for e, ce in c.items():
                     t = e + m
                     nf = reduced.get(t)
                     if nf is None:
                         nf = reduced[t] = tgb.monomial_remainder(t, packing)
                     if nf[0]:
                         products.append((u, ce, nf))
-        scale = lcm(*(ce.denominator * den for _, ce, (_, den) in products))
+        scale = lcm(*(den for _, _, (_, den) in products))
         rows: dict[int, dict[int, int]] = {}
         for u, ce, (r, den) in products:
-            factor = ce.numerator * (scale // (ce.denominator * den))
+            factor = ce * (scale // den)
             for mono, value in r.items():
                 row = rows.setdefault(mono, {})
                 row[u] = row.get(u, 0) + factor * value

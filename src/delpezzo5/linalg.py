@@ -7,7 +7,9 @@ echelon holds each pivot row as an exact integer multiple of itself
 (fraction-free elimination, cf. Bareiss 1968), so its rank is exact over
 the rationals with Python ints alone; `rref` returns Fractions.  There
 is no floating point, no modulus and no pivoting heuristic that could
-change results between runs.
+change results between runs.  `integer_terms` (clear denominators) and
+`primitive` (divide out the content) are the package's one boundary from
+rationals to ints, for the echelon, the division kernel and the Hom solve.
 """
 from __future__ import annotations
 
@@ -56,26 +58,39 @@ def row_space_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fracti
     return ra == rb
 
 
-def _integer_row(row: dict) -> dict:
-    """The nonzero entries of a row, scaled by the lcm of their
-    denominators to ints.  An int is kept; any other value is read as
-    a Fraction first, so that a float is never used inexactly."""
-    ints: dict = {}
-    fracs: dict = {}
-    for c, v in row.items():
+def integer_terms(values: dict) -> tuple[dict, int]:
+    """``(ints, den)``: the nonzero entries of ``values`` as ints over the
+    lcm ``den`` of their denominators, so ``values[k] == ints[k] / den``.
+    An int is kept; any other value is read as a Fraction first, so that
+    a float is never used inexactly."""
+    ints, fracs = {}, {}
+    for k, v in values.items():
+        if type(v) is not int:
+            v = v if type(v) is Fraction else Fraction(v)
+            if v.denominator != 1:
+                fracs[k] = v
+                continue
+            v = v.numerator
         if v:
-            if type(v) is int:
-                ints[c] = v
-            else:
-                fracs[c] = v if type(v) is Fraction else Fraction(v)
+            ints[k] = v
     if not fracs:
-        return ints
+        return ints, 1
     den = lcm(*(v.denominator for v in fracs.values()))
-    if den != 1:
-        ints = {c: v * den for c, v in ints.items()}
-    for c, v in fracs.items():
-        ints[c] = v.numerator * (den // v.denominator)
-    return ints
+    ints = {k: v * den for k, v in ints.items()}
+    for k, v in fracs.items():
+        ints[k] = v.numerator * (den // v.denominator)
+    return ints, den
+
+
+def primitive(ints: dict, lead) -> tuple[dict, int]:
+    """The nonzero ``ints`` divided by their content, signed so that the
+    entry at ``lead`` is positive, and the signed content divided out."""
+    g = gcd(*ints.values())
+    if ints[lead] < 0:
+        g = -g
+    if g != 1:
+        ints = {k: v // g for k, v in ints.items()}
+    return ints, g
 
 
 class SparseEchelon:
@@ -101,17 +116,12 @@ class SparseEchelon:
         pivot with lead a, a row whose entry in that column is b becomes
         (a/g)*row - (b/g)*pivot with g = gcd(a, b), which changes the
         row only by a nonzero factor."""
-        work = _integer_row(row)
+        work, _ = integer_terms(row)
         while work:
             col = min(work)
             pivot = self._pivots.get(col)
             if pivot is None:
-                g = gcd(*work.values())
-                if work[col] < 0:
-                    g = -g
-                if g != 1:
-                    work = {c: v // g for c, v in work.items()}
-                self._pivots[col] = work
+                self._pivots[col], _ = primitive(work, col)
                 return True
             a, b = pivot[col], work[col]
             g = gcd(a, b)

@@ -69,6 +69,20 @@ def random_form(rng, ctx, degree, n_terms=3):
     return Polynomial(ctx, terms)
 
 
+def lcm_packing(gb):
+    """The basis's packing, or the narrowest wider one that holds the
+    degree of every lcm of two of its leads."""
+    leads = gb.lead_monomials()
+    top = max((sum(mono_lcm(a, b)) for a, b in combinations(leads, 2)), default=0)
+    return max(gb.packing, gb.context.packing(top), key=lambda k: k.bits)
+
+
+def int_polynomials(ctx, packing, int_terms, den=1):
+    """Each packed int dict divided by den, as a Polynomial."""
+    return [Polynomial(ctx, {packing.unpack(t): Fraction(c, den) for t, c in terms.items()})
+            for terms in int_terms]
+
+
 def seeded_forms(seed, ctx, degrees):
     rng = random.Random(seed)
     return [random_form(rng, ctx, d) for d in degrees]
@@ -551,6 +565,9 @@ class TestIntegerKernel:
     scales its work at every step."""
 
     XYZ_DIVISORS = ["3/4*x - 2*y", "5/3*y^2 + 1/2*x*z - 7/6*z^2", "2/5*x*z^2 - 9/4*y^3"]
+    # integer content 2: the divisor is twice its primitive form; first in
+    # the list, so that it reduces the terms its lead x*y divides
+    CONTENT_DIVISOR = "6*x*y - 4*z^2"
     DIVIDENDS = ["1/6*x^3*y - 7/10*y^2*z + 2/9*z^3",
                  "11/12*x^4 - 5/8*x*y*z^2 + 3/7*y^4 - 1/15",
                  "-4/9*x^2*z^3 + 13/6*y^5 + 1/4*x*y*z"]
@@ -559,13 +576,17 @@ class TestIntegerKernel:
 
     @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
     def test_quotients_are_exact_and_match_the_reference(self, order):
-        divisors = [parse_polynomial(t, XYZ) for t in self.XYZ_DIVISORS]
-        for text in self.DIVIDENDS:
-            p = parse_polynomial(text, XYZ)
-            r, q = normal_form(p, divisors, order, with_quotients=True)
-            assert p == sum((qi * d for qi, d in zip(q, divisors)), r)
-            assert (r, q) == reference_normal_form(p, divisors, order, with_quotients=True)
-            assert normal_form(p, divisors, order) == r
+        for texts in (self.XYZ_DIVISORS, [self.CONTENT_DIVISOR, *self.XYZ_DIVISORS]):
+            divisors = [parse_polynomial(t, XYZ) for t in texts]
+            used = [False] * len(divisors)
+            for text in self.DIVIDENDS:
+                p = parse_polynomial(text, XYZ)
+                r, q = normal_form(p, divisors, order, with_quotients=True)
+                assert p == sum((qi * d for qi, d in zip(q, divisors)), r)
+                assert (r, q) == reference_normal_form(p, divisors, order, with_quotients=True)
+                assert normal_form(p, divisors, order) == r
+                used = [u or not qi.is_zero() for u, qi in zip(used, q)]
+            assert used[0]
 
     def test_work_scaled_at_every_step(self, monkeypatch):
         # x^6 by 3*x - y: each step down to y^6 meets lead 3 with the
@@ -627,11 +648,14 @@ class TestBasisSyzygies:
     @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
     def test_one_syzygy_per_pair(self, order):
         gb = reduced_groebner_basis(ORBIT_QUADRICS, order)
-        syzygies = groebner.basis_syzygies(gb)
+        packing = lcm_packing(gb)
+        syzygies = groebner.basis_syzygies(gb, packing)
         n = len(gb)
         assert len(syzygies) == n * (n - 1) // 2
         for tau in syzygies:
             assert len(tau) == n
+            assert all(type(c) is int for terms in tau for c in terms.values())
+            tau = int_polynomials(ORBIT, packing, tau)
             assert sum((t * g for t, g in zip(tau, gb.elements)), ORBIT.zero()).is_zero()
 
 
@@ -652,6 +676,12 @@ class TestGroebnerBasisObject:
                     p = random_form(rng, ctx, rng.randint(1, 4), 4)
                     assert gb.normal_form(p, with_quotients=True) \
                         == normal_form(p, gb.elements, gb.order, True)
+
+    def test_triples_held_only_once_divided(self):
+        gb = reduced_groebner_basis(ORBIT_QUADRICS, GREVLEX)
+        assert gb._triples is None
+        assert gb.contains(ORBIT_QUADRICS[0])
+        assert list(gb._triples) == [gb.packing.bits]
 
     def test_wide_dividend_triples_built_once(self, monkeypatch):
         # x^200*y needs 16-bit fields, the basis of (x^2, y) fits 8: both

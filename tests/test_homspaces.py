@@ -16,7 +16,7 @@ from delpezzo5.linalg import SparseEchelon
 from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext, elimination_order,
                                 mono_div, mono_lcm, parse_polynomial)
 
-from test_groebner import reference_basis
+from test_groebner import int_polynomials, lcm_packing, reference_basis
 
 XY = RingContext(("x", "y"))
 P3 = RingContext(("x", "y", "z", "w"))
@@ -207,19 +207,38 @@ def s_pair_syzygies(gb, skip_coprime=False):
     return blocks
 
 
+def pair_taus(gb, packing, taus, skip_coprime=False):
+    """The taus that `groebner.basis_syzygies` returned as den * tau at
+    ``packing``, each divided by its entry den at lcm / lead_i, as
+    Polynomials, and the dens; every value must be an int."""
+    monomials = gb.lead_monomials()
+    leads = [packing.pack(m) for m in monomials]
+    pairs = [(i, j) for i in range(len(leads)) for j in range(i + 1, len(leads))
+             if not (skip_coprime and coprime(monomials[i], monomials[j]))]
+    assert len(pairs) == len(taus)
+    polys, dens = [], []
+    for (i, j), tau in zip(pairs, taus):
+        assert all(type(c) is int for terms in tau for c in terms.values())
+        den = tau[i][packing.lcm(leads[i], leads[j]) - leads[i]]
+        polys.append(int_polynomials(gb.context, packing, tau, den))
+        dens.append(den)
+    return polys, dens
+
+
 class TestSharedSPolynomial:
     """`groebner.basis_syzygies` builds each S-polynomial in ints, as
-    Buchberger does, and divides it in the integer kernel; its taus must
-    be those of the S-pair formed and divided here, one by one."""
+    Buchberger does, and divides it in the integer kernel; its taus,
+    each divided by its den, must be those of the S-pair formed and
+    divided here, one by one."""
 
     XYZ = RingContext(("x", "y", "z"))
     RATIONAL = ["3/4*x*y - 2*z^2", "5/3*y^2 + 1/2*x*z - 7/6*z^2",
                 "2/5*x*z - 9/4*y^2 + 1/3*y*z"]
 
-    def check(self, gb):
+    def check(self, gb, packing):
         for skip in (False, True):
-            assert groebner.basis_syzygies(gb, skip_coprime=skip) \
-                == s_pair_syzygies(gb, skip_coprime=skip)
+            taus = groebner.basis_syzygies(gb, packing, skip_coprime=skip)
+            assert pair_taus(gb, packing, taus, skip)[0] == s_pair_syzygies(gb, skip_coprime=skip)
 
     @pytest.mark.parametrize("order", [GREVLEX, LEX, elimination_order(3, (0,))],
                              ids=["grevlex", "lex", "elimination"])
@@ -227,7 +246,7 @@ class TestSharedSPolynomial:
         # the monic basis's primitive forms have leads such as 3 and 215
         gb = ideal(self.XYZ, *self.RATIONAL).groebner(order)
         assert any(t[1] != 1 for t in gb.triples_at(gb.packing))
-        self.check(gb)
+        self.check(gb, lcm_packing(gb))
 
     @pytest.mark.parametrize("ctx, texts", [
         (XY, ("x^100", "y^100")),
@@ -237,14 +256,14 @@ class TestSharedSPolynomial:
         # the basis fits 8-bit fields, its largest lcm degree does not
         gb = ideal(ctx, *texts).groebner(GREVLEX)
         assert gb.packing.bits == 8
-        taus = groebner.basis_syzygies(gb)
-        assert {c.packing.bits for tau in taus for c in tau} == {16}
-        self.check(gb)
+        packing = lcm_packing(gb)
+        assert packing.bits == 16
+        self.check(gb, packing)
 
     def test_inhomogeneous_basis_rejected(self):
         gb = ideal(XY, "x^2 - y", "x*y - 1").groebner(GREVLEX)
         with pytest.raises(ValueError, match="homogeneous"):
-            groebner.basis_syzygies(gb)
+            groebner.basis_syzygies(gb, gb.packing)
 
 
 def reference_hom_rows(source, target, twist=0, within=None, skip_coprime=False):
@@ -314,6 +333,7 @@ def row_multiset(rows):
 
 
 MONOMIAL_REMAINDER = GroebnerBasis.monomial_remainder
+BASIS_SYZYGIES = groebner.basis_syzygies
 RANK = homspaces._rank
 
 
@@ -339,8 +359,8 @@ class TestReferenceSolve:
     of the solve on all pairs and of the solve on the input generators.
 
     `check` returns how many monomial remainders had a denominator other
-    than 1 and how many block coefficients a non-unit denominator, the
-    two things the solve's block scaling clears."""
+    than 1 and how many syzygies came as den * tau with den other than 1,
+    the two things the solve's block scaling and int blocks absorb."""
 
     def check(self, monkeypatch, source, target, twist=0, within=None):
         fed = []
@@ -356,14 +376,20 @@ class TestReferenceSolve:
             scaled["den"] += den != 1
             return r, den
 
-        def counted_rank(tgb, bases, blocks, packing):
-            scaled["coefficient"] += sum(c.denominator != 1 for coeffs in blocks
-                                         for p in coeffs for c in p.terms.values())
+        def syzygies(gb, packing, skip_coprime=False):
+            taus = BASIS_SYZYGIES(gb, packing, skip_coprime)
+            scaled["tau"] += sum(den != 1 for den in pair_taus(gb, packing, taus, skip_coprime)[1])
+            return taus
+
+        def int_blocks_rank(tgb, bases, blocks, packing):
+            assert all(type(c) is int for coeffs in blocks for terms in coeffs
+                       for c in terms.values())
             return RANK(tgb, bases, blocks, packing)
 
         monkeypatch.setattr(homspaces, "SparseEchelon", Recording)
         monkeypatch.setattr(GroebnerBasis, "monomial_remainder", remainder)
-        monkeypatch.setattr(homspaces, "_rank", counted_rank)
+        monkeypatch.setattr(homspaces, "basis_syzygies", syzygies)
+        monkeypatch.setattr(homspaces, "_rank", int_blocks_rank)
         dim = graded_hom_dimension(source, target, twist, within)
         assert all(type(v) is int for row in fed for v in row.values())
         assert dim == input_generator_hom_dimension(source, target, twist, within)
@@ -408,10 +434,12 @@ class TestReferenceSolve:
 
         monkeypatch.setattr(homspaces, "_rank", recording)
         assert graded_hom_dimension(I, J) == 2 * 101 - 1
-        assert widths == [16]
-        self.check(monkeypatch, I, J)
-        # Hom(I, S/I)_0 = (S/I)_100 twice, for the complete intersection I
+        # Hom(I, S/I)_0 = (S/I)_100 twice, for the complete intersection I;
+        # I contains itself, so the coprime pair is skipped and its lcm
+        # degree 200 does not widen the solve past 8 bits
         assert graded_hom_dimension(I, I) == 2 * 99
+        assert widths == [16, 8]
+        self.check(monkeypatch, I, J)
         self.check(monkeypatch, I, I)
 
     def test_triples_built_once_per_width(self, monkeypatch):
@@ -444,7 +472,7 @@ class TestReferenceSolve:
             scaled += self.check(monkeypatch, curve, curve)
             scaled += self.check(monkeypatch, curve, curve, within=model.threefold)
         # the threefold's basis has primitive leads 3, 2 and 8
-        assert scaled["den"] > 0 and scaled["coefficient"] > 0
+        assert scaled["den"] > 0 and scaled["tau"] > 0
 
 
 class TestNormalFormCount:
@@ -534,8 +562,9 @@ class TestKoszulPairs:
         skipped = 0
         for _, curve in curves:
             gb = curve.groebner(GREVLEX)
-            skipped += len(groebner.basis_syzygies(gb)) \
-                - len(groebner.basis_syzygies(gb, skip_coprime=True))
+            packing = lcm_packing(gb)
+            skipped += len(groebner.basis_syzygies(gb, packing)) \
+                - len(groebner.basis_syzygies(gb, packing, skip_coprime=True))
             for within in (model.threefold, None):
                 assert tangent_dimension(curve, within=within) \
                     == all_pairs_dimension(curve, curve, within=within)

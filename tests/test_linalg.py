@@ -4,7 +4,8 @@ import math
 import random
 from fractions import Fraction
 
-from delpezzo5.linalg import SparseEchelon, rank, row_space_equal, rref
+from delpezzo5.linalg import (SparseEchelon, integer_terms, primitive, rank, row_space_equal,
+                              rref)
 
 
 def dense_rref(rows):
@@ -148,3 +149,29 @@ def test_pivot_rows_are_primitive_integer_rows():
             assert all(type(v) is int for v in pivot.values())
             assert math.gcd(*pivot.values()) == 1
             assert pivot[col] > 0
+
+
+def test_integer_terms_clear_denominators():
+    for rows in MATRICES + INTEGER_MATRICES:
+        for row in rows:
+            ints, den = integer_terms(dict(enumerate(row)))
+            nonzero = {c: Fraction(v) for c, v in enumerate(row) if v}
+            assert ints.keys() == nonzero.keys()
+            assert all(type(v) is int for v in ints.values())
+            assert all(ints[c] == v * den for c, v in nonzero.items())
+            assert den == math.lcm(*(v.denominator for v in nonzero.values()))
+            if all(type(v) is int for v in row):
+                assert den == 1
+
+
+def test_primitive_divides_out_the_content():
+    for rows in MATRICES + INTEGER_MATRICES:
+        for row in rows:
+            ints, _ = integer_terms(dict(enumerate(row)))
+            # every nonzero entry as the lead, so leads of both signs
+            for lead in ints:
+                reduced, content = primitive(ints, lead)
+                assert all(type(v) is int for v in reduced.values())
+                assert math.gcd(*reduced.values()) == 1
+                assert reduced[lead] > 0
+                assert {c: content * v for c, v in reduced.items()} == ints
