@@ -19,7 +19,10 @@ as in `linalg`, whose `integer_terms` and `primitive` make every
 conversion to ints): each divisor is held as a primitive integer
 polynomial, the dividend and the quotients as ints over one running
 denominator, and a reduction scales them by an integer instead of
-dividing by the lead coefficient.  Buchberger holds every element as
+dividing by the lead coefficient.  One builder, `_divisor`, turns
+integer terms into a divisor (lead, primitive form and tail steps), for
+`divisor_triples` and for every element Buchberger adds or interreduces;
+Buchberger reads its leads from those triples.  It holds every element as
 a primitive integer polynomial from its first generator to its last
 interreduction; only the final reduced basis is made monic, in
 Fractions.  One builder, `_s_polynomial`, forms every S-polynomial in
@@ -50,7 +53,7 @@ from .polyring import (
     elimination_order,
 )
 
-Triple = tuple  # (lead, lc, (steps, coefficients)) of one divisor; see `divisor_triples`
+Triple = tuple  # (lead, lc, (steps, coefficients)) of one divisor; see `_divisor`
 
 
 class DivisorTriples(tuple):
@@ -80,29 +83,32 @@ def _fractions(ints: dict[int, int], den: int) -> dict[int, Fraction]:
     return {m: Fraction(c, den) for m, c in ints.items()}
 
 
-def _triple(ints: dict[int, int], keys: dict[int, int], width: int, lead: int) -> Triple:
-    """(lead, lc, tail) of the primitive integer terms ``ints``, whose lead
-    coefficient is positive, from their order keys."""
+def _divisor(ints: dict[int, int], key: Callable[[int], int],
+             width: int) -> tuple[dict[int, int], Triple]:
+    """The primitive form of the nonzero packed integer terms ``ints`` and
+    its `Triple` ``(lead, lc, tail)``; the one builder of a divisor, for
+    `divisor_triples` and Buchberger alike.  The lead is the term whose
+    order ``key`` is largest, the form is `linalg.primitive` at it (int
+    coefficients with gcd 1, lc positive), and the tail lists, for every
+    other term ``c * x^e``, its int coefficient c and its step
+    ``((key(e) - key(lead)) << width) + e - lead``.  A step added to
+    ``(key(m) << width) + m`` for a monomial m that the lead divides
+    gives the same code for the product of m / lead and x^e."""
+    keys = {m: key(m) for m in ints}
+    lead = max(keys, key=keys.get)
+    ints = primitive(ints, lead)
     top = keys[lead]
     tail = [(((keys[m] - top) << width) + m - lead, c) for m, c in ints.items() if m != lead]
-    return lead, ints[lead], (tuple(s for s, _ in tail), tuple(c for _, c in tail))
+    return ints, (lead, ints[lead], (tuple(s for s, _ in tail), tuple(c for _, c in tail)))
 
 
 def divisor_triples(divisors: Sequence[Polynomial], order: MonomialOrder,
                     packing: Packing | None = None) -> DivisorTriples:
-    """The ``(lead, lc, tail)`` triple of each divisor, as `normal_form`
-    reads them, under ``packing`` (by default the widest of the
-    divisors'): the packed lead monomial, the lead coefficient lc and
-    the tail of the divisor's primitive integer form (`linalg.primitive`:
-    int coefficients with gcd 1 and a positive lead), a nonzero rational
-    multiple of the divisor.
-    The tail lists, for every other term ``c * x^e``, its int coefficient
-    c and its step ``((key(e) - key(lead)) << width) + e - lead``, with e
-    packed and key the order's int key.  A step added to
-    ``(key(m) << width) + m`` for a monomial m that the lead divides
-    gives the same code for the product of m / lead and x^e.  The
-    divisors must share one ring context; an empty list needs the
-    packing."""
+    """The `_divisor` triple of each divisor, as `normal_form` reads them,
+    under ``packing`` (by default the widest of the divisors') and the
+    order's int key: that of its primitive integer form, a nonzero
+    rational multiple of the divisor.  The divisors must share one ring
+    context; an empty list needs the packing."""
     if packing is None:
         packing = _widest(divisors, divisors[0].context)
     key = packing.key(order)
@@ -112,11 +118,8 @@ def divisor_triples(divisors: Sequence[Polynomial], order: MonomialOrder,
             raise ValueError("ring context mismatch")
         if d.is_zero():
             raise ValueError("zero divisor in normal form")
-        packed = d.repacked(packing).packed
-        keys = {m: key(m) for m in packed}
-        lead = max(keys, key=keys.get)
-        ints, _ = primitive(integer_terms(packed)[0], lead)
-        triples.append(_triple(ints, keys, packing.width, lead))
+        ints, _ = integer_terms(d.repacked(packing).packed)
+        triples.append(_divisor(ints, key, packing.width)[1])
     return DivisorTriples(triples, packing, key)
 
 
@@ -399,8 +402,6 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
     `PackingOverflow` when a product outgrows it."""
     key, degree, guard, width = packing.key(order), packing.degree, packing.guard, packing.width
     G: list[dict[int, int]] = []  # packed primitive integer terms, positive lead
-    leads: list[int] = []
-    lead_keys: list[int] = []
     triples = DivisorTriples((), packing, key)   # divisor triples of G
     # the open pairs, as a set for the chain criterion and as a heap of
     # (lcm degree, lcm order key, i, j) for selection; a pair leaves both
@@ -410,16 +411,12 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
 
     def add_element(ints: dict[int, int]) -> None:
         nonlocal triples
-        keys = {m: key(m) for m in ints}
-        lead = max(keys, key=keys.get)
-        ints, _ = primitive(ints, lead)
-        new = len(G)
+        ints, triple = _divisor(ints, key, width)
+        new, lead = len(G), triple[0]
         G.append(ints)
-        leads.append(lead)
-        lead_keys.append(keys[lead])
-        triples = DivisorTriples(triples + (_triple(ints, keys, width, lead),), packing, key)
+        triples = DivisorTriples(triples + (triple,), packing, key)
         for k in range(new):
-            lcm = packing.lcm(leads[k], lead)
+            lcm = packing.lcm(triples.leads[k], lead)
             heappush(queue, (degree(lcm), key(lcm), k, new))
             pairs.add((k, new))
 
@@ -429,6 +426,7 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
     while queue:
         _, _, i, j = heappop(queue)
         pairs.discard((i, j))
+        leads = triples.leads
         lcm = packing.lcm(leads[i], leads[j])
         if lcm == leads[i] + leads[j]:
             continue  # coprime leads reduce to zero
@@ -446,7 +444,8 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
             add_element(r)
 
     # minimal generating set of the lead ideal
-    by_lead = sorted(range(len(G)), key=lead_keys.__getitem__)
+    leads = triples.leads
+    by_lead = sorted(range(len(G)), key=lambda k: key(leads[k]))
     kept: list[int] = []
     for k in by_lead:
         if all((leads[k] - leads[t]) & guard for t in kept):
@@ -457,10 +456,8 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
     final_triples = [triples[k] for k in kept]
     for idx in range(len(final)):
         others = DivisorTriples(final_triples[:idx] + final_triples[idx + 1:], packing, key)
-        lead = final_triples[idx][0]
         r, _ = _divide_int(final[idx], 1, others, None)
-        final[idx], _ = primitive(r, lead)
-        final_triples[idx] = _triple(final[idx], {m: key(m) for m in final[idx]}, width, lead)
+        final[idx], final_triples[idx] = _divisor(r, key, width)
 
     # kept is ascending in lead order and interreduction keeps the leads,
     # so reversing sorts the basis by decreasing lead monomial

@@ -22,7 +22,11 @@ from typing import Iterator, Sequence
 
 from .ideals import Ideal
 from .linalg import SparseEchelon, integer_terms
-from .polyring import GREVLEX, LEX, Exponents, Packing, Polynomial, mono_divides
+from .polyring import (GREVLEX, LEX, Exponents, Packing, Polynomial, RingContext,
+                       format_polynomial, mono_divides)
+
+
+_M = RingContext(["m"])  # the ring of Hilbert polynomials, printed by `format_polynomial`
 
 
 class HilbertPolynomial:
@@ -74,24 +78,7 @@ class HilbertPolynomial:
         return hash(self.coeffs)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "m" if k == 1 else f"m^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return format_polynomial(Polynomial(_M, {(k,): c for k, c in enumerate(self.coeffs)}))
 
     def __repr__(self) -> str:
         return f"HilbertPolynomial({self})"

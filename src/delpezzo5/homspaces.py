@@ -49,7 +49,8 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     c * x^m of a block and each term of its normal form has degree
     deg c + deg g_k + twist, a kept pair's lcm degree (where its syzygy is
     divided) or an ambient generator's degree plus the twist: the packing
-    (the target basis's or wider) is sized from those before any division.
+    (at least as wide as either basis's, which a negative twist can leave
+    above every such degree) is sized from those before any division.
     """
     if source.context != target.context:
         raise ValueError("source and target live in different ring contexts")
@@ -98,7 +99,7 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     degrees = [w.total_degree() for w in within.gens] if within is not None else []
     degrees += [gb.packing.degree(m) for m, product in pairs if not (skip and m == product)]
     top = max(max(by_degree), max(degrees, default=0) + max(twist, 0))
-    packing = max(tgb.packing, target.context.packing(top), key=lambda k: k.bits)
+    packing = max(gb.packing, tgb.packing, target.context.packing(top), key=lambda k: k.bits)
 
     # one int block per kept S-pair syzygy and per ambient generator (cleared as a whole)
     blocks = basis_syzygies(gb, packing, skip)

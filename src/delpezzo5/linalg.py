@@ -82,15 +82,15 @@ def integer_terms(values: dict) -> tuple[dict, int]:
     return ints, den
 
 
-def primitive(ints: dict, lead) -> tuple[dict, int]:
+def primitive(ints: dict, lead) -> dict:
     """The nonzero ``ints`` divided by their content, signed so that the
-    entry at ``lead`` is positive, and the signed content divided out."""
+    entry at ``lead`` is positive."""
     g = gcd(*ints.values())
     if ints[lead] < 0:
         g = -g
     if g != 1:
         ints = {k: v // g for k, v in ints.items()}
-    return ints, g
+    return ints
 
 
 class SparseEchelon:
@@ -121,7 +121,7 @@ class SparseEchelon:
             col = min(work)
             pivot = self._pivots.get(col)
             if pivot is None:
-                self._pivots[col], _ = primitive(work, col)
+                self._pivots[col] = primitive(work, col)
                 return True
             a, b = pivot[col], work[col]
             g = gcd(a, b)

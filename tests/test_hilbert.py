@@ -153,6 +153,17 @@ class TestHilbertPolynomial:
         assert hp.variety_degree() == 5
         assert str(hp) == "5/6*m^3 + 5/2*m^2 + 8/3*m + 1"
 
+    @pytest.mark.parametrize("coeffs, printed", [
+        ([], "0"), ([0], "0"), ([1], "1"), ([0, 5], "5*m"), ([-2, 3], "3*m - 2"),
+        ([1, -1], "-m + 1"), ([0, 0, -1], "-m^2"),
+        ([3, 0, -1, Fraction(-1, 2)], "-1/2*m^3 - m^2 + 3"),
+    ])
+    def test_printed_form(self, coeffs, printed):
+        assert str(HilbertPolynomial(coeffs)) == printed
+
+    def test_repr(self):
+        assert repr(HilbertPolynomial([1, 4])) == "HilbertPolynomial(4*m + 1)"
+
     def test_printed_cubic_row(self):
         row = ideal(ORBIT, "am6", "am4", "am2", "a0^2", "a2*a0",
                     "3*a2^2 - 4*a4*a0")

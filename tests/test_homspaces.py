@@ -9,7 +9,7 @@ import pytest
 
 from delpezzo5 import dp5, groebner, homspaces
 from delpezzo5.groebner import GroebnerBasis, normal_form, syzygy_columns
-from delpezzo5.hilbert import degree_monomials, standard_monomials
+from delpezzo5.hilbert import degree_monomials, hilbert_function, standard_monomials
 from delpezzo5.homspaces import graded_hom_dimension, tangent_dimension
 from delpezzo5.ideals import Ideal
 from delpezzo5.linalg import SparseEchelon
@@ -19,6 +19,7 @@ from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext, eliminati
 from test_groebner import int_polynomials, lcm_packing, reference_basis
 
 XY = RingContext(("x", "y"))
+XYZ = RingContext(("x", "y", "z"))
 P3 = RingContext(("x", "y", "z", "w"))
 P6 = RingContext(("a6", "a4", "a2", "a0", "am2", "am4", "am6"),
                  (6, 4, 2, 0, -2, -4, -6))
@@ -56,6 +57,15 @@ class TestGradedHom:
     def test_inhomogeneous_rejected(self):
         with pytest.raises(ValueError):
             graded_hom_dimension(ideal(XY, "x^2 - 1"), ideal(XY, "x"))
+
+    @pytest.mark.parametrize("e, twist", [(128, -1), (128, -100), (300, -200), (300, -250)])
+    def test_principal_source_wider_than_the_solve(self, e, twist):
+        # a principal ideal has no relations, so Hom((f), S/J)_t is
+        # (S/J)_(deg f + t); the packing must hold x^e, whose degree the
+        # negative twist keeps above every degree the solve meets
+        J = ideal(XYZ, "y^2")
+        hom = graded_hom_dimension(ideal(XYZ, f"x^{e}"), J, twist)
+        assert hom == hilbert_function(J, e + twist)
 
 
 class TestTangent:

@@ -170,8 +170,10 @@ def test_primitive_divides_out_the_content():
             ints, _ = integer_terms(dict(enumerate(row)))
             # every nonzero entry as the lead, so leads of both signs
             for lead in ints:
-                reduced, content = primitive(ints, lead)
+                reduced = primitive(ints, lead)
                 assert all(type(v) is int for v in reduced.values())
                 assert math.gcd(*reduced.values()) == 1
                 assert reduced[lead] > 0
-                assert {c: content * v for c, v in reduced.items()} == ints
+                assert reduced.keys() == ints.keys()
+                # a rational multiple of ints: reduced == ints * reduced[lead] / ints[lead]
+                assert all(reduced[c] * ints[lead] == ints[c] * reduced[lead] for c in ints)
