@@ -1,5 +1,6 @@
 """Hilbert functions, series numerators, and Hilbert polynomials."""
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -12,6 +13,7 @@ from delpezzo5.hilbert import (HilbertPolynomial, certify_cohen_macaulay,
                                hilbert_function_direct, hilbert_polynomial,
                                hilbert_series_numerator, standard_monomials)
 from delpezzo5.ideals import Ideal
+from delpezzo5.linalg import SparseEchelon
 from delpezzo5.polyring import LEX, Polynomial, RingContext, mono_divides, parse_polynomial
 
 XY = RingContext(("x", "y"))
@@ -42,6 +44,34 @@ def random_homogeneous_ideal(rng, ctx):
         terms = {m: Fraction(rng.choice((-2, -1, 1, 2))) for m in picks}
         gens.append(Polynomial(ctx, terms))
     return Ideal(ctx, gens)
+
+
+def every_multiple_rank(ideal, d):
+    """Rank of all degree-d multiples of the generators, none skipped,
+    by Gaussian elimination over Fractions on rows keyed by exponent
+    tuples."""
+    pivots = {}
+    for g in ideal.gens:
+        gd = g.total_degree()
+        if g.is_zero() or gd > d:
+            continue
+        for shift in degree_monomials(ideal.context.nvars, d - gd):
+            row = {tuple(a + b for a, b in zip(shift, m)): Fraction(c)
+                   for m, c in g.terms.items()}
+            while row:
+                col = max(row)
+                pivot = pivots.get(col)
+                if pivot is None:
+                    pivots[col] = {k: v / row[col] for k, v in row.items()}
+                    break
+                f = row[col]
+                for k, v in pivot.items():
+                    w = row.get(k, 0) - f * v
+                    if w:
+                        row[k] = w
+                    else:
+                        del row[k]
+    return len(pivots)
 
 
 class TestHilbertFunction:
@@ -85,6 +115,52 @@ class TestHilbertFunction:
             I = Ideal(ctx, gens)
             for d in range(7):
                 assert hilbert_function_direct(I, d) == hilbert_function(I, d)
+
+    @pytest.mark.parametrize("nvars", [2, 3, 4])
+    def test_direct_against_every_multiple(self, nvars):
+        # the oracle skips rows; the reference reduces all of them, so a
+        # skipped row outside the span of the kept ones shows as a lower
+        # rank.  The derived generators follow their sources, where the
+        # skip fires on them: a repeat, a scalar multiple, a multiple by
+        # a form, and a constant that makes every later row redundant
+        ctx = RingContext(("x", "y", "z", "w")[:nvars])
+        rng = random.Random(2002 + nvars)
+        coeffs = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), 1, -3)
+
+        def form(d):
+            pool = list(degree_monomials(nvars, d))
+            picks = rng.sample(pool, k=min(len(pool), 3))
+            return Polynomial(ctx, {m: rng.choice(coeffs) for m in picks})
+
+        for case in range(3):
+            gens = [form(rng.randint(1, 3)) for _ in range(3)]
+            a, b, c = gens
+            gens += [ctx.zero(), a, b * Fraction(-5, 3), form(1) * c, form(7)]
+            if case == 0:
+                gens.insert(rng.randint(1, len(gens) - 1), ctx.one() * Fraction(2, 3))
+            I = Ideal(ctx, gens)
+            for d in range(7):
+                assert hilbert_function_direct(I, d) \
+                    == comb(d + nvars - 1, nvars - 1) - every_multiple_rank(I, d)
+
+    def test_direct_row_counts_on_the_threefold(self, monkeypatch):
+        # all degree-d multiples of the five quadrics, d <= 8, are 8580
+        # rows, 3840 of them reducing to zero; the rows left to reduce
+        # to zero start with the five linear syzygies in degree 3
+        counts = Counter()
+
+        class Counting(SparseEchelon):
+            def add_row(self, row):
+                grew = super().add_row(row)
+                counts["rows"] += 1
+                counts["zero"] += not grew
+                return grew
+
+        monkeypatch.setattr(hilbert, "SparseEchelon", Counting)
+        I = x5()
+        assert [hilbert_function_direct(I, d) for d in range(9)] \
+            == [1, 7, 23, 54, 105, 181, 287, 428, 609]
+        assert counts == {"rows": 6084, "zero": 1344}
 
     def test_generating_set_independence(self):
         rng = random.Random(97)

@@ -105,10 +105,12 @@ def test_random_ideals(order):
     assert mismatches(random_ideals(), order) == []
 
 
-@pytest.mark.parametrize("d", range(4))
+@pytest.mark.parametrize("d", range(5))
 def test_direct_hilbert_function_against_sympy_rank(d):
     """The rank oracle's echelon against sympy's: the Macaulay matrix of
-    all degree-d multiples of the threefold's generators, built here."""
+    all degree-d multiples of the threefold's generators, built here.
+    Degree 4 is the first at which the oracle skips rows (a quadric's
+    lead divides a quadric shift)."""
     ideal = MODEL.threefold
     n = ideal.context.nvars
     columns = list(degree_monomials(n, d))
