@@ -188,8 +188,8 @@ def _cmd_tangent(args) -> int:
 def _cmd_fixed(args) -> int:
     model = dp5.build_model()
     records = dp5.fixed_curves(model, args.degree)
-    order = _order(args.order)
     if args.format == "json":
+        order = _order(args.order)
         ctx = model.orbit
         payload = {
             "degree": args.degree,
@@ -198,8 +198,7 @@ def _cmd_fixed(args) -> int:
             "curves": [{
                 "label": r.label,
                 "details": _plain(r.details),
-                "gens": [format_polynomial(g, order)
-                         for g in r.ideal.groebner(order).elements],
+                "gens": _ideal_payload(r.ideal, order)["gens"],
             } for r in records],
         }
         print(json.dumps(payload, indent=2))
@@ -209,9 +208,7 @@ def _cmd_fixed(args) -> int:
             print()
         detail = ", ".join(f"{key}={_plain(value)}"
                            for key, value in r.details.items())
-        print(f"# {r.label}: {detail}" if detail else f"# {r.label}")
-        gens = list(r.ideal.groebner(order).elements)
-        sys.stdout.write(format_ideal_text(r.ideal.context, gens, order))
+        _print_ideal(r.ideal, args, notes=(f"{r.label}: {detail}" if detail else r.label,))
     return 0
 
 

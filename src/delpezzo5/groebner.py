@@ -103,14 +103,11 @@ def _divisor(ints: dict[int, int], key: Callable[[int], int],
 
 
 def divisor_triples(divisors: Sequence[Polynomial], order: MonomialOrder,
-                    packing: Packing | None = None) -> DivisorTriples:
+                    packing: Packing) -> DivisorTriples:
     """The `_divisor` triple of each divisor, as `normal_form` reads them,
-    under ``packing`` (by default the widest of the divisors') and the
-    order's int key: that of its primitive integer form, a nonzero
-    rational multiple of the divisor.  The divisors must share one ring
-    context; an empty list needs the packing."""
-    if packing is None:
-        packing = _widest(divisors, divisors[0].context)
+    under ``packing`` and the order's int key: that of its primitive
+    integer form, a nonzero rational multiple of the divisor.  The
+    divisors must share one ring context."""
     key = packing.key(order)
     triples = []
     for d in divisors:

@@ -174,25 +174,22 @@ class Ideal:
         return self._divide_variable_last(name, saturate=True)
 
     def _divide_variable_last(self, name: str, saturate: bool) -> "Ideal":
-        """(I : x^inf) when ``saturate``, else (I : x), for homogeneous I
-        (Bayer & Stillman 1987).  Under an order sorting x last, every
-        reduced-basis element whose lead involves x is divisible by x
-        outright (an x-free term would outrank the lead).  The quotient
-        divides exactly those elements by x, once; the saturation divides
-        every element by its content in x until no lead involves x, a
-        chain that increases inside (I : x^inf)."""
+        """(I : x^inf) when ``saturate``, else (I : x), for homogeneous I,
+        from one basis (Bayer & Stillman 1987; Eisenbud, Prop. 15.12).
+        Under the order that makes x revlex-cheapest, the lead of a
+        homogeneous g carries the least power x^k of x among g's terms,
+        so x^k divides g.  Dividing each element of the reduced basis by
+        x^k gives a Groebner basis of (I : x^inf), by x^min(1, k) one of
+        (I : x); no lead of the divided saturation basis involves x, so
+        a second pass would divide nothing.  The saturation is I itself
+        when no element is divisible by x."""
         idx = self.context.index(name)
-        order = variable_last_order(self.context.nvars, idx)
-        current = self
-        while True:
-            gb = current.groebner(order)
-            powers = [_variable_power(g, idx) for g in gb]
-            if saturate and not any(powers):
-                return current
-            current = Ideal(self.context, [_divide_variable(g, idx, k if saturate else min(1, k))
-                                           for g, k in zip(gb, powers)])
-            if not saturate:
-                return current
+        gb = self.groebner(variable_last_order(self.context.nvars, idx))
+        powers = [_variable_power(g, idx) for g in gb]
+        if saturate and not any(powers):
+            return self
+        return Ideal(self.context, [_divide_variable(g, idx, k if saturate else min(1, k))
+                                    for g, k in zip(gb, powers)])
 
     def saturate_irrelevant(self) -> "Ideal":
         """Saturation by the irrelevant maximal ideal (all variables).
@@ -277,7 +274,7 @@ class Ideal:
                 return variable(base, name)
             return general(base, g)
 
-        meet = _meet_all(map(single, outside))
+        meet = reduce(_meet, map(single, outside))
         if not dropped:
             return meet
         variables = self.context.gens()
@@ -312,12 +309,6 @@ def _meet(a: Ideal, b: Ideal) -> Ideal:
     if a.contains_ideal(b):
         return b
     return a.intersect(b)
-
-
-def _meet_all(ideals: Iterable[Ideal]) -> Ideal:
-    """Left fold of `_meet`, taking each ideal from the iterable only as
-    the fold reaches it."""
-    return reduce(_meet, ideals)
 
 
 def _variable_power(g: Polynomial, idx: int) -> int:

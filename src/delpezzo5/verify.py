@@ -91,17 +91,6 @@ def emit_json(report: VerificationReport) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def parse_json(text: str) -> VerificationReport:
-    payload = json.loads(text)
-    checks = [CheckResult(c["id"], c["cite"], c["status"], c["expected"],
-                          c["actual"], c["ms"])
-              for c in payload["checks"]]
-    report = VerificationReport(payload["suite"], checks)
-    if report.status != payload["status"]:
-        raise ValueError("report status does not match its checks")
-    return report
-
-
 # ---------------------------------------------------------------------------
 # the check runner
 

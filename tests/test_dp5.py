@@ -4,6 +4,7 @@ import gc
 import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -12,7 +13,7 @@ from delpezzo5 import dp5, ideals, tables
 from delpezzo5.hilbert import (CohenMacaulayCertificate, HilbertPolynomial,
                                hilbert_function, hilbert_polynomial)
 from delpezzo5.homspaces import tangent_dimension
-from delpezzo5.ideals import Ideal, _meet_all
+from delpezzo5.ideals import Ideal, _meet
 from delpezzo5.polyring import parse_polynomial
 
 MODEL = dp5.build_model()
@@ -205,7 +206,7 @@ class TestResidualQuartic:
         # them and the quotient by the line skips them
         names = tables.LINE_GENS["l2"]
         quintic = dp5.residual_quartic(MODEL, "l2", (1, 3)).quintic
-        every = _meet_all(map(quintic.quotient_variable, names))
+        every = reduce(_meet, map(quintic.quotient_variable, names))
         seen = []
         plain = Ideal.quotient_variable
 

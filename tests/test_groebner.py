@@ -671,7 +671,8 @@ class TestGroebnerBasisObject:
                 continue
             for order in orders:
                 gb = reduced_groebner_basis(gens, order)
-                assert gb.triples_at(gb.packing) == tuple(groebner.divisor_triples(gb.elements, order))
+                assert gb.triples_at(gb.packing) \
+                    == tuple(groebner.divisor_triples(gb.elements, order, gb.packing))
                 for _ in range(4):
                     p = random_form(rng, ctx, rng.randint(1, 4), 4)
                     assert gb.normal_form(p, with_quotients=True) \
@@ -689,7 +690,7 @@ class TestGroebnerBasisObject:
         built = []
         original = groebner.divisor_triples
 
-        def counted(divisors, order, packing=None):
+        def counted(divisors, order, packing):
             triples = original(divisors, order, packing)
             built.append(triples.packing.bits)
             return triples

@@ -459,7 +459,7 @@ class TestReferenceSolve:
         built = []
         original = groebner.divisor_triples
 
-        def counted(divisors, order, packing=None):
+        def counted(divisors, order, packing):
             triples = original(divisors, order, packing)
             built.append(triples.packing.bits)
             return triples

@@ -1,8 +1,9 @@
 """Source hygiene: every module of the package uses each name it imports,
 imports no private name of another package module, reads every private
 helper it defines, every name the benchmark's tracer rebinds still
-exists, and every exported name and every public method of an exported
-class has a caller outside the tests."""
+exists, and every exported name, every public method of an exported
+class and every public module-level function has a caller outside the
+tests."""
 import ast
 import importlib
 import importlib.util
@@ -215,12 +216,49 @@ def test_detector_flags_a_method_without_a_caller():
     assert methods_without_caller(["Node"], sources) == ["Node.walk"]
 
 
-def test_every_export_has_a_caller():
-    # callers are the package's modules apart from __init__, the demos,
-    # the scripts and the benchmark; tests do not count
+def functions_without_caller(modules: dict[str, str], sources: dict[str, str]) -> list[str]:
+    """``module:name`` of each public module-level function of the
+    ``modules`` whose name no source reads outside the function's own
+    definition, as `exports_without_caller` counts reads.  Only the name
+    is matched, as in `methods_without_caller`."""
+    defined = [(module, node.name) for module, source in modules.items()
+               for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not node.name.startswith("_")]
+    unread = set(exports_without_caller([name for _, name in defined], sources))
+    return sorted(f"{module}:{name}" for module, name in defined if name in unread)
+
+
+def test_detector_flags_a_function_without_a_caller():
+    lib = ("def helper():\n    return 1\n"
+           "def entry():\n    return helper()\n"
+           "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+           "def traced():\n    pass\n"
+           "def _private():\n    pass\n"
+           "class Box:\n    def method(self):\n        pass\n")
+    sources = {"lib.py": lib,
+               "demo.py": "import lib\nlib.entry()\nBOUND = [('lib', 'traced')]\n"}
+    # recursive reads itself only; a private function and a method are
+    # not module-level public functions
+    assert functions_without_caller({"lib.py": lib}, sources) == ["lib.py:recursive"]
+
+
+def caller_sources() -> dict[str, str]:
+    """Callers: the package's modules apart from __init__, the demos, the
+    scripts and the benchmark; tests do not count."""
     paths = MODULES + [p for folder in ("demos", "scripts", "perfbench")
                        for p in sorted((ROOT / folder).glob("*.py"))]
-    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
+    return {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
+
+
+def test_every_function_has_a_caller():
+    sources = caller_sources()
+    modules = {path: source for path, source in sources.items() if path.startswith("src/")}
+    assert functions_without_caller(modules, sources) == []
+
+
+def test_every_export_has_a_caller():
+    sources = caller_sources()
     assert exports_without_caller(delpezzo5.__all__, sources) == []
     classes = [name for name in delpezzo5.__all__ if isinstance(getattr(delpezzo5, name), type)]
     assert methods_without_caller(classes, sources) == []

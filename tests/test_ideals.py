@@ -3,13 +3,14 @@ elimination, comparison, and torus-fixedness."""
 import random
 import warnings
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from delpezzo5 import ideals
-from delpezzo5.ideals import Ideal, _as_variable, _meet_all
+from delpezzo5.ideals import Ideal, _as_variable, _meet
 from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext,
-                                parse_polynomial)
+                                parse_polynomial, variable_last_order)
 
 X = RingContext(("x",))
 XY = RingContext(("x", "y"))
@@ -231,7 +232,7 @@ class TestSaturation:
             I = random_ideal(rng, XYZW, homogeneous=True)
             cases.append((I, Ideal(XYZW, [XYZW.variable(v) for v in rng.sample("xyzw", 2)])))
         for I, J in cases:
-            general = _meet_all(I._saturate_poly(g) for g in J.gens)
+            general = reduce(_meet, (I._saturate_poly(g) for g in J.gens))
             outside = [g for g in J.gens if g not in I]
             seen = self.counted_routes(monkeypatch)
             assert I.saturate(J) == general
@@ -241,7 +242,7 @@ class TestSaturation:
     def test_inhomogeneous_ideal_takes_the_general_route(self, monkeypatch):
         I = ideal(XYZ, "x*y^2 + y", "x^2 - z")
         J = ideal(XYZ, "x", "2*z")
-        general = _meet_all(I._saturate_poly(g) for g in J.gens)
+        general = reduce(_meet, (I._saturate_poly(g) for g in J.gens))
         seen = self.counted_routes(monkeypatch)
         assert I.saturate(J) == general
         assert seen == ["poly", "poly"]
@@ -285,7 +286,7 @@ class TestSaturation:
     def test_variables_in_the_ideal_are_skipped(self, monkeypatch):
         # a section X + (s1, s2) holds s1 and s2, whose saturations are (1)
         section = x5() + ideal(ORBIT, "a6", "am6")
-        every = _meet_all(map(section.saturate_variable, ORBIT.variables))
+        every = reduce(_meet, map(section.saturate_variable, ORBIT.variables))
         seen = []
         plain = Ideal.saturate_variable
 
@@ -306,6 +307,61 @@ class TestSaturation:
         cut = x5() + ideal(ORBIT, "a6", "a4", "a2", "a0")
         expected = ideal(ORBIT, "a6", "a4", "a2", "a0", "am2^2")
         assert cut.saturate_irrelevant() == expected
+
+
+class TestVariableLastDivision:
+    """(I : x) and (I : x^inf) of a homogeneous I from one reduced basis
+    under `variable_last_order` (Bayer & Stillman 1987)."""
+
+    @staticmethod
+    def cases():
+        """(ideal, variable): the census section X + (a0, a4) of the line
+        l2 by each variable, and seeded homogeneous ideals with
+        generators divisible by a power of the variable."""
+        section = x5() + ideal(ORBIT, "a0", "a4")
+        cases = [(section, name) for name in ORBIT.variables]
+        rng = random.Random(101)
+        for ctx in (XY, XYZ, XYZW):
+            for _ in range(4):
+                name = ctx.variables[rng.randrange(ctx.nvars)]
+                x = ctx.variable(name)
+                gens = [x ** rng.randint(1, 2) * random_poly(rng, ctx, homogeneous=True)
+                        for _ in range(2)]
+                cases.append((Ideal(ctx, gens + [random_poly(rng, ctx, homogeneous=True)]), name))
+        return cases
+
+    @pytest.mark.parametrize("saturate", [False, True], ids=["quotient", "saturation"])
+    def test_one_basis_per_call(self, monkeypatch, saturate):
+        computed = []
+        plain = Ideal.groebner
+
+        def groebner(self, order=GREVLEX):
+            if order not in self._gb_cache:
+                computed.append(order)
+            return plain(self, order)
+
+        monkeypatch.setattr(Ideal, "groebner", groebner)
+        cases, divided = self.cases(), 0
+        for I, name in cases:
+            idx = I.context.index(name)
+            order = variable_last_order(I.context.nvars, idx)
+            computed.clear()
+            J = I.saturate_variable(name) if saturate else I.quotient_variable(name)
+            assert computed.count(order) == 1
+            if J is I:
+                continue
+            divided += 1
+            # the divided elements are a Groebner basis under the order
+            leads = [g.lead_monomial(order) for g in J.gens]
+            for g in J.groebner(order):
+                lead = g.lead_monomial(order)
+                assert any(all(a <= b for a, b in zip(m, lead)) for m in leads)
+            if saturate:
+                # and no lead of the saturation involves x: one pass suffices
+                assert all(m[idx] == 0 for m in leads)
+        # the saturation is I itself by am6 on the section and for one
+        # seeded ideal; the quotient always returns the divided basis
+        assert divided == len(cases) - (2 if saturate else 0)
 
 
 def split_cases(seed):
@@ -347,7 +403,7 @@ def uncut_fold(I, divisors, saturate=False):
             return I.quotient_variable(name)
         return I._quotient_poly(g)
 
-    return _meet_all(single(g) for g in divisors if not g.is_zero())
+    return reduce(_meet, (single(g) for g in divisors if not g.is_zero()))
 
 
 class TestSplitVariables:
