@@ -141,9 +141,14 @@ def _cmd_saturate(args) -> int:
 
 def _cmd_eliminate(args) -> int:
     ideal = _read_ideal(args.file)
-    names = [v.strip() for v in args.vars.split(",") if v.strip()]
-    if not names:
+    names = [v.strip() for v in args.vars.split(",")]
+    if names == [""]:
         raise ValueError("--vars needs at least one variable name")
+    if "" in names:
+        raise ValueError(f"empty entry in --vars {args.vars!r}")
+    repeated = [n for k, n in enumerate(names) if n in names[:k]]
+    if repeated:
+        raise ValueError(f"variable {repeated[0]!r} repeated in --vars")
     unknown = [n for n in names if n not in ideal.context.variables]
     if unknown:
         raise ValueError(f"unknown variable {unknown[0]!r} in --vars")

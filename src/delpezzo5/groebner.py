@@ -25,9 +25,12 @@ integer terms into a divisor (lead, primitive form and tail steps), for
 Buchberger reads its leads from those triples.  It holds every element as
 a primitive integer polynomial from its first generator to its last
 interreduction; only the final reduced basis is made monic, in
-Fractions.  One builder, `_s_polynomial`, forms every S-polynomial in
-ints, for Buchberger and for `basis_syzygies` (which returns ints)
-alike.  `normal_form` keeps its exact Fraction results, converting the
+Fractions.  Only the returned elements are finished: interreduction
+divides each element by the smaller leads alone, in ascending order, and
+an elimination (``eliminate``) drops the elements that involve the
+eliminated variables before interreducing.  One builder,
+`_s_polynomial`, forms every S-polynomial in ints, for Buchberger and
+for `basis_syzygies` (which returns ints) alike.  `normal_form` keeps its exact Fraction results, converting the
 dividend once on the way in and the results once on the way out.  A
 `GroebnerBasis` keeps its divisor triples per field width, and
 `monomial_remainder` returns a monomial's remainder as the kernel's
@@ -44,6 +47,7 @@ from typing import Callable, Sequence
 from .linalg import integer_terms, primitive
 from .polyring import (
     GREVLEX,
+    BlockOrder,
     Exponents,
     MonomialOrder,
     Packing,
@@ -366,8 +370,8 @@ def basis_syzygies(gb: GroebnerBasis, packing: Packing,
     return syzygies
 
 
-def reduced_groebner_basis(gens: Sequence[Polynomial],
-                           order: MonomialOrder = GREVLEX) -> GroebnerBasis:
+def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX, *,
+                           eliminate: Sequence[int] = ()) -> GroebnerBasis:
     """Buchberger with the normal selection strategy and both of
     Buchberger's pair-elimination criteria; result fully interreduced
     with monic leads, sorted by decreasing lead monomial.  The run holds
@@ -375,7 +379,29 @@ def reduced_groebner_basis(gens: Sequence[Polynomial],
     lead and reduces in ints (`_divide_int`); only the final basis is
     made monic, in Fractions.  The run starts at the generators' widest
     packing and starts over at a wider one whenever a product outgrows
-    it."""
+    it.
+
+    Interreduction takes the minimal elements in ascending lead order
+    and divides each only by the elements before it, already
+    interreduced: every tail term of an element lies below its lead,
+    and a lead divides only monomials at or above it, so no larger lead
+    ever divides one.  The least element is not divided, and an element
+    that no division changes keeps its primitive form and divisor.
+
+    ``eliminate`` (variable indices) asks for the reduced basis of
+    I cap k[other variables] only; the order's first block must be
+    exactly those variables, or `ValueError` is raised.  The minimal
+    elements whose leads involve them are dropped before interreduction
+    and before any conversion to Fractions.  This is exact: under such
+    an order a term involving an eliminated variable lies above every
+    term free of them, so a lead involves one exactly when its element
+    does, and no such lead divides a term free of them; the elements
+    left are interreduced among themselves alone, as in the full
+    reduced basis (Cox, Little & O'Shea, Ch. 3, Sec. 1)."""
+    if eliminate and (not isinstance(order, BlockOrder)
+                      or set(order.groups[0]) != set(eliminate)):
+        raise ValueError(f"eliminating {sorted(set(eliminate))} needs an order whose "
+                         f"first block is exactly those variables, not {order!r}")
     if not gens:
         raise ValueError("cannot infer a ring context from an empty generator list")
     context = gens[0].context
@@ -388,15 +414,18 @@ def reduced_groebner_basis(gens: Sequence[Polynomial],
     packing = _widest(nonzero, context)
     while True:
         try:
-            return _buchberger(context, nonzero, order, packing)
+            G, triples = _buchberger(context, nonzero, order, packing)
+            return _interreduced(context, order, G, triples, eliminate)
         except PackingOverflow:
             packing = context.packing(packing.limit + 1)
 
 
 def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrder,
-                packing: Packing) -> GroebnerBasis:
-    """`reduced_groebner_basis` of nonzero ``gens`` at one packing; raises
-    `PackingOverflow` when a product outgrows it."""
+                packing: Packing) -> tuple[list[dict[int, int]], DivisorTriples]:
+    """A Groebner basis of nonzero ``gens`` at one packing, as packed
+    primitive integer terms with positive leads and their divisor
+    triples; raises `PackingOverflow` when a product outgrows the
+    packing."""
     key, degree, guard, width = packing.key(order), packing.degree, packing.guard, packing.width
     G: list[dict[int, int]] = []  # packed primitive integer terms, positive lead
     triples = DivisorTriples((), packing, key)   # divisor triples of G
@@ -439,22 +468,34 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
         r, _ = _divide_int(_s_polynomial(triples, i, j, lcm), 1, triples, None)
         if r:
             add_element(r)
+    return G, triples
 
-    # minimal generating set of the lead ideal
-    leads = triples.leads
-    by_lead = sorted(range(len(G)), key=lambda k: key(leads[k]))
+
+def _interreduced(context: RingContext, order: MonomialOrder, G: list[dict[int, int]],
+                  triples: DivisorTriples, eliminate: Sequence[int]) -> GroebnerBasis:
+    """The reduced basis from `_buchberger`'s ``G``, without the elements
+    whose leads involve the ``eliminate`` variables; see
+    `reduced_groebner_basis`.  Raises `PackingOverflow` when a product
+    outgrows the packing."""
+    packing, key, leads = triples.packing, triples.key, triples.leads
+    guard, width = packing.guard, packing.width
+    # minimal generating set of the lead ideal, ascending
     kept: list[int] = []
-    for k in by_lead:
+    for k in sorted(range(len(G)), key=lambda k: key(leads[k])):
         if all((leads[k] - leads[t]) & guard for t in kept):
             kept.append(k)
+    fields = sum(packing.limit << (i * packing.bits) for i in eliminate)
+    kept = [k for k in kept if not leads[k] & fields]
 
-    # interreduce tails; leads are pairwise indivisible so they survive
+    # interreduce tails against the smaller leads; leads are pairwise
+    # indivisible so they survive
     final = [G[k] for k in kept]
     final_triples = [triples[k] for k in kept]
-    for idx in range(len(final)):
-        others = DivisorTriples(final_triples[:idx] + final_triples[idx + 1:], packing, key)
-        r, _ = _divide_int(final[idx], 1, others, None)
-        final[idx], final_triples[idx] = _divisor(r, key, width)
+    for idx in range(1, len(final)):
+        smaller = DivisorTriples(final_triples[:idx], packing, key)
+        r, _ = _divide_int(final[idx], 1, smaller, None)
+        if r != final[idx]:
+            final[idx], final_triples[idx] = _divisor(r, key, width)
 
     # kept is ascending in lead order and interreduction keeps the leads,
     # so reversing sorts the basis by decreasing lead monomial
@@ -468,8 +509,9 @@ def syzygy_columns(gens: Sequence[Polynomial]) -> list[list[Polynomial]]:
 
     In S[y_1..y_m, z], the ideal J = (y_k - z*f_k) is the kernel of
     y_k -> z*f_k into S[z], and it is homogeneous in (y, z).  Its reduced
-    basis under an order eliminating z is therefore (y, z)-homogeneous,
-    and its elements free of z and linear in y, sum(c_k * y_k), are
+    basis under an order eliminating z is therefore (y, z)-homogeneous;
+    only its elements free of z are finished (``eliminate``), and those
+    linear in y, sum(c_k * y_k), are
     columns c with sum(c_k * f_k) == 0 that generate the module of
     relations.  They need not be a minimal generating set: of the 12
     columns for the five orbit quadrics, the five linear ones already
@@ -494,13 +536,14 @@ def syzygy_columns(gens: Sequence[Polynomial]) -> list[list[Polynomial]]:
         terms = {e + (0,) * m + (1,): -c for e, c in f.terms.items()}
         terms[tuple(tag)] = Fraction(1)
         relations.append(Polynomial(tagged, terms))
-    gb = reduced_groebner_basis(relations, elimination_order(width, (n + m,)))
+    z = (n + m,)
+    gb = reduced_groebner_basis(relations, elimination_order(width, z), eliminate=z)
 
     columns = []
     for g in gb:
         terms = g.terms
-        # g is (y, z)-homogeneous, so any one term gives its y-degree
-        if any(e[-1] for e in terms) or sum(next(iter(terms))[n:]) != 1:
+        # g is free of z and (y, z)-homogeneous, so any one term gives its y-degree
+        if sum(next(iter(terms))[n:]) != 1:
             continue
         column = [{} for _ in gens]
         for e, c in terms.items():

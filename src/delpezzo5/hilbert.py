@@ -27,7 +27,7 @@ from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .ideals import Ideal
-from .linalg import SparseEchelon, integer_terms
+from .linalg import SparseEchelon, integer_terms, primitive
 from .polyring import (GREVLEX, Exponents, Packing, Polynomial, RingContext,
                        format_polynomial, mono_divides)
 
@@ -173,12 +173,14 @@ def hilbert_function_direct(ideal: Ideal, d: int) -> int:
     on j, then downward on the shift, puts every skipped row in the
     span of the kept ones, and the rank is unchanged.
 
-    Each generator is scaled once to integer coefficients, which leaves
-    the row space unchanged.  A column is a degree-d monomial packed at
-    the ring's packing for degree d: no exponent exceeds d, so a shift
-    times a term is the sum of their packed ints, and ``(s - lead) &
-    guard`` is zero exactly when lead divides s.  The shifts of each
-    generator degree are listed once."""
+    Each generator is scaled once to its primitive integer form
+    (`linalg.primitive`, least term positive), which leaves the row
+    space unchanged, so its shifted rows reach the echelon as the
+    primitive int rows it takes.  A column is a degree-d monomial
+    packed at the ring's packing for degree d: no exponent exceeds d, so
+    a shift times a term is the sum of their packed ints, and ``(s -
+    lead) & guard`` is zero exactly when lead divides s.  The shifts of
+    each generator degree are listed once."""
     if d < 0:
         return 0
     context = ideal.context
@@ -198,10 +200,12 @@ def hilbert_function_direct(ideal: Ideal, d: int) -> int:
         if d - gd not in shifts:
             shifts[d - gd] = [pack(s) for s in degree_monomials(n, d - gd)]
         terms, _ = integer_terms(g.repacked(packing).packed)
+        least = min(terms)
+        terms = primitive(terms, least)
         for shift in shifts[d - gd]:
             if all((shift - lead) & guard for lead in leads):
                 ech.add_row({shift + m: c for m, c in terms.items()})
-        leads.append(min(terms))
+        leads.append(least)
     return comb(d + n - 1, n - 1) - ech.rank
 
 

@@ -360,17 +360,13 @@ def _restrict(target: RingContext, p: Polynomial, keep: Sequence[int]) -> Polyno
 
 def _eliminate_to(ctx: RingContext, gens: Sequence[Polynomial], drop: tuple[int, ...],
                   target: RingContext) -> Ideal:
-    """Groebner elimination: compute a basis under a block order with the
-    dropped variables up front, keep the elements free of them, and
-    project onto the target context."""
-    order = elimination_order(ctx.nvars, drop)
-    gb = reduced_groebner_basis([g for g in gens if not g.is_zero()], order) \
-        if any(not g.is_zero() for g in gens) else None
+    """Groebner elimination: the reduced basis of I cap k[kept variables]
+    under a block order with the dropped variables up front, which
+    `reduced_groebner_basis` computes without ever finishing the elements
+    that involve them, projected onto the target context."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return Ideal(target, [])
+    gb = reduced_groebner_basis(gens, elimination_order(ctx.nvars, drop), eliminate=drop)
     keep = _kept(ctx.nvars, drop)
-    kept_polys = []
-    if gb is not None:
-        fields = sum(gb.packing.limit << (i * gb.packing.bits) for i in drop)
-        for g in gb:
-            if not any(m & fields for m in g.packed):
-                kept_polys.append(_restrict(target, g, keep))
-    return Ideal(target, kept_polys)
+    return Ideal(target, [_restrict(target, g, keep) for g in gb])

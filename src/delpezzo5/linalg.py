@@ -29,7 +29,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
     ncols = len(rows[0])
     ech = SparseEchelon()
     for row in rows:
-        ech.add_row(dict(enumerate(row)))
+        ech.add_row(integer_terms(dict(enumerate(row)))[0])
     pivots = sorted(ech._pivots)
     reduced: dict[int, Row] = {}
     for col in reversed(pivots):
@@ -94,14 +94,15 @@ def primitive(ints: dict, lead) -> dict:
 
 
 class SparseEchelon:
-    """Incremental echelon form on sparse rows {column: coefficient}.
+    """Incremental echelon form on sparse rows {column: int coefficient}.
 
     Rows are reduced against stored pivots as they arrive; the running
     rank is the number of stored pivot rows.  Column keys only need to
-    be hashable and totally ordered.  Values may be ints, Fractions or
-    anything `Fraction` accepts; each row is scaled to ints on arrival,
-    and each stored pivot row is primitive (its entries are ints with
-    gcd 1) with a positive lead, so no entry is ever a Fraction.
+    be hashable and totally ordered.  Values are nonzero ints: a caller
+    with rational rows clears them first with `integer_terms`, which
+    keeps the row space, and a `Fraction` entry fails in `math.gcd`.
+    Each stored pivot row is primitive (its entries are ints with gcd 1)
+    with a positive lead, so no entry is ever a Fraction.
     """
 
     def __init__(self):
@@ -112,11 +113,12 @@ class SparseEchelon:
         return len(self._pivots)
 
     def add_row(self, row: dict) -> bool:
-        """Insert a row; True when it enlarged the row space.  Against a
-        pivot with lead a, a row whose entry in that column is b becomes
-        (a/g)*row - (b/g)*pivot with g = gcd(a, b), which changes the
-        row only by a nonzero factor."""
-        work, _ = integer_terms(row)
+        """Insert a row of nonzero ints, which is not changed; True when
+        it enlarged the row space.  Against a pivot with lead a, a row
+        whose entry in that column is b becomes (a/g)*row - (b/g)*pivot
+        with g = gcd(a, b), which changes the row only by a nonzero
+        factor."""
+        work = dict(row)
         while work:
             col = min(work)
             pivot = self._pivots.get(col)

@@ -2,6 +2,7 @@
 reference Buchberger, syzygies."""
 import random
 from bisect import insort
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -13,7 +14,7 @@ from delpezzo5.groebner import (GroebnerBasis, normal_form, reduced_groebner_bas
                                 syzygy_columns)
 from delpezzo5.hilbert import degree_monomials
 from delpezzo5.ideals import Ideal
-from delpezzo5.linalg import SparseEchelon
+from delpezzo5.linalg import SparseEchelon, integer_terms
 from delpezzo5.polyring import (GREVLEX, LEX, PackingOverflow, Polynomial, RingContext,
                                 elimination_order, mono_div, mono_divides, mono_lcm,
                                 parse_polynomial, variable_last_order)
@@ -284,7 +285,7 @@ class TestSyzygies:
             for g, dg in zip(gens, degrees):
                 for m in degree_monomials(n, d - dg):
                     domain += 1
-                    echelon.add_row(g.term_multiple(m, Fraction(1)).terms)
+                    echelon.add_row(integer_terms(g.term_multiple(m, Fraction(1)).terms)[0])
             kernel = domain - echelon.rank
             # span of the returned columns in degree d, flattened over
             # (component, monomial) coordinates
@@ -295,7 +296,7 @@ class TestSyzygies:
                     for i, c in enumerate(col):
                         for exps, coeff in c.term_multiple(m, Fraction(1)).terms.items():
                             row[(i, exps)] = coeff
-                    span.add_row(row)
+                    span.add_row(integer_terms(row)[0])
             assert span.rank == kernel
 
 
@@ -403,13 +404,13 @@ def reference_basis(gens, order):
     for k in sorted(range(len(G)), key=lambda k: order.key(leads[k])):
         if not any(mono_divides(leads[t], leads[k]) for t in kept):
             kept.append(k)
+    # ascending: each element by the interreduced ones with smaller leads,
+    # the least one by none
     final = [G[k] for k in kept]
     final_rows = [rows[k] for k in kept]
-    for idx in range(len(final)):
-        final[idx], q = groebner.normal_form(final[idx], final[:idx] + final[idx + 1:],
-                                             order, with_quotients=True)
-        final_rows[idx] = combine_rows([-qt for qt in q], final_rows[:idx] + final_rows[idx + 1:],
-                                       final_rows[idx])
+    for idx in range(1, len(final)):
+        final[idx], q = groebner.normal_form(final[idx], final[:idx], order, with_quotients=True)
+        final_rows[idx] = combine_rows([-qt for qt in q], final_rows[:idx], final_rows[idx])
     desc = sorted(range(len(final)), key=lambda k: order.key(final[k].lead_monomial(order)),
                   reverse=True)
     return (GroebnerBasis(context, order, [final[k] for k in desc]),
@@ -657,6 +658,105 @@ class TestBasisSyzygies:
             assert all(type(c) is int for terms in tau for c in terms.values())
             tau = int_polynomials(ORBIT, packing, tau)
             assert sum((t * g for t, g in zip(tau, gb.elements)), ORBIT.zero()).is_zero()
+
+
+def interreduction_counts(monkeypatch, build):
+    """The result of ``build()`` and, over the interreductions it runs,
+    the kernel divisions, how many of them changed their dividend, and
+    the `_divisor` calls."""
+    counts = Counter()
+    inside = []
+    interreduced, divide_int, divisor = groebner._interreduced, groebner._divide_int, \
+        groebner._divisor
+
+    def finishing(*args):
+        inside.append(True)
+        try:
+            return interreduced(*args)
+        finally:
+            inside.pop()
+
+    def divide(work, den, triples, quotients):
+        r, den = divide_int(work, den, triples, quotients)
+        if inside:
+            counts["divisions"] += 1
+            counts["changed"] += r != work
+        return r, den
+
+    def rebuild(*args):
+        counts["rebuilds"] += bool(inside)
+        return divisor(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_interreduced", finishing)
+        patch.setattr(groebner, "_divide_int", divide)
+        patch.setattr(groebner, "_divisor", rebuild)
+        return build(), counts
+
+
+def free_of(gb, drop):
+    """The elements of a basis in which no variable of ``drop`` occurs."""
+    return tuple(g for g in gb.elements if not any(e[i] for e in g.terms for i in drop))
+
+
+class TestEliminate:
+    """``eliminate`` returns the reduced basis of I cap k[other variables],
+    interreducing only the elements it keeps."""
+
+    @pytest.mark.parametrize("nvars", [2, 3, 4])
+    @pytest.mark.parametrize("linear_term", [False, True], ids=["homogeneous", "inhomogeneous"])
+    def test_matches_the_full_basis_filtered(self, nvars, linear_term):
+        ctx = RingContext(("x", "y", "z", "w")[:nvars])
+        drops = [(0,), (nvars - 1,)] + ([(0, 2), (1, nvars - 1)] if nvars > 2 else [])
+        rng = random.Random(163 + nvars)
+        for _ in range(8):
+            gens = [random_form(rng, ctx, rng.randint(1, 3))
+                    + (random_form(rng, ctx, 1, 1) + ctx.one() if linear_term else ctx.zero())
+                    for _ in range(rng.randint(2, 4))]
+            if all(g.is_zero() for g in gens):
+                continue
+            for drop in drops:
+                order = elimination_order(nvars, drop)
+                full = reduced_groebner_basis(gens, order)
+                gb = reduced_groebner_basis(gens, order, eliminate=drop)
+                assert gb.elements == free_of(full, drop)
+                assert gb.order == order
+
+    @pytest.mark.parametrize("order", [GREVLEX, variable_last_order(3, 2),
+                                       elimination_order(3, (0, 1)), elimination_order(3, (1,))],
+                             ids=["grevlex", "variable-last", "larger-block", "other-block"])
+    def test_order_must_put_exactly_those_variables_first(self, order):
+        with pytest.raises(ValueError, match="first block"):
+            reduced_groebner_basis(ORBIT_QUADRICS[:1], order, eliminate=(0,))
+        with pytest.raises(ValueError, match="first block"):
+            reduced_groebner_basis([XYZ.zero()], order, eliminate=(0,))
+
+    def test_interreduction_counts_without_elimination(self, monkeypatch):
+        # the orbit quadrics are already reduced: four divisions by the
+        # smaller leads, none of which changes its dividend
+        gb, counts = interreduction_counts(
+            monkeypatch, lambda: reduced_groebner_basis(ORBIT_QUADRICS, GREVLEX))
+        assert len(gb) == 5
+        assert counts == {"divisions": 4, "changed": 0, "rebuilds": 0}
+
+    def test_interreduction_counts_of_an_intersection(self, monkeypatch):
+        forms = seeded_forms(12, XYZ, (2, 2, 2, 3))
+        I, J = Ideal(XYZ, forms[:2]), Ideal(XYZ, forms[2:])
+        XYZT = XYZ.extended("t")
+        t, one = XYZT.variable("t"), XYZT.one()
+        lift = [Polynomial(XYZT, {e + (0,): c for e, c in f.terms.items()}) for f in forms]
+        gens = [t * f for f in lift[:2]] + [(one - t) * g for g in lift[2:]]
+        order = elimination_order(4, (3,))
+        full = reduced_groebner_basis(gens, order)
+        gb, counts = interreduction_counts(
+            monkeypatch, lambda: reduced_groebner_basis(gens, order, eliminate=(3,)))
+        assert gb.elements == free_of(full, (3,))
+        assert [Polynomial(XYZ, {e[:3]: c for e, c in g.terms.items()}) for g in gb] \
+            == list(I.intersect(J).gens)
+        # 10 minimal elements: 5 involve t and are dropped unfinished, the
+        # other 5 take 4 divisions, and only the 2 they change are rebuilt
+        assert (len(full), len(gb)) == (10, 5)
+        assert counts == {"divisions": 4, "changed": 2, "rebuilds": 2}
 
 
 class TestGroebnerBasisObject:

@@ -12,7 +12,7 @@ from delpezzo5.groebner import GroebnerBasis, normal_form, syzygy_columns
 from delpezzo5.hilbert import degree_monomials, hilbert_function, standard_monomials
 from delpezzo5.homspaces import graded_hom_dimension, tangent_dimension
 from delpezzo5.ideals import Ideal
-from delpezzo5.linalg import SparseEchelon
+from delpezzo5.linalg import SparseEchelon, integer_terms
 from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext, elimination_order,
                                 mono_div, mono_lcm, parse_polynomial)
 
@@ -322,7 +322,7 @@ def input_generator_hom_dimension(source, target, twist=0, within=None):
         blocks += [express(w) for w in within.gens]
     ech = SparseEchelon()
     for row in product_rows(blocks, unknown_index, bases, target.groebner(GREVLEX)):
-        ech.add_row(row)
+        ech.add_row(integer_terms(row)[0])
     return len(unknown_index) - ech.rank
 
 
@@ -350,7 +350,7 @@ RANK = homspaces._rank
 def rank(rows):
     ech = SparseEchelon()
     for row in rows:
-        ech.add_row(row)
+        ech.add_row(integer_terms(row)[0])
     return ech.rank
 
 

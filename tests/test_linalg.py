@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from delpezzo5.linalg import (SparseEchelon, integer_terms, primitive, rank, row_space_equal,
                               rref)
 
@@ -95,7 +97,7 @@ def test_integer_rows_give_exact_pivots():
 
 
 def integer_matrix(rng):
-    """Rows of each kind the echelon scales to ints on arrival: non-unit
+    """Rows of each kind `integer_terms` scales to ints for the echelon: non-unit
     denominators, ints mixed with Fractions, negative leads, entries
     near 10**30 and exactly representable floats."""
     ncols = rng.randint(1, 6)
@@ -142,13 +144,28 @@ def test_pivot_rows_are_primitive_integer_rows():
     for rows in MATRICES + INTEGER_MATRICES:
         ech = SparseEchelon()
         for row in rows:
-            ech.add_row(dict(enumerate(row)))
+            ech.add_row(integer_terms(dict(enumerate(row)))[0])
         assert ech.rank == len(dense_rref(rows)[0])
         for col, pivot in ech._pivots.items():
             assert min(pivot) == col
             assert all(type(v) is int for v in pivot.values())
             assert math.gcd(*pivot.values()) == 1
             assert pivot[col] > 0
+
+
+def test_rows_are_ints_and_left_unchanged():
+    # a Fraction row fails at its first step, whether it starts a pivot
+    # or meets one, and the caller's int row is never written to
+    ech = SparseEchelon()
+    with pytest.raises(TypeError):
+        ech.add_row({0: Fraction(1, 2), 1: Fraction(1)})
+    first, second = {0: 2, 1: 4}, {0: 1, 2: 3}
+    assert ech.add_row(first)
+    with pytest.raises(TypeError):
+        ech.add_row({0: Fraction(3), 2: Fraction(1, 3)})
+    assert ech.add_row(second)
+    assert first == {0: 2, 1: 4} and second == {0: 1, 2: 3}
+    assert ech._pivots == {0: {0: 1, 1: 2}, 1: {1: 2, 2: -3}}
 
 
 def test_integer_terms_clear_denominators():

@@ -245,6 +245,21 @@ class TestCLI:
         assert "ring: y" in out
         assert "y^2 - 1" in out
 
+    @pytest.mark.parametrize("names, message", [
+        ("x,,y", "error: empty entry in --vars 'x,,y'"),
+        ("x,", "error: empty entry in --vars 'x,'"),
+        (",x", "error: empty entry in --vars ',x'"),
+        ("x,x", "error: variable 'x' repeated in --vars"),
+        ("x, y,x ", "error: variable 'x' repeated in --vars"),
+    ], ids=["inner-empty", "trailing-empty", "leading-empty", "repeated", "repeated-spaced"])
+    def test_eliminate_refuses_malformed_vars(self, tmp_path, capsys, names, message):
+        path = tmp_path / "i.txt"
+        path.write_text("ring: x, y, z\ngens:\ny - x^2\nz - x^3\n")
+        assert cli.main(["eliminate", str(path), "--vars", names]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
     def test_compare_equal_exit_zero(self, x5_file, tmp_path, capsys):
         other = tmp_path / "same.txt"
         other.write_text(X5_TEXT)
