@@ -7,7 +7,9 @@ Exports the parent revision with ``git archive`` into a temporary
 directory, then runs ``perfbench/run.py --trace 0`` on the parent and on
 the working tree, one pair at a time, with the side that runs first
 alternating from pair to pair.  Both sides use the run length that
-``BENCHMARK.json`` fixes.  After the pairs, one traced run per side
+``BENCHMARK.json`` fixes, and each writes its bytecode to its own cache
+directory on its first run and reads it on the later ones, also where
+the calling environment sets ``PYTHONDONTWRITEBYTECODE``.  After the pairs, one traced run per side
 (``--trace 1``) gives the per-layer counts, and the counts that differ
 are listed.
 
@@ -87,10 +89,15 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: int,
     """One benchmark run: its result line plus the detail line before it.
     Bytecode is read from and written to ``pycache`` only, so neither
     side reuses ``__pycache__`` directories that its tree happens to hold
-    (the exported parent has none), which would tilt ``setup_s``."""
+    (the exported parent has none), which would tilt ``setup_s``.
+    ``PYTHONDONTWRITEBYTECODE`` is left out of the run's environment, so
+    that ``pycache`` fills on each side's first run and later runs
+    measure neither compilation in ``setup_s`` nor its memory in
+    ``peak_rss_mb``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
     done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     lines = done.stdout.strip().splitlines()

@@ -28,7 +28,9 @@ interreduction; only the final reduced basis is made monic, in
 Fractions.  Only the returned elements are finished: interreduction
 divides each element by the smaller leads alone, in ascending order, and
 an elimination (``eliminate``) drops the elements that involve the
-eliminated variables before interreducing.  One builder,
+eliminated variables before interreducing.  `interreduced_basis`
+finishes a list already known to be a Groebner basis the same way,
+with no S-pair.  One builder,
 `_s_polynomial`, forms every S-polynomial in ints, for Buchberger and
 for `basis_syzygies` (which returns ints) alike.  `normal_form` keeps its exact Fraction results, converting the
 dividend once on the way in and the results once on the way out.  A
@@ -408,16 +410,47 @@ def reduced_groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder = GR
     for g in gens:
         if g.context != context:
             raise ValueError("ring context mismatch")
+    return _reduced(context, gens, order, eliminate, _buchberger)
+
+
+def interreduced_basis(basis: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasis:
+    """The reduced basis of the ideal generated by ``basis``, a nonempty
+    list that is already a Groebner basis under ``order``: one
+    interreduction (`_interreduced`) and no S-pairs.  Every lead of the
+    ideal is then divisible by a lead of the list, so the minimal leads
+    and the interreduced tails are those of the unique reduced basis."""
+    return _reduced(basis[0].context, basis, order, (), _as_divisors)
+
+
+def _reduced(context: RingContext, gens: Sequence[Polynomial], order: MonomialOrder,
+             eliminate: Sequence[int], basis_of) -> GroebnerBasis:
+    """`_interreduced` of ``basis_of(context, gens, order, packing)``, a
+    Groebner basis of the nonzero gens as packed primitive integer terms
+    with their divisor triples, at the gens' widest packing and again at
+    a wider one whenever a product outgrows it."""
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
         return GroebnerBasis(context, order, ())
     packing = _widest(nonzero, context)
     while True:
         try:
-            G, triples = _buchberger(context, nonzero, order, packing)
+            G, triples = basis_of(context, nonzero, order, packing)
             return _interreduced(context, order, G, triples, eliminate)
         except PackingOverflow:
             packing = context.packing(packing.limit + 1)
+
+
+def _as_divisors(context: RingContext, gens: list[Polynomial], order: MonomialOrder,
+                 packing: Packing) -> tuple[list[dict[int, int]], DivisorTriples]:
+    """The nonzero ``gens`` as packed primitive integer terms with positive
+    leads and their divisor triples, as `_buchberger` starts and returns
+    its basis."""
+    key, G, triples = packing.key(order), [], []
+    for g in gens:
+        ints, triple = _divisor(integer_terms(g.repacked(packing).packed)[0], key, packing.width)
+        G.append(ints)
+        triples.append(triple)
+    return G, DivisorTriples(triples, packing, key)
 
 
 def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrder,
@@ -426,28 +459,23 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
     primitive integer terms with positive leads and their divisor
     triples; raises `PackingOverflow` when a product outgrows the
     packing."""
-    key, degree, guard, width = packing.key(order), packing.degree, packing.guard, packing.width
-    G: list[dict[int, int]] = []  # packed primitive integer terms, positive lead
-    triples = DivisorTriples((), packing, key)   # divisor triples of G
+    G, triples = _as_divisors(context, gens, order, packing)
+    key, degree, guard, width = triples.key, packing.degree, packing.guard, packing.width
     # the open pairs, as a set for the chain criterion and as a heap of
     # (lcm degree, lcm order key, i, j) for selection; a pair leaves both
     # only when popped, so they always hold the same pairs
     pairs: set[tuple[int, int]] = set()
     queue: list[tuple] = []
 
-    def add_element(ints: dict[int, int]) -> None:
-        nonlocal triples
-        ints, triple = _divisor(ints, key, width)
-        new, lead = len(G), triple[0]
-        G.append(ints)
-        triples = DivisorTriples(triples + (triple,), packing, key)
+    def pair_with_earlier(new: int) -> None:
+        lead = triples.leads[new]
         for k in range(new):
             lcm = packing.lcm(triples.leads[k], lead)
             heappush(queue, (degree(lcm), key(lcm), k, new))
             pairs.add((k, new))
 
-    for g in gens:
-        add_element(integer_terms(g.repacked(packing).packed)[0])
+    for new in range(len(G)):
+        pair_with_earlier(new)
 
     while queue:
         _, _, i, j = heappop(queue)
@@ -467,7 +495,10 @@ def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrd
             continue
         r, _ = _divide_int(_s_polynomial(triples, i, j, lcm), 1, triples, None)
         if r:
-            add_element(r)
+            ints, triple = _divisor(r, key, width)
+            G.append(ints)
+            triples = DivisorTriples(triples + (triple,), packing, key)
+            pair_with_earlier(len(G) - 1)
     return G, triples
 
 

@@ -2,17 +2,20 @@
 elimination, and semantic comparison.
 
 An Ideal remembers its generators and caches one reduced Groebner basis
-per monomial order.  Equality and containment are semantic (via reduced
-bases), so two Ideals with wildly different generators compare equal
-when they generate the same ideal.
+per monomial order, some given by the operation that built the ideal:
+an elimination, a quotient by a polynomial, a division by a variable,
+a split and the lift of a fold each return the reduced basis that
+their construction proves, so it is never computed again.  Equality
+and containment are semantic (via reduced bases), so two Ideals with
+wildly different generators compare equal when they generate the same
+ideal.
 """
 from __future__ import annotations
 
 import warnings
-from functools import reduce
 from typing import Iterable, Sequence
 
-from .groebner import GroebnerBasis, normal_form, reduced_groebner_basis
+from .groebner import GroebnerBasis, interreduced_basis, normal_form, reduced_groebner_basis
 from .polyring import (
     GREVLEX,
     MonomialOrder,
@@ -49,14 +52,25 @@ class Ideal:
             self._gb_cache[order] = gb
         return gb
 
+    def _any_basis(self) -> GroebnerBasis:
+        """The cached grevlex basis, else the first basis cached under any
+        order, else a new grevlex one."""
+        cache = self._gb_cache
+        gb = cache.get(GREVLEX)
+        if gb is None:
+            gb = next(iter(cache.values())) if cache else self.groebner()
+        return gb
+
     def contains(self, p: Polynomial) -> bool:
-        return self.groebner().contains(p)
+        """Membership by the remainder on division by a cached basis under
+        any order (`_any_basis`): every Groebner basis decides it."""
+        return self._any_basis().contains(p)
 
     def __contains__(self, p: Polynomial) -> bool:
         return self.contains(p)
 
     def contains_ideal(self, other: "Ideal") -> bool:
-        gb = self.groebner()
+        gb = self._any_basis()
         return all(gb.contains(g) for g in other.gens)
 
     def compare(self, other: "Ideal") -> str:
@@ -72,10 +86,10 @@ class Ideal:
         return "incomparable"
 
     def is_zero(self) -> bool:
-        return len(self.groebner()) == 0
+        return len(self._any_basis()) == 0
 
     def is_unit(self) -> bool:
-        gb = self.groebner()
+        gb = self._any_basis()
         return len(gb) == 1 and gb.elements[0].is_constant()
 
     def is_homogeneous(self) -> bool:
@@ -151,7 +165,10 @@ class Ideal:
             if not r.is_zero():
                 raise AssertionError("intersection element not divisible by the divisor")
             quots.append(q[0])
-        return Ideal(self.context, quots)
+        # meet.gens is the reduced grevlex basis of I cap (f), and
+        # lead(g / f) = lead(g) / lead(f), so the quotients are a grevlex
+        # Groebner basis of (I : f) = (I cap (f)) / f
+        return _with_basis(Ideal(self.context, quots), quots, GREVLEX)
 
     def saturate(self, other) -> "Ideal":
         """Saturation (I : f^inf) or (I : J^inf); see `_fold` for the route."""
@@ -182,14 +199,17 @@ class Ideal:
         x^k gives a Groebner basis of (I : x^inf), by x^min(1, k) one of
         (I : x); no lead of the divided saturation basis involves x, so
         a second pass would divide nothing.  The saturation is I itself
-        when no element is divisible by x."""
+        when no element is divisible by x.  The result keeps the divided
+        basis, interreduced, as its reduced basis under the order."""
         idx = self.context.index(name)
-        gb = self.groebner(variable_last_order(self.context.nvars, idx))
+        order = variable_last_order(self.context.nvars, idx)
+        gb = self.groebner(order)
         powers = [_variable_power(g, idx) for g in gb]
         if saturate and not any(powers):
             return self
-        return Ideal(self.context, [_divide_variable(g, idx, k if saturate else min(1, k))
-                                    for g, k in zip(gb, powers)])
+        divided = [_divide_variable(g, idx, k if saturate else min(1, k))
+                   for g, k in zip(gb, powers)]
+        return _with_basis(Ideal(self.context, divided), divided, order)
 
     def saturate_irrelevant(self) -> "Ideal":
         """Saturation by the irrelevant maximal ideal (all variables).
@@ -223,7 +243,14 @@ class Ideal:
 
         S/I and R/Ibar are isomorphic as graded rings, R the ring
         without the dropped variables: S/I = R[x]/(Ibar + (x)) = R/Ibar
-        for each dropped x, because x lies in I."""
+        for each dropped x, because x lies in I.
+
+        Both get their reduced grevlex bases, computed at most once and
+        in R: Ibar's is I's without the dropped variables when I's is
+        cached (every dropped x is an element, and no other element
+        involves one, since x is a minimal lead and the other leads and
+        all tails are reduced by it), and otherwise I's becomes Ibar's
+        lifted plus the dropped variables (`_lifted_basis`)."""
         context = self.context
         dropped = sorted({context.index(name) for name in map(_as_variable, self.gens)
                           if name is not None})
@@ -231,8 +258,14 @@ class Ideal:
             return None
         keep = _kept(context.nvars, dropped)
         target = context.restricted(keep)
-        rest = (_restrict(target, g, keep) for g in self.gens)
-        return Ideal(target, [g for g in rest if not g.is_zero()]), tuple(dropped)
+        cut = Ideal(target, _restricted(target, self.gens, keep))
+        gb = self._gb_cache.get(GREVLEX)
+        if gb is not None:
+            cut._gb_cache[GREVLEX] = GroebnerBasis(target, GREVLEX,
+                                                   _restricted(target, gb, keep))
+        else:
+            self._gb_cache[GREVLEX] = _lifted_basis(context, cut.groebner(), dropped)
+        return cut, tuple(dropped)
 
     def _fold(self, other, what: str, variable, general) -> "Ideal":
         """Meet of (I : g), or (I : g^inf), over the nonzero divisors g of
@@ -248,7 +281,12 @@ class Ideal:
         the x set to 0.  Since S/I = R/Ibar, g lies in I exactly when
         gbar lies in Ibar, and (I : g) = (Ibar : gbar) + (x) and
         (I : g^inf) = (Ibar : gbar^inf) + (x), so the meet in R, lifted
-        to S, plus the x is the answer."""
+        to S, plus the x is the answer, and its reduced grevlex basis is
+        the meet's, computed in R, lifted plus the x (`_lifted_basis`).
+
+        The fold stops at the first factor that is I itself: the meet is
+        then I, every later factor contains it, and `_meet` would return
+        that same object for each."""
         if isinstance(other, Polynomial):
             if other.context != self.context:
                 raise ValueError(f"{what} divisor from a different ring context")
@@ -274,12 +312,19 @@ class Ideal:
                 return variable(base, name)
             return general(base, g)
 
-        meet = reduce(_meet, map(single, outside))
+        meet = None
+        for g in outside:
+            factor = single(g)
+            meet = factor if meet is None else _meet(meet, factor)
+            if factor is base:
+                break
         if not dropped:
             return meet
-        variables = self.context.gens()
-        return Ideal(self.context, [_lift(self.context, g, keep) for g in meet.gens]
-                     + [variables[i] for i in dropped])
+        context = self.context
+        lifted = Ideal(context, [_lift(context, g, keep) for g in meet.gens]
+                       + _variables(context, dropped))
+        lifted._gb_cache[GREVLEX] = _lifted_basis(context, meet.groebner(), dropped)
+        return lifted
 
     def _check_same_context(self, other: "Ideal") -> None:
         if not isinstance(other, Ideal):
@@ -301,9 +346,37 @@ def _as_variable(f: Polynomial) -> str | None:
     return f.context.variables[exps.index(1)]
 
 
+def _lifted_basis(context: RingContext, gb: GroebnerBasis,
+                  dropped: Sequence[int]) -> GroebnerBasis:
+    """The reduced grevlex basis of J + (x) in ``context``, the x the
+    variables at the ``dropped`` indices, from ``gb``, J's reduced grevlex
+    basis in the ring of the other variables: gb lifted, plus the x
+    unless J is the unit ideal, sorted by decreasing lead.  For h in
+    J + (x), a lead free of the x is the lead of h's terms free of
+    them, which lie in J; grevlex compares monomials free of the x as
+    the smaller ring's grevlex does."""
+    keep = _kept(context.nvars, dropped)
+    elements = [_lift(context, g, keep) for g in gb]
+    if not (len(gb) == 1 and gb.elements[0].is_constant()):
+        elements += _variables(context, dropped)
+        packing = max((g.packing for g in elements), key=lambda k: k.bits)
+        key = packing.key(GREVLEX)
+        elements.sort(key=lambda g: max(map(key, g.repacked(packing).packed)), reverse=True)
+    return GroebnerBasis(context, GREVLEX, elements)
+
+
+def _with_basis(ideal: Ideal, basis: Sequence[Polynomial], order: MonomialOrder) -> Ideal:
+    """The ideal, with the reduced basis of ``basis``, a Groebner basis of
+    it under ``order``, cached; none for the zero ideal."""
+    if basis:
+        ideal._gb_cache[order] = interreduced_basis(basis, order)
+    return ideal
+
+
 def _meet(a: Ideal, b: Ideal) -> Ideal:
     """Intersection, skipping the elimination when one side contains
-    the other (the common case in saturation and quotient folds)."""
+    the other (the common case in saturation and quotient folds); each
+    containment test reads whatever basis the side already holds."""
     if b.contains_ideal(a):
         return a
     if a.contains_ideal(b):
@@ -343,8 +416,18 @@ def _lift(ext: RingContext, p: Polynomial, at: Sequence[int] | None = None) -> P
     return Polynomial(ext, terms)
 
 
+def _variables(context: RingContext, indices: Sequence[int]) -> list[Polynomial]:
+    return [context.variable(context.variables[i]) for i in indices]
+
+
 def _kept(nvars: int, dropped: Sequence[int]) -> list[int]:
     return [i for i in range(nvars) if i not in dropped]
+
+
+def _restricted(target: RingContext, polys: Iterable[Polynomial],
+                keep: Sequence[int]) -> list[Polynomial]:
+    """The nonzero `_restrict` of each polynomial."""
+    return [r for r in (_restrict(target, p, keep) for p in polys) if not r.is_zero()]
 
 
 def _restrict(target: RingContext, p: Polynomial, keep: Sequence[int]) -> Polynomial:
@@ -363,10 +446,16 @@ def _eliminate_to(ctx: RingContext, gens: Sequence[Polynomial], drop: tuple[int,
     """Groebner elimination: the reduced basis of I cap k[kept variables]
     under a block order with the dropped variables up front, which
     `reduced_groebner_basis` computes without ever finishing the elements
-    that involve them, projected onto the target context."""
+    that involve them, projected onto the target context.  It is also
+    the target's reduced grevlex basis, cached as such: the order's
+    second block is grevlex on the kept variables in ascending order,
+    the elements are monic and sorted by decreasing lead."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return Ideal(target, [])
     gb = reduced_groebner_basis(gens, elimination_order(ctx.nvars, drop), eliminate=drop)
     keep = _kept(ctx.nvars, drop)
-    return Ideal(target, [_restrict(target, g, keep) for g in gb])
+    elements = [_restrict(target, g, keep) for g in gb]
+    ideal = Ideal(target, elements)
+    ideal._gb_cache[GREVLEX] = GroebnerBasis(target, GREVLEX, elements)
+    return ideal

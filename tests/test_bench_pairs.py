@@ -92,3 +92,24 @@ def test_count_diff_lists_only_the_counts_that_moved():
     assert BENCH.count_diff(parent, change, per_layer) == {
         "groebner.basis.calls": [875, 974],
         "groebner.basis.grevlex.calls": [566, 665]}
+
+
+def test_runs_write_bytecode_to_their_own_cache(monkeypatch, tmp_path):
+    # without PYTHONDONTWRITEBYTECODE the prefix fills on the first run,
+    # so setup_s and peak_rss_mb stop measuring compilation
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("BENCH_PAIRS_KEPT", "yes")
+    seen = {}
+
+    def fake_run(cmd, cwd, env, capture_output, text, timeout):
+        seen.update(cmd=cmd, cwd=cwd, env=env)
+        stdout = '{"stamp": {}}\n{"metrics": {}, "failed": 0}\n'
+        return BENCH.subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(BENCH.subprocess, "run", fake_run)
+    result = BENCH.run(tmp_path, "suite-all", 1, 30, 0, tmp_path / "pycache")
+    assert "PYTHONDONTWRITEBYTECODE" not in seen["env"]
+    assert seen["env"]["PYTHONPYCACHEPREFIX"] == str(tmp_path / "pycache")
+    assert seen["env"]["BENCH_PAIRS_KEPT"] == "yes"
+    assert seen["cwd"] == tmp_path and seen["cmd"][1:3] == ["perfbench/run.py", "--workload"]
+    assert result == {"metrics": {}, "failed": 0, "exit": 0, "detail": {"stamp": {}}}

@@ -2,6 +2,7 @@
 subspace, fixed-point combinatorics, curve censuses, residuals."""
 import gc
 import weakref
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import reduce
@@ -378,6 +379,23 @@ class TestQuarticCensus:
             == [summary(r) for r in census.records]
         assert [(o.keys, o.members, o.label, o.row) for o in fallback.orbits] \
             == [(o.keys, o.members, o.label, o.row) for o in census.orbits]
+
+    def test_basis_computations_are_pinned(self, monkeypatch):
+        # Buchberger runs of one cold census, model and certificate warm,
+        # by order kind; every other basis the census reads is given by
+        # the operation that built its ideal
+        model = dp5.build_model.__wrapped__()
+        model.threefold_certificate
+        kinds = Counter()
+        plain = ideals.reduced_groebner_basis
+
+        def counted(gens, order, *args, **kwargs):
+            kinds[type(order).__name__] += 1
+            return plain(gens, order, *args, **kwargs)
+
+        monkeypatch.setattr(ideals, "reduced_groebner_basis", counted)
+        dp5.enumerate_fixed_quartics.__wrapped__(model)
+        assert kinds == {"GrevlexOrder": 106, "BlockOrder": 108}
 
     def test_cached_census_is_frozen(self):
         census = self.census()

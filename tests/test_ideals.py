@@ -2,12 +2,14 @@
 elimination, comparison, and torus-fixedness."""
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 
-from delpezzo5 import ideals
+from delpezzo5 import dp5, ideals
+from delpezzo5.groebner import reduced_groebner_basis
 from delpezzo5.ideals import Ideal, _as_variable, _meet
 from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext,
                                 parse_polynomial, variable_last_order)
@@ -224,20 +226,30 @@ class TestSaturation:
     def test_bare_variable_divisors_take_the_variable_route(self, monkeypatch):
         # a bare-variable generator of J goes to saturate_variable when I
         # is homogeneous, any other generator to Rabinowitsch's trick; the
-        # meet equals Rabinowitsch's trick on every generator
+        # meet equals Rabinowitsch's trick on every generator.  The fold
+        # stops at the first divisor whose saturation is I itself
         rng = random.Random(79)
         cases = [(ideal(XYZ, "x^2*y - y*z^2", "x*z^3"), ideal(XYZ, "x", "2*z")),
                  (ideal(XYZ, "x^2*y - y*z^2", "x*z^3"), ideal(XYZ, "-3*z", "x + y"))]
         for _ in range(6):
             I = random_ideal(rng, XYZW, homogeneous=True)
             cases.append((I, Ideal(XYZW, [XYZW.variable(v) for v in rng.sample("xyzw", 2)])))
+        stopped = 0
         for I, J in cases:
             general = reduce(_meet, (I._saturate_poly(g) for g in J.gens))
             outside = [g for g in J.gens if g not in I]
+            routes = []
+            for g in outside:
+                name = _as_variable(g)
+                routes.append("variable" if name else "poly")
+                if name and I.saturate_variable(name) is I:
+                    break
+            stopped += len(routes) < len(outside)
             seen = self.counted_routes(monkeypatch)
             assert I.saturate(J) == general
-            assert seen == ["variable" if _as_variable(g) else "poly" for g in outside]
+            assert seen == routes
             monkeypatch.undo()
+        assert stopped >= 1
 
     def test_inhomogeneous_ideal_takes_the_general_route(self, monkeypatch):
         I = ideal(XYZ, "x*y^2 + y", "x^2 - z")
@@ -284,9 +296,18 @@ class TestSaturation:
                 assert Q.saturate_irrelevant() == Q
 
     def test_variables_in_the_ideal_are_skipped(self, monkeypatch):
-        # a section X + (s1, s2) holds s1 and s2, whose saturations are (1)
+        # a section X + (s1, s2) holds s1 and s2, whose saturations are (1);
+        # the fold over the others stops at the first one whose saturation
+        # of the cut is the cut itself
         section = x5() + ideal(ORBIT, "a6", "am6")
         every = reduce(_meet, map(section.saturate_variable, ORBIT.variables))
+        cut, _ = section.split_variables()
+        visited = []
+        for name in ORBIT.variables:
+            if name not in ("a6", "am6"):
+                visited.append(name)
+                if cut.saturate_variable(name) is cut:
+                    break
         seen = []
         plain = Ideal.saturate_variable
 
@@ -297,7 +318,52 @@ class TestSaturation:
         monkeypatch.setattr(Ideal, "saturate_variable", counted)
         skipped = section.saturate_irrelevant()
         assert skipped.groebner().elements == every.groebner().elements
-        assert seen == [v for v in ORBIT.variables if v not in ("a6", "am6")]
+        assert seen == visited
+
+    def test_fold_stops_where_its_meet_is_the_ideal(self):
+        # once a factor is I itself, the meet is I and every later _meet
+        # returns that same object: the early exit keeps the generator
+        # list of the meet over every factor
+        rng = random.Random(97)
+        cases = [(x5() + ideal(ORBIT, "a6", "am6")).split_variables()[0],
+                 ideal(XYZ, "x^2*y - y*z^2", "x*z^3")]
+        cases += [random_ideal(rng, ctx, homogeneous=True)
+                  for ctx in (XY, XYZ, XYZW) for _ in range(4)]
+        stopped = 0
+        for I in cases:
+            if I.split_variables() is not None:
+                continue  # the fold would run on the cut
+            for saturate in (True, False):
+                fold = I.saturate_irrelevant() if saturate \
+                    else I.quotient(Ideal(I.context, I.context.gens()))
+                route = Ideal.saturate_variable if saturate else Ideal.quotient_variable
+                factors = [route(I, v) for v in I.context.variables
+                           if I.context.variable(v) not in I]
+                assert fold.gens == reduce(_meet, factors).gens
+                stopped += any(f is I for f in factors[:-1])
+        assert stopped >= 3
+
+    def test_basis_computations_are_pinned(self, monkeypatch):
+        # A * (l, x^2, y^2, z^2, w^2) saturates to (A): Buchberger runs
+        # for I's grevlex basis and its four variable-last bases, and for
+        # nothing else, since every factor and meet is tested for
+        # containment with the basis it was built with
+        rng = random.Random(0)
+        A = random_poly(rng, XYZW, True, 2)
+        I = Ideal(XYZW, [A * b for b in [random_poly(rng, XYZW, True, 1)]
+                         + [v ** 2 for v in XYZW.gens()]])
+        kinds = Counter()
+        plain = ideals.reduced_groebner_basis
+
+        def counted(gens, order, *args, **kwargs):
+            kinds[type(order).__name__] += 1
+            return plain(gens, order, *args, **kwargs)
+
+        monkeypatch.setattr(ideals, "reduced_groebner_basis", counted)
+        S = I.saturate_irrelevant()
+        assert kinds == {"GrevlexOrder": 1, "BlockOrder": 4}
+        monkeypatch.undo()
+        assert S == Ideal(XYZW, [A])
 
     def test_ideal_holding_every_variable_saturates_to_unit(self):
         I = ideal(XYZ, "x", "y + x^2", "z - y")
@@ -600,3 +666,64 @@ class TestCanonicalKey:
 
     def test_distinct_ideals_distinct_keys(self):
         assert ideal(XY, "x").canonical_key() != ideal(XY, "y").canonical_key()
+
+
+class TestSeededBases:
+    """Every reduced basis an operation gives the ideal it returns, by
+    construction and without Buchberger, is the one Buchberger computes
+    from the returned generators."""
+
+    @staticmethod
+    def assert_buchberger(J):
+        for order, gb in J._gb_cache.items():
+            expected = reduced_groebner_basis(J.gens, order).elements if J.gens else ()
+            assert gb.elements == expected, (J, order)
+
+    @staticmethod
+    def operations(I, J, f):
+        """(name, result) of each operation on I, J and the polynomial f,
+        read before anything asks the result for a basis."""
+        ctx = I.context
+        x = ctx.variables[-1]
+        return [("intersect", lambda: I.intersect(J)),
+                ("quotient by f", lambda: I.quotient(f)),
+                ("quotient by J", lambda: I.quotient(J)),
+                ("quotient by x", lambda: I.quotient(ctx.variable(x))),
+                ("saturate by x", lambda: I.saturate(ctx.variable(x))),
+                ("saturate by f", lambda: I.saturate(f)),
+                ("saturate_irrelevant", I.saturate_irrelevant),
+                ("eliminate", lambda: I.eliminate(ctx.variables[:1]))]
+
+    def test_operations_on_seeded_ideals(self):
+        rng = random.Random(131)
+        seeded = set()
+        cases = [(random_ideal(rng, ctx, homogeneous=True),
+                  random_ideal(rng, ctx, homogeneous=True),
+                  random_poly(rng, ctx, homogeneous=True))
+                 for ctx in (XY, XYZ, XYZW) for _ in range(4)]
+        cases += [(I, J, J.gens[0]) for I, J in split_cases(137)]
+        for I, J, f in cases:
+            for name, op in self.operations(I, J, f):
+                result = op()
+                if result is not I and result._gb_cache:
+                    seeded.add(name)
+                self.assert_buchberger(result)
+        assert seeded == {name for name, _ in self.operations(*cases[0])}
+
+    def test_split_and_lift(self):
+        # each way round: Ibar's basis from I's, and I's from Ibar's
+        for I, J in split_cases(139):
+            fresh = Ideal(I.context, I.gens)
+            fresh.groebner()
+            for whole in (I, fresh):
+                cut, _ = whole.split_variables()
+                assert cut._gb_cache and whole._gb_cache
+                self.assert_buchberger(cut)
+                self.assert_buchberger(whole)
+
+    def test_census_curves(self):
+        census = dp5.enumerate_fixed_quartics.__wrapped__(dp5.build_model())
+        for rec in census.records:
+            assert GREVLEX in rec.curve._gb_cache
+            for J in (rec.curve, rec.quintic):
+                self.assert_buchberger(J)
