@@ -7,8 +7,7 @@ Exact polynomials, monomial orders, and Groebner bases
 # every coefficient in the package is a fractions.Fraction; there is no
 # floating point anywhere, so printed results are exact by construction
 from delpezzo5 import (GREVLEX, LEX, RingContext, format_polynomial,
-                       normal_form, parse_polynomial, reduced_groebner_basis,
-                       syzygy_columns)
+                       normal_form, parse_polynomial, reduced_groebner_basis)
 
 ctx = RingContext(("x", "y"))
 f = parse_polynomial("x*y - 1", ctx)
@@ -27,12 +26,6 @@ member = parse_polynomial("x^2*y - y", ctx)
 stranger = parse_polynomial("x^2*y - 1", ctx)
 print("NF(x^2*y - y) =", format_polynomial(gb.normal_form(member), LEX))
 print("NF(x^2*y - 1) =", format_polynomial(gb.normal_form(stranger), LEX))
-
-# relations among the generators: each column c has c0*f + c1*g = 0, and
-# together the columns generate every such relation
-print("relations among f = x*y - 1 and g = y^2 - 1:")
-for c0, c1 in syzygy_columns([f, g]):
-    print(f"    ({format_polynomial(c0, LEX)})*f + ({format_polynomial(c1, LEX)})*g = 0")
 
 # grevlex is the workhorse order for everything that does not need
 # elimination; the one-step division interface works with any generators,

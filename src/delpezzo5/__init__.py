@@ -26,7 +26,6 @@ from .groebner import (
     GroebnerBasis,
     normal_form,
     reduced_groebner_basis,
-    syzygy_columns,
 )
 from .ideals import Ideal
 from .hilbert import (
@@ -87,7 +86,6 @@ __all__ = [
     "rnc_check",
     "run_suite",
     "substitute_linear",
-    "syzygy_columns",
     "tangent_dimension",
     "variable_last_order",
 ]

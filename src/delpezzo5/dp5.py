@@ -391,12 +391,9 @@ def residual_quartic(model: DP5Model, line: str, pick: Sequence[int]) -> Residua
 
 def mirror_ideal(model: DP5Model, ideal: Ideal) -> Ideal:
     """Image under the involution a_w -> a_{-w}."""
-    flipped = {v: model.orbit.variable(w)
-               for v, w in zip(tables.ORBIT_VARIABLES,
-                               reversed(tables.ORBIT_VARIABLES))}
-    return Ideal(model.orbit,
-                 [substitute_linear(g, flipped, model.orbit)
-                  for g in ideal.gens])
+    # ORBIT_VARIABLES lists a_w by weight 6 ... -6: a_w -> a_{-w} reverses each exponent vector
+    return Ideal(model.orbit, [Polynomial(model.orbit, {e[::-1]: c for e, c in g.terms.items()})
+                               for g in ideal.gens])
 
 
 @dataclass(frozen=True, eq=False)

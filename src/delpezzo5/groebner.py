@@ -114,16 +114,13 @@ def divisor_triples(divisors: Sequence[Polynomial], order: MonomialOrder,
     under ``packing`` and the order's int key: that of its primitive
     integer form, a nonzero rational multiple of the divisor.  The
     divisors must share one ring context."""
-    key = packing.key(order)
-    triples = []
+    context = divisors[0].context if divisors else None
     for d in divisors:
-        if d.context != divisors[0].context:
+        if d.context != context:
             raise ValueError("ring context mismatch")
         if d.is_zero():
             raise ValueError("zero divisor in normal form")
-        ints, _ = integer_terms(d.repacked(packing).packed)
-        triples.append(_divisor(ints, key, packing.width)[1])
-    return DivisorTriples(triples, packing, key)
+    return _as_divisors(context, divisors, order, packing)[1]
 
 
 def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
@@ -440,11 +437,11 @@ def _reduced(context: RingContext, gens: Sequence[Polynomial], order: MonomialOr
             packing = context.packing(packing.limit + 1)
 
 
-def _as_divisors(context: RingContext, gens: list[Polynomial], order: MonomialOrder,
+def _as_divisors(context: RingContext, gens: Sequence[Polynomial], order: MonomialOrder,
                  packing: Packing) -> tuple[list[dict[int, int]], DivisorTriples]:
     """The nonzero ``gens`` as packed primitive integer terms with positive
     leads and their divisor triples, as `_buchberger` starts and returns
-    its basis."""
+    its basis and `divisor_triples` hands them to a division."""
     key, G, triples = packing.key(order), [], []
     for g in gens:
         ints, triple = _divisor(integer_terms(g.repacked(packing).packed)[0], key, packing.width)

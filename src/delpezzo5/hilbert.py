@@ -3,11 +3,11 @@
 All three are computed independently enough to cross-check each other:
 the Hilbert function counts standard monomials under a Groebner basis,
 the direct variant row-reduces generator multiples without any Groebner
-step, and the Hilbert polynomial comes from the series numerator of the
-lead-monomial ideal.  For a homogeneous ideal they must agree in every
-sufficiently large degree, and the tests insist on it.  The Groebner
-routes read the grevlex basis: S/I and S/in(I) have the same Hilbert
-function under every monomial order (Macaulay), so no other is offered.
+step, and the Hilbert polynomial is sum_k Q_k binom(m - k + r - 1, r - 1)
+for the lead ideal's series Q(t)/(1-t)^r, Q(1) != 0.  For a homogeneous
+ideal they agree in every sufficiently large degree, and the tests insist
+on it.  The Groebner routes read the grevlex basis: S/I and S/in(I) have
+the same Hilbert function under every order (Macaulay), so no other is offered.
 
 The direct variant builds no row s*g_j whose shift s is divisible by
 the lead of an earlier generator g_i (the F5 criterion, Faugere 2002):
@@ -15,14 +15,14 @@ with s = t*lead(g_i), such a row is t*g_j times g_i, a combination of
 rows of g_i, minus rows of g_j whose shifts lie beyond s, so it adds
 nothing to the rank.
 
-Serre's multiplicity criterion, read off these invariants, certifies
-that S/I is Cohen-Macaulay; a certified ideal's sections by a regular
-sequence are saturated as they stand.
+Serre's criterion reads the same (Q, r): S/I is Cohen-Macaulay when its
+cut by r fixed linear forms is Artinian with Q_cut(1) = Q(1), and then
+its sections by a regular sequence are saturated as they stand.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import accumulate
 from math import comb, factorial
 from typing import Iterator, Sequence
 
@@ -295,10 +295,25 @@ def hilbert_series_numerator(ideal: Ideal) -> list[int]:
     return out
 
 
+def _h_polynomial(ideal: Ideal) -> tuple[list[int], int]:
+    """(Q, r) with HS(S/I) = Q(t)/(1-t)^r and Q(1) != 0: r is the Krull
+    dimension and Q(1) the multiplicity (Bruns & Herzog 4.1); ([0], 0)
+    for the unit ideal.  Read in R when some generators are bare variables
+    (`Ideal.split_variables`: S/I and R/Ibar are isomorphic graded rings)."""
+    split = ideal.split_variables()
+    if split is not None:
+        ideal = split[0]
+    q, r = hilbert_series_numerator(ideal), ideal.context.nvars
+    if q == [0]:
+        return q, 0
+    while sum(q) == 0:
+        # N = (1-t) * Q for Q_k = N_0 + ... + N_k, whose last sum N(1) is 0
+        q, r = list(accumulate(q))[:-1], r - 1
+    return q, r
+
+
 def _binomial_poly(shift: int, r: int) -> list[Fraction]:
     """binom(m + shift, r) expanded as a polynomial in m, ascending coeffs."""
-    if r == 0:
-        return [Fraction(1)]
     acc = [Fraction(1)]
     for i in range(r):
         # multiply by (m + shift - i)
@@ -312,23 +327,16 @@ def _binomial_poly(shift: int, r: int) -> list[Fraction]:
 
 
 def hilbert_polynomial(ideal: Ideal) -> HilbertPolynomial:
-    """Exact Hilbert polynomial of S/I from the series numerator:
-    P(m) = sum_k N_k * binom(m - k + n - 1, n - 1).
+    """Exact Hilbert polynomial of S/I from `_h_polynomial`'s (Q, r):
+    P(m) = sum_k Q_k * binom(m - k + r - 1, r - 1), and 0 when r = 0."""
+    return _from_h_polynomial(*_h_polynomial(ideal))
 
-    When some generators of I are bare variables, HP(S/I) = HP(R/Ibar)
-    for Ibar from `Ideal.split_variables` (S/I and R/Ibar are isomorphic
-    graded rings) and is read from Ibar's basis."""
-    split = ideal.split_variables()
-    if split is not None:
-        ideal = split[0]
-    numerator = hilbert_series_numerator(ideal)
-    n = ideal.context.nvars
-    coeffs = [Fraction(0)] * n
-    for k, nk in enumerate(numerator):
-        if nk == 0:
-            continue
-        for j, c in enumerate(_binomial_poly(n - 1 - k, n - 1)):
-            coeffs[j] += nk * c
+
+def _from_h_polynomial(q: list[int], r: int) -> HilbertPolynomial:
+    coeffs = [Fraction(0)] * r
+    for k, qk in enumerate(q if r else ()):
+        for j, c in enumerate(_binomial_poly(r - 1 - k, r - 1)):
+            coeffs[j] += qk * c
     return HilbertPolynomial(coeffs)
 
 
@@ -365,32 +373,22 @@ class CohenMacaulayCertificate:
 def certify_cohen_macaulay(ideal: Ideal) -> CohenMacaulayCertificate:
     """Serre's multiplicity criterion on a fixed linear system of parameters.
 
-    With r the degree of the Hilbert polynomial, the r + 1 Vandermonde
-    forms theta_k = sum_i (i+1)^k x_i, k = 0..r, are tried as a system
-    of parameters: if S/(I + theta) is Artinian, its length is at least
-    the degree of S/I, with equality exactly when S/I is Cohen-Macaulay
-    (Bruns & Herzog, Cohen-Macaulay Rings, 4.7).  Not proven means S/I
-    is not Cohen-Macaulay, the forms are not a system of parameters, or
-    S/I defines the empty scheme.  The length sums the Hilbert function
-    up to its first zero, after which every value is zero."""
-    hp = hilbert_polynomial(ideal)
-    proven = (hp.degree >= 0
-              and _parameter_length(ideal, hp.degree + 1) == hp.variety_degree())
-    return CohenMacaulayCertificate(ideal, hp, proven)
+    With HS(S/I) = Q(t)/(1-t)^r, the r Vandermonde forms theta_k =
+    sum_i (i+1)^k x_i, k < r, are tried as a system of parameters: if
+    S/(I + theta) is Artinian, its length Q_cut(1) is at least Q(1), with
+    equality exactly when S/I is Cohen-Macaulay (Bruns & Herzog 4.7).
+    Not proven means S/I is not Cohen-Macaulay, the forms are not a
+    system of parameters, or S/I defines the empty scheme (r = 0)."""
+    q, r = _h_polynomial(ideal)
+    proven = r > 0 and _parameter_length(ideal, r) == sum(q)
+    return CohenMacaulayCertificate(ideal, _from_h_polynomial(q, r), proven)
 
 
 def _parameter_length(ideal: Ideal, k: int) -> int | None:
-    """Length of S/(I + theta_0..theta_{k-1}), or None when it is not Artinian."""
+    """Length Q_cut(1) of S/(I + theta_0..theta_{k-1}), or None when not Artinian."""
     context = ideal.context
     units = [tuple(int(i == j) for j in range(context.nvars)) for i in range(context.nvars)]
     thetas = [Polynomial(context, {u: (i + 1) ** p for i, u in enumerate(units)})
               for p in range(k)]
-    cut = ideal + Ideal(context, thetas)
-    if hilbert_polynomial(cut).degree >= 0:
-        return None
-    length = 0
-    for d in count():
-        value = hilbert_function(cut, d)
-        if not value:
-            return length
-        length += value
+    q, r = _h_polynomial(ideal + Ideal(context, thetas))
+    return sum(q) if r == 0 else None

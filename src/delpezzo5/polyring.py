@@ -786,6 +786,15 @@ def format_ideal_text(context: RingContext, polys: Sequence[Polynomial],
     return "\n".join(lines) + "\n"
 
 
+def _header_entries(field: str, line: str) -> list[str]:
+    """The comma-separated entries of a header line, none when it is bare;
+    an empty entry is refused."""
+    entries = [e.strip() for e in line.split(",")] if line else []
+    if "" in entries:
+        raise ValueError(f"empty entry in {field} {line!r}")
+    return entries
+
+
 def parse_ideal_text(text: str) -> tuple[RingContext, list[Polynomial]]:
     """Parse the ring/weights/gens file format; ``gens:`` stands alone on
     one line, and the generators follow it, one per line."""
@@ -819,9 +828,9 @@ def parse_ideal_text(text: str) -> tuple[RingContext, list[Polynomial]]:
         raise ValueError("missing ring: line")
     if not seen_gens:
         raise ValueError("missing gens: line")
-    variables = [v.strip() for v in ring_line.split(",") if v.strip()]
+    variables = _header_entries("ring:", ring_line)
     weights = None
     if weights_line is not None:
-        weights = [int(w.strip()) for w in weights_line.split(",") if w.strip()]
+        weights = [int(w) for w in _header_entries("weights:", weights_line)]
     context = RingContext(variables, weights)
     return context, [parse_polynomial(line, context) for line in gen_lines]

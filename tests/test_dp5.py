@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from delpezzo5 import dp5, ideals, tables
-from delpezzo5.hilbert import (CohenMacaulayCertificate, HilbertPolynomial,
+from delpezzo5.hilbert import (CohenMacaulayCertificate, HilbertPolynomial, _h_polynomial,
                                hilbert_function, hilbert_polynomial)
 from delpezzo5.homspaces import tangent_dimension
 from delpezzo5.ideals import Ideal, _meet
@@ -29,6 +29,28 @@ HP_SECTION = HilbertPolynomial([0, 5])
 def orbit_ideal(*texts):
     return Ideal(MODEL.orbit, [parse_polynomial(t, MODEL.orbit)
                                for t in texts])
+
+
+class TestHPolynomial:
+    """HS = Q(t)/(1-t)^r on the threefold and every fixed curve: r is the
+    Krull dimension and Q(1) the degree."""
+
+    def test_threefold(self):
+        assert _h_polynomial(MODEL.threefold) == ([1, 3, 1], 4)
+
+    def test_residual_quartics_and_their_sections(self):
+        records = dp5.enumerate_fixed_quartics(MODEL).records
+        assert len(records) == 30
+        for r in records:
+            assert _h_polynomial(r.curve) == ([1, 3], 2)
+            assert _h_polynomial(r.quintic) == ([1, 3, 1], 2)
+
+    @pytest.mark.parametrize("degree, count, q", [(1, 3, [1]), (2, 5, [1, 1]),
+                                                  (3, 10, [1, 2])])
+    def test_lines_conics_cubics(self, degree, count, q):
+        curves = dp5.fixed_curves(MODEL, degree)
+        assert len(curves) == count
+        assert all(_h_polynomial(c.ideal) == (q, 2) for c in curves)
 
 
 class TestModel:

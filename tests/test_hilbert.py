@@ -18,6 +18,7 @@ from delpezzo5.polyring import LEX, Polynomial, RingContext, mono_divides, parse
 
 XY = RingContext(("x", "y"))
 XYZ = RingContext(("x", "y", "z"))
+XYZW = RingContext(("x", "y", "z", "w"))
 ORBIT = RingContext(("a6", "a4", "a2", "a0", "am2", "am4", "am6"),
                     (6, 4, 2, 0, -2, -4, -6))
 
@@ -286,6 +287,45 @@ class TestHilbertPolynomial:
                 assert hp(d) == hilbert_function(I, d)
 
 
+def numerator_formula(ideal, m):
+    """HP(m) = sum_k N_k * binom(m - k + n - 1, n - 1) with N the series
+    numerator over (1-t)^n, for m >= deg N so that no binomial has a
+    negative top."""
+    n = ideal.context.nvars
+    return sum(nk * comb(m - k + n - 1, n - 1)
+               for k, nk in enumerate(hilbert_series_numerator(ideal)))
+
+
+class TestHPolynomial:
+    """HS(S/I) = Q(t)/(1-t)^r with Q(1) != 0, and the Hilbert polynomial
+    read from it."""
+
+    @pytest.mark.parametrize("texts, expected", [
+        (("x*z - y^2", "y*w - z^2", "x*w - y*z"), ([1, 2], 2)),
+        (("x*z", "x*w", "y*z", "y*w"), ([1, 2, -1], 2)),
+        (("x^2", "y^2", "z^2", "w^2"), ([1, 4, 6, 4, 1], 0)),
+        (("x", "2*y"), ([1], 2)),
+        (("x", "y", "z", "w"), ([1], 0)),
+        (("0",), ([1], 4)),
+        (("1",), ([0], 0)),
+    ])
+    def test_small_ideals(self, texts, expected):
+        assert hilbert._h_polynomial(ideal(XYZW, *texts)) == expected
+
+    def test_against_the_numerator_formula(self):
+        rng = random.Random(109)
+        cases = [Ideal(XY, [XY.one()]), Ideal(XYZ, []),
+                 ideal(XYZ, "x^2", "y^3", "x*z", "z^2 - y*x")]
+        for names in ("xy", "xyz", "xyzw", "xyzwv"):
+            ctx = RingContext(tuple(names))
+            cases += [random_homogeneous_ideal(rng, ctx) for _ in range(5)]
+        for I in cases:
+            hp = hilbert_polynomial(I)
+            start = len(hilbert_series_numerator(I))
+            for m in range(start, start + I.context.nvars + 1):
+                assert hp(m) == numerator_formula(I, m), (I.gens, m)
+
+
 class TestSplitHilbertPolynomial:
     """HP(S/I) read in the ring without the variables that generate part
     of I, against the Groebner-free rank oracle in S."""
@@ -351,7 +391,6 @@ class TestDegreeMonomials:
                 assert list(degree_monomials(n, d)) == sorted(every, reverse=True)
 
 
-XYZW = RingContext(("x", "y", "z", "w"))
 SKEW_LINES = ideal(XYZW, "x*z", "x*w", "y*z", "y*w")    # (x, y) cap (z, w)
 TWISTED_CUBIC = ideal(XYZW, "x*z - y^2", "y*w - z^2", "x*w - y*z")
 
@@ -386,17 +425,38 @@ class TestCohenMacaulayCertificate:
         assert cert.proven
         assert cert.hilbert.degree == 3 and cert.hilbert.variety_degree() == 5
 
-    def test_forms_that_are_no_parameters_prove_nothing(self, monkeypatch):
+    def test_forms_that_are_no_parameters_prove_nothing(self):
         # a line through (1:-2:1:0), where both Vandermonde forms vanish:
-        # the cut is not Artinian and the Hilbert function never reaches 0
-        plain = hilbert.hilbert_function
+        # the cut is not Artinian, so it has no length
+        line = ideal(XYZW, "2*x + y", "x - z")
+        assert hilbert._parameter_length(line, 2) is None
+        assert not certify_cohen_macaulay(line).proven
 
-        def bounded(ideal, d, *args):
-            assert d < 32, "summed the Hilbert function of a non-Artinian cut"
-            return plain(ideal, d, *args)
+    def test_reads_no_hilbert_function(self, monkeypatch):
+        # the length of the Artinian cut is Q_cut(1), read off its series
+        def refuse(*args):
+            raise AssertionError("the certificate counted standard monomials")
 
-        monkeypatch.setattr(hilbert, "hilbert_function", bounded)
-        assert not certify_cohen_macaulay(ideal(XYZW, "2*x + y", "x - z")).proven
+        monkeypatch.setattr(hilbert, "hilbert_function", refuse)
+        monkeypatch.setattr(hilbert, "standard_monomials", refuse)
+        assert certify_cohen_macaulay(TWISTED_CUBIC).proven
+        assert certify_cohen_macaulay(x5()).proven
+        assert not certify_cohen_macaulay(SKEW_LINES).proven
+
+    @pytest.mark.parametrize("texts, k", [
+        (("x^2", "y^2", "z^2", "w^2"), 0),
+        (("x*y", "x^3", "y^4", "z^2 - x*w", "w^3"), 0),
+        (("x*z", "x*w", "y*z", "y*w"), 2),
+        (("x*z - y^2", "y*w - z^2", "x*w - y*z"), 2),
+        (("x*y - z^2", "x*w + y*z - w^2"), 2),
+        (("1",), 1),
+    ])
+    def test_parameter_length_sums_the_hilbert_function(self, texts, k):
+        thetas = forms("x + y + z + w", "x + 2*y + 3*z + 4*w")[:k]
+        cut = ideal(XYZW, *texts) + Ideal(XYZW, thetas)
+        values = [hilbert_function(cut, d) for d in range(12)]
+        assert values[-1] == 0
+        assert hilbert._parameter_length(ideal(XYZW, *texts), k) == sum(values)
 
     def test_empty_scheme_proves_nothing(self):
         assert not certify_cohen_macaulay(ideal(XYZW, "x", "y", "z", "w")).proven

@@ -337,6 +337,21 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_ideal_text(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("ring: x,,y\ngens:\nx\n", "empty entry in ring: 'x,,y'"),
+        ("ring: x, y,\ngens:\nx\n", "empty entry in ring: 'x, y,'"),
+        ("ring: ,x\ngens:\nx\n", "empty entry in ring: ',x'"),
+        ("ring: x, y\nweights: 1,,2\ngens:\nx\n", "empty entry in weights: '1,,2'"),
+        ("ring: x, y\nweights: 1, 2,\ngens:\nx\n", "empty entry in weights: '1, 2,'"),
+        ("ring: x, y\nweights: , 1, 2\ngens:\nx\n", "empty entry in weights: ', 1, 2'"),
+        ("ring:\ngens:\n", "a ring context needs at least one variable"),
+    ], ids=["ring-inner", "ring-trailing", "ring-leading", "weights-inner",
+            "weights-trailing", "weights-leading", "ring-bare"])
+    def test_empty_header_entry_rejected(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_ideal_text(text)
+        assert str(err.value) == message
+
     def test_formatting_deterministic(self):
         q = parse_polynomial("a6*am2 - 4*a4*a0 + 3*a2^2", ORBIT)
         # grevlex-descending term listing, independent of input spelling

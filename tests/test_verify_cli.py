@@ -260,6 +260,20 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == message + "\n"
 
+    @pytest.mark.parametrize("header, message", [
+        ("ring: x,,y", "error: empty entry in ring: 'x,,y'"),
+        ("ring: x, y,", "error: empty entry in ring: 'x, y,'"),
+        ("ring: x, y\nweights: 1, 2,", "error: empty entry in weights: '1, 2,'"),
+        ("ring: x, y\nweights: ,1, 2", "error: empty entry in weights: ',1, 2'"),
+    ], ids=["ring-inner", "ring-trailing", "weights-trailing", "weights-leading"])
+    def test_gb_refuses_an_empty_header_entry(self, tmp_path, capsys, header, message):
+        path = tmp_path / "i.txt"
+        path.write_text(header + "\ngens:\nx^2 - y\n")
+        assert cli.main(["gb", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
     def test_compare_equal_exit_zero(self, x5_file, tmp_path, capsys):
         other = tmp_path / "same.txt"
         other.write_text(X5_TEXT)
