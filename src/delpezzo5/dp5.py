@@ -391,9 +391,9 @@ def residual_quartic(model: DP5Model, line: str, pick: Sequence[int]) -> Residua
 
 def mirror_ideal(model: DP5Model, ideal: Ideal) -> Ideal:
     """Image under the involution a_w -> a_{-w}."""
-    # ORBIT_VARIABLES lists a_w by weight 6 ... -6: a_w -> a_{-w} reverses each exponent vector
-    return Ideal(model.orbit, [Polynomial(model.orbit, {e[::-1]: c for e, c in g.terms.items()})
-                               for g in ideal.gens])
+    # ORBIT_VARIABLES lists a_w by weight 6 ... -6: a_w -> a_{-w} reverses the variables
+    at = range(model.orbit.nvars - 1, -1, -1)
+    return Ideal(model.orbit, [g.moved(model.orbit, at) for g in ideal.gens])
 
 
 @dataclass(frozen=True, eq=False)

@@ -120,7 +120,7 @@ def divisor_triples(divisors: Sequence[Polynomial], order: MonomialOrder,
             raise ValueError("ring context mismatch")
         if d.is_zero():
             raise ValueError("zero divisor in normal form")
-    return _as_divisors(context, divisors, order, packing)[1]
+    return _as_divisors(divisors, order, packing)[1]
 
 
 def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
@@ -421,7 +421,7 @@ def interreduced_basis(basis: Sequence[Polynomial], order: MonomialOrder) -> Gro
 
 def _reduced(context: RingContext, gens: Sequence[Polynomial], order: MonomialOrder,
              eliminate: Sequence[int], basis_of) -> GroebnerBasis:
-    """`_interreduced` of ``basis_of(context, gens, order, packing)``, a
+    """`_interreduced` of ``basis_of(gens, order, packing)``, a
     Groebner basis of the nonzero gens as packed primitive integer terms
     with their divisor triples, at the gens' widest packing and again at
     a wider one whenever a product outgrows it."""
@@ -431,13 +431,13 @@ def _reduced(context: RingContext, gens: Sequence[Polynomial], order: MonomialOr
     packing = _widest(nonzero, context)
     while True:
         try:
-            G, triples = basis_of(context, nonzero, order, packing)
+            G, triples = basis_of(nonzero, order, packing)
             return _interreduced(context, order, G, triples, eliminate)
         except PackingOverflow:
             packing = context.packing(packing.limit + 1)
 
 
-def _as_divisors(context: RingContext, gens: Sequence[Polynomial], order: MonomialOrder,
+def _as_divisors(gens: Sequence[Polynomial], order: MonomialOrder,
                  packing: Packing) -> tuple[list[dict[int, int]], DivisorTriples]:
     """The nonzero ``gens`` as packed primitive integer terms with positive
     leads and their divisor triples, as `_buchberger` starts and returns
@@ -450,13 +450,13 @@ def _as_divisors(context: RingContext, gens: Sequence[Polynomial], order: Monomi
     return G, DivisorTriples(triples, packing, key)
 
 
-def _buchberger(context: RingContext, gens: list[Polynomial], order: MonomialOrder,
+def _buchberger(gens: list[Polynomial], order: MonomialOrder,
                 packing: Packing) -> tuple[list[dict[int, int]], DivisorTriples]:
     """A Groebner basis of nonzero ``gens`` at one packing, as packed
     primitive integer terms with positive leads and their divisor
     triples; raises `PackingOverflow` when a product outgrows the
     packing."""
-    G, triples = _as_divisors(context, gens, order, packing)
+    G, triples = _as_divisors(gens, order, packing)
     key, degree, guard, width = triples.key, packing.degree, packing.guard, packing.width
     # the open pairs, as a set for the chain criterion and as a heap of
     # (lcm degree, lcm order key, i, j) for selection; a pair leaves both
@@ -556,16 +556,10 @@ def syzygy_columns(gens: Sequence[Polynomial]) -> list[list[Polynomial]]:
     tagged = context
     for _ in range(m + 1):
         tagged = tagged.extended(tagged.fresh_name("y"))
-    width = n + m + 1
-    relations = []
-    for k, f in enumerate(gens):
-        tag = [0] * width
-        tag[n + k] = 1
-        terms = {e + (0,) * m + (1,): -c for e, c in f.terms.items()}
-        terms[tuple(tag)] = Fraction(1)
-        relations.append(Polynomial(tagged, terms))
-    z = (n + m,)
-    gb = reduced_groebner_basis(relations, elimination_order(width, z), eliminate=z)
+    *y, z = tagged.gens()[n:]
+    relations = [y_k - z * f.moved(tagged, range(n)) for y_k, f in zip(y, gens)]
+    last = (n + m,)
+    gb = reduced_groebner_basis(relations, elimination_order(n + m + 1, last), eliminate=last)
 
     columns = []
     for g in gb:

@@ -54,9 +54,8 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     """
     if source.context != target.context:
         raise ValueError("source and target live in different ring contexts")
-    for g in source.gens:
-        if not g.is_homogeneous():
-            raise ValueError("graded Hom needs homogeneous source generators")
+    if not source.is_homogeneous():
+        raise ValueError("graded Hom needs a homogeneous source ideal")
     if not target.is_homogeneous():
         raise ValueError("graded Hom needs a homogeneous target ideal")
     gb = source.groebner(GREVLEX)

@@ -138,12 +138,9 @@ class Ideal:
         ctx = self.context
         tname = ctx.fresh_name("t")
         ext = ctx.extended(tname)  # weight 0 keeps any torus grading intact
-        t = ext.variable(tname)
-        lift = [_lift(ext, g) for g in self.gens + other.gens]
-        mine = lift[: len(self.gens)]
-        theirs = lift[len(self.gens):]
-        one = ext.one()
-        gens = [t * f for f in mine] + [(one - t) * g for g in theirs]
+        t, at = ext.variable(tname), range(ctx.nvars)
+        gens = ([t * f.moved(ext, at) for f in self.gens]
+                + [(ext.one() - t) * g.moved(ext, at) for g in other.gens])
         return _eliminate_to(ext, gens, drop=(ext.nvars - 1,), target=ctx)
 
     def quotient(self, other) -> "Ideal":
@@ -178,9 +175,8 @@ class Ideal:
         ctx = self.context
         tname = ctx.fresh_name("t")
         ext = ctx.extended(tname)
-        t = ext.variable(tname)
-        gens = [_lift(ext, g) for g in self.gens]
-        gens.append(ext.one() - t * _lift(ext, f))
+        t, at = ext.variable(tname), range(ctx.nvars)
+        gens = [g.moved(ext, at) for g in self.gens] + [ext.one() - t * f.moved(ext, at)]
         return _eliminate_to(ext, gens, drop=(ext.nvars - 1,), target=ctx)
 
     def saturate_variable(self, name: str) -> "Ideal":
@@ -258,11 +254,12 @@ class Ideal:
             return None
         keep = _kept(context.nvars, dropped)
         target = context.restricted(keep)
-        cut = Ideal(target, _restricted(target, self.gens, keep))
+        at = _onto(keep, context.nvars)
+        cut = Ideal(target, _nonzero(g.moved(target, at) for g in self.gens))
         gb = self._gb_cache.get(GREVLEX)
         if gb is not None:
             cut._gb_cache[GREVLEX] = GroebnerBasis(target, GREVLEX,
-                                                   _restricted(target, gb, keep))
+                                                   _nonzero(g.moved(target, at) for g in gb))
         else:
             self._gb_cache[GREVLEX] = _lifted_basis(context, cut.groebner(), dropped)
         return cut, tuple(dropped)
@@ -301,7 +298,8 @@ class Ideal:
         base, dropped = split if split is not None else (self, ())
         keep = _kept(self.context.nvars, dropped)
         if dropped:
-            nonzero = [_restrict(base.context, g, keep) for g in nonzero]
+            at = _onto(keep, self.context.nvars)
+            nonzero = [g.moved(base.context, at) for g in nonzero]
         outside = [g for g in nonzero if not base.contains(g)]
         if not outside:
             return Ideal(self.context, [self.context.one()])
@@ -321,7 +319,7 @@ class Ideal:
         if not dropped:
             return meet
         context = self.context
-        lifted = Ideal(context, [_lift(context, g, keep) for g in meet.gens]
+        lifted = Ideal(context, [g.moved(context, keep) for g in meet.gens]
                        + _variables(context, dropped))
         lifted._gb_cache[GREVLEX] = _lifted_basis(context, meet.groebner(), dropped)
         return lifted
@@ -340,23 +338,23 @@ def _as_variable(f: Polynomial) -> str | None:
     """The variable name when f is a scalar multiple of one, else None."""
     if len(f.packed) != 1:
         return None
-    (exps,) = f.terms
-    if sum(exps) != 1:
+    (m,) = f.packed
+    if f.packing.degree(m) != 1:
         return None
-    return f.context.variables[exps.index(1)]
+    return f.context.variables[f.packing.unpack(m).index(1)]
 
 
 def _lifted_basis(context: RingContext, gb: GroebnerBasis,
                   dropped: Sequence[int]) -> GroebnerBasis:
     """The reduced grevlex basis of J + (x) in ``context``, the x the
     variables at the ``dropped`` indices, from ``gb``, J's reduced grevlex
-    basis in the ring of the other variables: gb lifted, plus the x
-    unless J is the unit ideal, sorted by decreasing lead.  For h in
-    J + (x), a lead free of the x is the lead of h's terms free of
-    them, which lie in J; grevlex compares monomials free of the x as
-    the smaller ring's grevlex does."""
+    basis in the ring of the other variables: gb lifted by
+    `Polynomial.moved`, plus the x unless J is the unit ideal, sorted by
+    decreasing lead.  For h in J + (x), a lead free of the x is the lead
+    of h's terms free of them, which lie in J; grevlex compares monomials
+    free of the x as the smaller ring's grevlex does."""
     keep = _kept(context.nvars, dropped)
-    elements = [_lift(context, g, keep) for g in gb]
+    elements = [g.moved(context, keep) for g in gb]
     if not (len(gb) == 1 and gb.elements[0].is_constant()):
         elements += _variables(context, dropped)
         packing = max((g.packing for g in elements), key=lambda k: k.bits)
@@ -399,23 +397,6 @@ def _divide_variable(g: Polynomial, idx: int, k: int) -> Polynomial:
                                   {m - step: c for m, c in g.packed.items()})
 
 
-def _lift(ext: RingContext, p: Polynomial, at: Sequence[int] | None = None) -> Polynomial:
-    """Reinterpret p in a context with more variables, p's variables at
-    the indices ``at`` (by default the first ones)."""
-    if p.is_zero():
-        return ext.zero()
-    if at is None:
-        extra = (0,) * (ext.nvars - p.context.nvars)
-        return Polynomial(ext, {m + extra: c for m, c in p.terms.items()})
-    terms = {}
-    for m, c in p.terms.items():
-        e = [0] * ext.nvars
-        for i, k in zip(at, m):
-            e[i] = k
-        terms[tuple(e)] = c
-    return Polynomial(ext, terms)
-
-
 def _variables(context: RingContext, indices: Sequence[int]) -> list[Polynomial]:
     return [context.variable(context.variables[i]) for i in indices]
 
@@ -424,21 +405,13 @@ def _kept(nvars: int, dropped: Sequence[int]) -> list[int]:
     return [i for i in range(nvars) if i not in dropped]
 
 
-def _restricted(target: RingContext, polys: Iterable[Polynomial],
-                keep: Sequence[int]) -> list[Polynomial]:
-    """The nonzero `_restrict` of each polynomial."""
-    return [r for r in (_restrict(target, p, keep) for p in polys) if not r.is_zero()]
+def _onto(keep: Sequence[int], nvars: int) -> list[int | None]:
+    """`Polynomial.moved` onto the ring of the ``keep`` variables."""
+    return [keep.index(i) if i in keep else None for i in range(nvars)]
 
 
-def _restrict(target: RingContext, p: Polynomial, keep: Sequence[int]) -> Polynomial:
-    """p with every variable outside ``keep`` set to 0, in the target
-    context of the kept variables."""
-    terms = {}
-    for e, c in p.terms.items():
-        m = tuple(e[i] for i in keep)
-        if sum(m) == sum(e):
-            terms[m] = c
-    return Polynomial(target, terms)
+def _nonzero(polys: Iterable[Polynomial]) -> list[Polynomial]:
+    return [p for p in polys if not p.is_zero()]
 
 
 def _eliminate_to(ctx: RingContext, gens: Sequence[Polynomial], drop: tuple[int, ...],
@@ -454,8 +427,8 @@ def _eliminate_to(ctx: RingContext, gens: Sequence[Polynomial], drop: tuple[int,
     if not gens:
         return Ideal(target, [])
     gb = reduced_groebner_basis(gens, elimination_order(ctx.nvars, drop), eliminate=drop)
-    keep = _kept(ctx.nvars, drop)
-    elements = [_restrict(target, g, keep) for g in gb]
+    at = _onto(_kept(ctx.nvars, drop), ctx.nvars)
+    elements = [g.moved(target, at) for g in gb]
     ideal = Ideal(target, elements)
     ideal._gb_cache[GREVLEX] = GroebnerBasis(target, GREVLEX, elements)
     return ideal

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
@@ -75,7 +76,7 @@ class Packing:
     """
 
     __slots__ = ("nvars", "bits", "width", "limit", "guard", "pack", "fields", "unpack",
-                 "degree")
+                 "degree", "_keys")
 
     def __init__(self, nvars: int, bits: int):
         self.nvars = nvars
@@ -104,9 +105,10 @@ class Packing:
         self.fields = fields      # packed int -> its exponents, an iterable of ints
         self.unpack = lambda m: tuple(fields(m))
         self.degree = lambda m: sum(fields(m))
+        self._keys: dict[MonomialOrder, Callable[[int], int]] = {}  # order -> `key`
 
     def __reduce__(self):
-        # the closures above do not pickle; the two numbers rebuild them
+        # the closures above and the keys do not pickle; the two numbers rebuild them
         return Packing, (self.nvars, self.bits)
 
     @staticmethod
@@ -127,17 +129,23 @@ class Packing:
     def key(self, order: "MonomialOrder") -> Callable[[int], int]:
         """The int order key of a packed monomial under ``order``: the
         order's `MonomialOrder.linear_form` in base ``2**bits``, so the
-        key of a product is the sum of the keys."""
+        key of a product is the sum of the keys.  Built once per order."""
+        key = self._keys.get(order)
+        if key is not None:
+            return key
         n, top = self.nvars, self.width
         if type(order) is GrevlexOrder:
             # sum e_i * (B^n - B^i) = degree * B^n - m
             degree = self.degree
-            return lambda m: (degree(m) << top) - m
-        if type(order) is LexOrder and self.bits == 8:
+            key = lambda m: (degree(m) << top) - m
+        elif type(order) is LexOrder and self.bits == 8:
             # sum e_i * B^(n-1-i): the fields in reverse
-            return lambda m: int.from_bytes(m.to_bytes(n, "little"), "big")
-        form, fields = order.linear_form(n, 1 << self.bits), self.fields
-        return lambda m: sum(map(mul, form, fields(m)))
+            key = lambda m: int.from_bytes(m.to_bytes(n, "little"), "big")
+        else:
+            form, fields = order.linear_form(n, 1 << self.bits), self.fields
+            key = lambda m: sum(map(mul, form, fields(m)))
+        self._keys[order] = key
+        return key
 
 
 class RingContext:
@@ -449,6 +457,17 @@ class Polynomial:
         return Polynomial.from_packed(self.context, packing,
                                       {pack(unpack(m)): c for m, c in self.packed.items()})
 
+    def moved(self, target: RingContext, at: Sequence[int | None]) -> "Polynomial":
+        """The image under the ring map sending variable i to variable
+        ``at[i]`` of ``target``, distinct indices, or to 0 (its terms
+        dropped) when ``at[i]`` is None.  Each packed monomial's fields
+        are copied straight into ``target``'s packing of the same width."""
+        packing, limit = self.packing, self.packing.limit
+        shifts, drop = _move_plan(tuple(at), packing.nvars, packing.bits, target.nvars)
+        packed = {sum(((m >> s) & limit) << t for s, t in shifts): c
+                  for m, c in self.packed.items() if not m & drop}
+        return Polynomial.from_packed(target, target.packing(limit), packed)
+
     def _aligned(self, other: "Polynomial") -> tuple[Packing, dict, dict]:
         """The wider packing of the two and both packed maps under it."""
         if self.packing.bits == other.packing.bits:
@@ -621,6 +640,20 @@ class Polynomial:
 
     def is_weight_homogeneous(self) -> bool:
         return len(self.weight_components()) <= 1
+
+
+@lru_cache(maxsize=256)
+def _move_plan(at: tuple, nvars: int, bits: int, target_nvars: int) -> tuple[tuple, int]:
+    """How `Polynomial.moved` copies fields of width ``bits``: the source
+    and target shift of each variable ``at`` keeps, and the mask of the
+    fields of the variables it sends to 0."""
+    images = [j for j in at if j is not None]
+    if len(at) != nvars or len(set(images)) != len(images) \
+            or images and not 0 <= min(images) <= max(images) < target_nvars:
+        raise ValueError(f"bad map {at} of {nvars} variables into {target_nvars}")
+    limit = (1 << (bits - 1)) - 1
+    drop = sum(limit << (i * bits) for i, j in enumerate(at) if j is None)
+    return tuple((i * bits, j * bits) for i, j in enumerate(at) if j is not None), drop
 
 
 def substitute_linear(p: Polynomial, images: Mapping[str, Polynomial],

@@ -537,10 +537,10 @@ class TestWideExponents:
         runs, raised = [], []
         buchberger, divide_int = groebner._buchberger, groebner._divide_int
 
-        def run(context, gens, order, packing):
+        def run(gens, order, packing):
             runs.append([packing.bits, False])
             try:
-                return buchberger(context, gens, order, packing)
+                return buchberger(gens, order, packing)
             except PackingOverflow:
                 runs[-1][1] = True
                 raise

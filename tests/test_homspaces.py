@@ -57,6 +57,16 @@ class TestGradedHom:
     def test_inhomogeneous_rejected(self):
         with pytest.raises(ValueError):
             graded_hom_dimension(ideal(XY, "x^2 - 1"), ideal(XY, "x"))
+        with pytest.raises(ValueError, match="^graded Hom needs a homogeneous source ideal"):
+            tangent_dimension(ideal(XYZ, "x", "y^2 - z"))
+
+    def test_source_is_checked_as_an_ideal(self):
+        # (x, x^2*y - z^2) = (x, z^2) is homogeneous though one generator
+        # is not: the answer does not depend on the presentation
+        for source in (ideal(XYZ, "x", "x^2*y - z^2"), ideal(XYZ, "x", "z^2")):
+            assert tangent_dimension(source) == 4
+            assert graded_hom_dimension(source, ideal(XYZ, "x", "z^2")) == 4
+            assert graded_hom_dimension(ideal(XYZ, "x", "z^2"), source) == 4
 
     @pytest.mark.parametrize("e, twist", [(128, -1), (128, -100), (300, -200), (300, -250)])
     def test_principal_source_wider_than_the_solve(self, e, twist):

@@ -277,6 +277,100 @@ class TestPackedMonomials:
         assert q.total_degree() == 40000
         assert format_polynomial(q) == "-y^40000 + x^300 + z"
 
+    @pytest.mark.parametrize("top", [0, 200], ids=["8-bit", "16-bit"])
+    def test_key_built_once_per_order(self, top):
+        packing = RingContext(("a", "b", "c")).packing(top)
+        for order in every_order_class(3):
+            assert packing.key(order) is packing.key(order), order
+        # an equal order built anew finds the same key
+        assert packing.key(elimination_order(3, (1,))) is packing.key(elimination_order(3, (1,)))
+        back = pickle.loads(pickle.dumps(packing))
+        assert (back.nvars, back.bits) == (packing.nvars, packing.bits)
+        m = packing.pack((3, 1, 2))
+        for order in every_order_class(3):
+            assert back.key(order)(m) == packing.key(order)(m), order
+
+
+def moved_by_tuples(q, target, at):
+    """The tuple route that `Polynomial.moved` replaces: decode each term,
+    drop it when a variable sent to 0 occurs, remap the rest, pack again."""
+    terms = {}
+    for exps, c in q.terms.items():
+        if any(e for e, j in zip(exps, at) if j is None):
+            continue
+        image = [0] * target.nvars
+        for e, j in zip(exps, at):
+            if j is not None:
+                image[j] = e
+        terms[tuple(image)] = c
+    return Polynomial(target, terms)
+
+
+def seeded_polynomials(ctx, seed, top):
+    """Polynomials with up to six terms, zero included, whose exponents
+    are small or ``top``: 16-bit packed when top is at least 128."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            exps = tuple(rng.choice((0, 0, 1, 2, top)) for _ in range(ctx.nvars))
+            terms[exps] = rng.randint(-5, 5)
+        yield Polynomial(ctx, terms)
+
+
+class TestMoved:
+    """`Polynomial.moved` against the tuple route, at both packing widths."""
+
+    FIVE = RingContext(("a", "b", "c", "d", "e"), (2, 1, 0, -1, -2))
+
+    @staticmethod
+    def assert_moved(q, target, at):
+        image = q.moved(target, at)
+        reference = moved_by_tuples(q, target, at)
+        assert list(image.terms.items()) == list(reference.terms.items())
+        assert image == reference and image.context == target
+        assert image.packing.bits == q.packing.bits
+        return image
+
+    @pytest.mark.parametrize("top", [3, 200], ids=["8-bit", "16-bit"])
+    def test_dropping_removes_exactly_the_terms_involving_it(self, top):
+        target = self.FIVE.restricted((0, 2, 4))
+        at = (0, None, 1, None, 2)
+        for q in seeded_polynomials(self.FIVE, 7 + top, top):
+            image = self.assert_moved(q, target, at)
+            # lifted back, the image is q less exactly its terms in b or d
+            rest = q - image.moved(self.FIVE, (0, 2, 4))
+            assert all(e[1] or e[3] for e in rest.terms)
+            assert len(rest.packed) + len(image.packed) == len(q.packed)
+
+    @pytest.mark.parametrize("top", [3, 200], ids=["8-bit", "16-bit"])
+    def test_scattering_into_a_larger_ring(self, top):
+        big = RingContext(("u", "v", "w", "x", "y", "z"))
+        for at in ((4, 0, 2), (0, 1, 2), (3, 4, 5), (5, 3, 1)):
+            back = [None] * big.nvars
+            for i, j in enumerate(at):
+                back[j] = i
+            for q in seeded_polynomials(XYZ, 11 + top, top):
+                image = self.assert_moved(q, big, at)
+                assert image.moved(XYZ, back) == q
+                # the image multiplies like the tuple-built polynomial
+                other = random_poly(random.Random(top), big)
+                assert image * other == moved_by_tuples(q, big, at) * other
+
+    @pytest.mark.parametrize("top", [3, 200], ids=["8-bit", "16-bit"])
+    def test_reversing_twice_is_the_identity(self, top):
+        at = range(ORBIT.nvars - 1, -1, -1)
+        for q in seeded_polynomials(ORBIT, 13 + top, top):
+            once = self.assert_moved(q, ORBIT, at)
+            twice = once.moved(ORBIT, at)
+            assert twice.packed == q.packed and twice.packing is q.packing
+
+    @pytest.mark.parametrize("at", [(0, 1), (0, 1, 1), (0, 1, 3), (0, None, -1)],
+                             ids=["short", "repeated", "outside", "negative"])
+    def test_bad_images_rejected(self, at):
+        with pytest.raises(ValueError):
+            p("x*y - z").moved(XYZ, at)
+
 
 class TestTextFormat:
     def test_polynomial_round_trip(self):

@@ -298,6 +298,15 @@ class TestCLI:
         assert captured.err.splitlines() == [
             "error: ambient ideal is not contained in the source ideal"]
 
+    def test_tangent_of_a_homogeneous_ideal_with_an_inhomogeneous_generator(self, tmp_path,
+                                                                          capsys):
+        # (x, x^2*y - z^2) = (x, z^2): accepted as it would be as (x, z^2)
+        for gens in ("x\nx^2*y - z^2", "x\nz^2"):
+            curve = tmp_path / "curve.txt"
+            curve.write_text(f"ring: x, y, z\ngens:\n{gens}\n")
+            assert cli.main(["tangent", str(curve)]) == 0
+            assert capsys.readouterr().out.splitlines() == ["ambient: 4"]
+
     @pytest.mark.parametrize("text, message", [
         ("z^2 - z", "graded Hom needs homogeneous ambient generators"),
         ("z^2", "ambient ideal is not contained in the source ideal"),
