@@ -255,9 +255,10 @@ def fixed_lines(model: DP5Model) -> list[FixedCurveRecord]:
             positions = (_pair_position(vertex, s), _pair_position(vertex, t))
             if any(pos in support for pos in positions):
                 continue
-            spanned = {
-                _image_variable(model.images[tables.PLUCKER_VARIABLES[pos]])
-                for pos in positions}
+            spanned = {model.images[tables.PLUCKER_VARIABLES[pos]].variable_name()
+                       for pos in positions}
+            if None in spanned:
+                raise ValueError("a fixed line's Pluecker coordinate has no orbit variable as image")
             gens = [model.orbit.variable(v) for v in tables.ORBIT_VARIABLES
                     if v not in spanned]
             ideal = Ideal(model.orbit, gens)
@@ -268,11 +269,6 @@ def fixed_lines(model: DP5Model) -> list[FixedCurveRecord]:
                 "spanned": tuple(sorted(spanned)),
             }))
     return records
-
-
-def _image_variable(p: Polynomial) -> str:
-    (exps,) = p.terms
-    return p.context.variables[exps.index(1)]
 
 
 def fixed_conics(model: DP5Model) -> list[FixedCurveRecord]:

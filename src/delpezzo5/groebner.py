@@ -34,7 +34,8 @@ with no S-pair.  One builder,
 `_s_polynomial`, forms every S-polynomial in ints, for Buchberger and
 for `basis_syzygies` (which returns ints) alike.  `normal_form` keeps its exact Fraction results, converting the
 dividend once on the way in and the results once on the way out.  A
-`GroebnerBasis` keeps its divisor triples per field width, and
+`GroebnerBasis` keeps its divisor triples per field width, and what a
+caller derives from it alone under the caller's key (`kept`), and
 `monomial_remainder` returns a monomial's remainder as the kernel's
 ints over one denominator.
 """
@@ -44,7 +45,7 @@ from bisect import insort
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .linalg import integer_terms, primitive
 from .polyring import (
@@ -59,6 +60,7 @@ from .polyring import (
     elimination_order,
 )
 
+T = TypeVar("T")
 Triple = tuple  # (lead, lc, (steps, coefficients)) of one divisor; see `_divisor`
 
 
@@ -239,9 +241,12 @@ class GroebnerBasis:
     `triples_at` holds each element's ``(lead, lc, tail)`` per field
     width, built on first use (none before), so that dividing by the basis
     never recomputes a lead term; the elements share one ``packing``.
+    `kept` holds whatever else a caller derives from the basis alone,
+    built on first use under the caller's key: a Hom solve keeps the
+    source's S-pair syzygies and the target's standard monomials there.
     """
 
-    __slots__ = ("context", "order", "elements", "packing", "_triples")
+    __slots__ = ("context", "order", "elements", "packing", "_triples", "_kept")
 
     def __init__(self, context: RingContext, order: MonomialOrder,
                  elements: Sequence[Polynomial]):
@@ -251,6 +256,7 @@ class GroebnerBasis:
         self.elements = tuple(g.repacked(packing) for g in elements)
         self.packing = packing
         self._triples: dict[int, DivisorTriples] | None = None  # field width -> triples
+        self._kept: dict | None = None
 
     def triples_at(self, packing: Packing) -> DivisorTriples:
         """The elements' `divisor_triples` under ``packing``, built once per width."""
@@ -259,6 +265,18 @@ class GroebnerBasis:
         if packing.bits not in self._triples:
             self._triples[packing.bits] = divisor_triples(self.elements, self.order, packing)
         return self._triples[packing.bits]
+
+    def kept(self, key, build: Callable[[], T]) -> T:
+        """``build()`` on the first call with ``key``, the same object on
+        every later one.  The basis never changes, so what depends on it
+        alone is derived once; the caller keys it by everything else it
+        depends on, and keeps it immutable, since every later caller
+        shares it."""
+        if self._kept is None:
+            self._kept = {}
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
 
     def normal_form(self, p: Polynomial, with_quotients: bool = False):
         # checked here too: the zero ideal has no element to check against

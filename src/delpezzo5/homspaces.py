@@ -19,6 +19,17 @@ fraction-free, cf. Bareiss 1968): the equation blocks come as ints, each
 monomial's remainder as ints over one denominator, and each block is
 scaled by the lcm of its remainders' denominators only (see `_rank`).
 
+A solve derives each fact of its bases once, however many solves read
+the same bases (both tangent numbers of one curve, for instance): the
+source's reduced basis keeps its S-pair syzygies per (field width,
+coprime skip), the target's keeps its standard monomials per degree
+(`GroebnerBasis.kept`), both as tuples, and each solve builds its own
+block list from them.  A tangent space's target is its source, so the
+containment that allows the coprime skip holds by identity and is not
+tested.  The monomial remainders stay per solve: keeping them on the
+target's basis would hold every product any solve met for as long as
+the basis lives, also where each basis is solved against once.
+
 The dimension of the degree-0 part of Hom(I_C, S/I_C) is the tangent
 space to the Hilbert scheme of the ambient projective space at [C];
 with ``within`` it is the tangent space of the Hilbert scheme of X.
@@ -26,6 +37,7 @@ with ``within`` it is the tangent space of the Hilbert scheme of X.
 from __future__ import annotations
 
 from math import lcm
+from typing import Sequence
 
 from .groebner import basis_syzygies
 from .hilbert import standard_monomials
@@ -43,7 +55,9 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     ``source``.  When ``target`` contains ``source``, the S-pair
     syzygies of basis pairs with coprime leads are skipped: they add
     nothing beyond the Koszul relations, which are zero in S/target.
-    Containment is tested only when some pair of leads is coprime.
+    Containment is tested only when some pair of leads is coprime and
+    ``target`` is not ``source`` itself.  The syzygies and the standard
+    monomials come from what earlier solves kept on the two bases.
     The ambient generators' blocks are always kept.  The solve runs once
     on packed monomials: everything being homogeneous, each product
     c * x^m of a block and each term of its normal form has degree
@@ -78,15 +92,9 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
         return 0
     tgb = target.groebner(GREVLEX)
 
-    # one unknown per (basis element, standard monomial of matching
-    # degree); the standard monomials of each degree are listed once
-    bases: list[list[Exponents]] = []
-    by_degree: dict[int, list[Exponents]] = {}
-    for g in gb:
-        d = g.total_degree() + twist
-        if d not in by_degree:
-            by_degree[d] = standard_monomials(target, d) if d >= 0 else []
-        bases.append(by_degree[d])
+    # one unknown per (basis element, standard monomial of matching degree)
+    shifted = [g.total_degree() + twist for g in gb]
+    bases = [_standard_monomials(target, tgb, d) for d in shifted]
     unknowns = sum(map(len, bases))
     if not unknowns:
         return 0
@@ -94,14 +102,17 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     # the containment test can only change the blocks when some leads are coprime
     leads, lcm_of = gb.triples_at(gb.packing).leads, gb.packing.lcm
     pairs = [(lcm_of(a, b), a + b) for k, a in enumerate(leads) for b in leads[k + 1:]]
-    skip = any(m == product for m, product in pairs) and target.contains_ideal(source)
+    skip = any(m == product for m, product in pairs) \
+        and (target is source or target.contains_ideal(source))
     degrees = [w.total_degree() for w in within.gens] if within is not None else []
     degrees += [gb.packing.degree(m) for m, product in pairs if not (skip and m == product)]
-    top = max(max(by_degree), max(degrees, default=0) + max(twist, 0))
+    top = max(max(shifted), max(degrees, default=0) + max(twist, 0))
     packing = max(gb.packing, tgb.packing, target.context.packing(top), key=lambda k: k.bits)
 
-    # one int block per kept S-pair syzygy and per ambient generator (cleared as a whole)
-    blocks = basis_syzygies(gb, packing, skip)
+    # one int block per kept S-pair syzygy and per ambient generator (cleared
+    # as a whole); the list is this solve's own, the syzygies are shared
+    blocks = list(gb.kept(("syzygies", packing.bits, skip),
+                          lambda: tuple(map(tuple, basis_syzygies(gb, packing, skip)))))
     for q in ambient:
         cleared = [integer_terms(qk.repacked(packing).packed) for qk in q]
         den = lcm(*(d for _, d in cleared))
@@ -109,7 +120,16 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     return unknowns - _rank(tgb, bases, blocks, packing)
 
 
-def _rank(tgb, bases: list[list[Exponents]], blocks: list[list[dict[int, int]]],
+def _standard_monomials(target: Ideal, tgb, d: int) -> tuple[Exponents, ...]:
+    """The degree-d standard monomials of ``target``, whose reduced grevlex
+    basis is ``tgb``, listed on the first solve that reads them and kept
+    on ``tgb``; none below degree 0."""
+    if d < 0:
+        return ()
+    return tgb.kept(("standard monomials", d), lambda: tuple(standard_monomials(target, d)))
+
+
+def _rank(tgb, bases: list[Sequence[Exponents]], blocks: list[Sequence[dict[int, int]]],
           packing: Packing) -> int:
     """Rank of the equations sum_i coeffs[i] * phi(g_i) = 0 in S/target,
     one block of int coefficients at a time, with every monomial packed

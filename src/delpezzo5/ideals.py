@@ -145,7 +145,7 @@ class Ideal:
 
     def quotient(self, other) -> "Ideal":
         """Ideal quotient (I : f) or (I : J)."""
-        return self._fold(other, "quotient", Ideal.quotient_variable, Ideal._quotient_poly)
+        return self._fold(other, saturate=False)
 
     def quotient_variable(self, name: str) -> "Ideal":
         """Quotient (I : x) of a homogeneous ideal by a variable."""
@@ -169,7 +169,7 @@ class Ideal:
 
     def saturate(self, other) -> "Ideal":
         """Saturation (I : f^inf) or (I : J^inf); see `_fold` for the route."""
-        return self._fold(other, "saturation", Ideal.saturate_variable, Ideal._saturate_poly)
+        return self._fold(other, saturate=True)
 
     def _saturate_poly(self, f: Polynomial) -> "Ideal":
         ctx = self.context
@@ -248,8 +248,8 @@ class Ideal:
         all tails are reduced by it), and otherwise I's becomes Ibar's
         lifted plus the dropped variables (`_lifted_basis`)."""
         context = self.context
-        dropped = sorted({context.index(name) for name in map(_as_variable, self.gens)
-                          if name is not None})
+        names = (g.variable_name() for g in self.gens)
+        dropped = sorted({context.index(name) for name in names if name is not None})
         if not dropped or len(dropped) == context.nvars:
             return None
         keep = _kept(context.nvars, dropped)
@@ -264,14 +264,15 @@ class Ideal:
             self._gb_cache[GREVLEX] = _lifted_basis(context, cut.groebner(), dropped)
         return cut, tuple(dropped)
 
-    def _fold(self, other, what: str, variable, general) -> "Ideal":
-        """Meet of (I : g), or (I : g^inf), over the nonzero divisors g of
-        the polynomial or ideal ``other`` that I does not contain: for g
-        in I, (I : g) = (I : g^inf) = (1), which the meet ignores.  The
-        unit ideal when no divisor is left, with a warning when ``other``
-        has no nonzero divisor at all.  The one route chooser: a bare
-        variable g of a homogeneous I goes to ``variable(I, name)``,
-        every other g to ``general(I, g)``.
+    def _fold(self, other, saturate: bool) -> "Ideal":
+        """Meet of (I : g), or with ``saturate`` (I : g^inf), over the
+        nonzero divisors g of the polynomial or ideal ``other`` that I does
+        not contain: for g in I, (I : g) = (I : g^inf) = (1), which the
+        meet ignores.  The unit ideal when no divisor is left, with a
+        warning when ``other`` has no nonzero divisor at all.  The one
+        route chooser: a bare variable g of a homogeneous I goes to
+        `quotient_variable` or `saturate_variable`, every other g to
+        `_quotient_poly` or `_saturate_poly`.
 
         When some generators of I are bare variables x, the fold runs on
         Ibar from `split_variables`, and each divisor g on gbar, g with
@@ -283,7 +284,16 @@ class Ideal:
 
         The fold stops at the first factor that is I itself: the meet is
         then I, every later factor contains it, and `_meet` would return
-        that same object for each."""
+        that same object for each.
+
+        A quotient skips each divisor g whose factor would contain the
+        meet M so far, before computing (I : g): q lies in (I : g)
+        exactly when q * g lies in I, so M is in (I : g) exactly when
+        q * g is in I for every generator q of M, and then `_meet` would
+        return M itself.  Every generator list stays as it is.  A
+        saturation computes every factor: M lies in (I : g^inf) when
+        M * g^e lies in I for some e, and no one e settles it."""
+        what = "saturation" if saturate else "quotient"
         if isinstance(other, Polynomial):
             if other.context != self.context:
                 raise ValueError(f"{what} divisor from a different ring context")
@@ -305,13 +315,16 @@ class Ideal:
             return Ideal(self.context, [self.context.one()])
 
         def single(g: Polynomial) -> Ideal:
-            name = _as_variable(g)
+            name = g.variable_name()
             if name is not None and base.is_homogeneous():
-                return variable(base, name)
-            return general(base, g)
+                return base.saturate_variable(name) if saturate else base.quotient_variable(name)
+            return base._saturate_poly(g) if saturate else base._quotient_poly(g)
 
         meet = None
         for g in outside:
+            if meet is not None and not saturate \
+                    and all(base.contains(q * g) for q in meet.gens):
+                continue
             factor = single(g)
             meet = factor if meet is None else _meet(meet, factor)
             if factor is base:
@@ -333,16 +346,6 @@ class Ideal:
 
 # ---------------------------------------------------------------------------
 # helpers
-
-def _as_variable(f: Polynomial) -> str | None:
-    """The variable name when f is a scalar multiple of one, else None."""
-    if len(f.packed) != 1:
-        return None
-    (m,) = f.packed
-    if f.packing.degree(m) != 1:
-        return None
-    return f.context.variables[f.packing.unpack(m).index(1)]
-
 
 def _lifted_basis(context: RingContext, gb: GroebnerBasis,
                   dropped: Sequence[int]) -> GroebnerBasis:

@@ -492,6 +492,16 @@ class Polynomial:
         """Homogeneous for the standard grading (zero counts as yes)."""
         return len(set(map(self.packing.degree, self.packed))) <= 1
 
+    def variable_name(self) -> str | None:
+        """The variable's name when p is a nonzero scalar multiple of one
+        variable, else None; read off the one packed monomial."""
+        if len(self.packed) != 1:
+            return None
+        (m,) = self.packed
+        if self.packing.degree(m) != 1:
+            return None
+        return self.context.variables[self.packing.unpack(m).index(1)]
+
     def variables_occurring(self) -> set[str]:
         names = self.context.variables
         out: set[str] = set()

@@ -16,7 +16,7 @@ from delpezzo5.linalg import SparseEchelon, integer_terms
 from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext, elimination_order,
                                 mono_div, mono_lcm, parse_polynomial)
 
-from test_groebner import int_polynomials, lcm_packing, reference_basis
+from test_groebner import int_polynomials, lcm_packing, random_form, reference_basis
 
 XY = RingContext(("x", "y"))
 XYZ = RingContext(("x", "y", "z"))
@@ -27,6 +27,11 @@ P6 = RingContext(("a6", "a4", "a2", "a0", "am2", "am4", "am6"),
 
 def ideal(ctx, *texts):
     return Ideal(ctx, [parse_polynomial(t, ctx) for t in texts])
+
+
+def fresh(ideal):
+    """An equal Ideal that shares no basis, and so nothing kept on one."""
+    return None if ideal is None else Ideal(ideal.context, ideal.gens)
 
 
 class TestGradedHom:
@@ -354,6 +359,8 @@ def row_multiset(rows):
 
 MONOMIAL_REMAINDER = GroebnerBasis.monomial_remainder
 BASIS_SYZYGIES = groebner.basis_syzygies
+STANDARD_MONOMIALS = standard_monomials
+KEPT = GroebnerBasis.kept
 RANK = homspaces._rank
 
 
@@ -488,7 +495,9 @@ class TestReferenceSolve:
             dp5.expected_quartic_rows(model)[0][0],
         ]
         scaled = Counter()
-        for curve in curves:
+        # fresh copies: the model is shared, and a basis that an earlier
+        # test solved would hand its kept syzygies past the wrapper
+        for curve in map(fresh, curves):
             scaled += self.check(monkeypatch, curve, curve)
             scaled += self.check(monkeypatch, curve, curve, within=model.threefold)
         # the threefold's basis has primitive leads 3, 2 and 8
@@ -498,15 +507,16 @@ class TestReferenceSolve:
 class TestNormalFormCount:
     """A Hom solve reduces each monomial once, in the integer kernel,
     through `GroebnerBasis.monomial_remainder`; `groebner.normal_form`,
-    which the benchmark's tracer counts, sees only the containment test
-    and the ambient generators' divisions.  The divisions of the S-pair
+    which the benchmark's tracer counts, sees only the ambient
+    generators' divisions: a tangent solve's target is its source, so it
+    tests no containment.  The divisions of the S-pair
     syzygies (`groebner.basis_syzygies`) and of Buchberger run in the
     integer kernel and pass through neither.  The counts are pinned for
     fresh ideals, so that the ambient containment check and the solve
     are both counted."""
 
     # (relative, ambient) normal forms of one catalogued conic and quartic
-    PINNED = {"conic": (10, 5), "quartic": (13, 8)}
+    PINNED = {"conic": (5, 0), "quartic": (5, 0)}
     # (relative, ambient) monomial remainders of the same solves
     MONOMIALS = {"conic": (15, 0), "quartic": (48, 28)}
 
@@ -608,7 +618,8 @@ class TestKoszulPairs:
 
     def test_containment_tested_only_with_coprime_leads(self, monkeypatch):
         # (x^2, x*y, x*z) has no coprime pair of leads, (x, y^2) has one;
-        # the dimensions are those of the solve on all pairs either way
+        # the target is an equal but distinct Ideal, so only the leads
+        # decide; the dimensions are those of the solve on all pairs
         tests = []
         contains_ideal = Ideal.contains_ideal
 
@@ -619,10 +630,29 @@ class TestKoszulPairs:
         monkeypatch.setattr(Ideal, "contains_ideal", counted)
         for texts, tested in ((("x^2", "x*y", "x*z"), 0), (("x", "y^2"), 1)):
             source = ideal(P3, *texts)
+            target = Ideal(P3, source.gens)
             tests.clear()
-            dimension = graded_hom_dimension(source, source)
+            dimension = graded_hom_dimension(source, target)
             assert len(tests) == tested
-            assert dimension == all_pairs_dimension(source, source) > 0
+            assert dimension == all_pairs_dimension(source, target) > 0
+
+    def test_no_containment_test_when_the_target_is_the_source(self, monkeypatch):
+        # containment holds by identity: the coprime pair of (x, y^2) is
+        # skipped untested, in the tangent space and in a twisted solve
+        tests = []
+        contains_ideal = Ideal.contains_ideal
+
+        def counted(self, other):
+            tests.append(other)
+            return contains_ideal(self, other)
+
+        monkeypatch.setattr(Ideal, "contains_ideal", counted)
+        source = ideal(P3, "x", "y^2")
+        dimensions = [tangent_dimension(source)] \
+            + [graded_hom_dimension(source, source, twist) for twist in (-1, 1)]
+        assert tests == []
+        assert dimensions == [all_pairs_dimension(source, source, twist)
+                              for twist in (0, -1, 1)]
 
     def test_ambient_dimension_through_the_smaller_ring(self):
         # I = Ibar S + (x_1..x_c) gives I/I^2 = Ibar/Ibar^2 + (R/Ibar)(-1)^c,
@@ -632,3 +662,90 @@ class TestKoszulPairs:
             cut, dropped = curve.split_variables()
             assert tangent_dimension(curve) == tangent_dimension(cut) \
                 + len(dropped) * len(standard_monomials(cut, 1))
+
+
+class TestKeptFacts:
+    """The source's basis keeps its S-pair syzygies per (width, skip) and
+    the target's basis its standard monomials per degree; every solve
+    must give what the same solve on fresh copies gives, in any order,
+    and must not alter what it shares."""
+
+    def test_catalogued_curves_in_either_order(self):
+        model = dp5.build_model()
+        for name, curve in catalogued_curves():
+            relative_first, ambient_first = fresh(curve), fresh(curve)
+            pair = (tangent_dimension(relative_first, within=model.threefold),
+                    tangent_dimension(relative_first))
+            ambient = tangent_dimension(ambient_first)
+            assert (tangent_dimension(ambient_first, within=model.threefold), ambient) \
+                == pair, name
+
+    @pytest.mark.parametrize("nvars", [2, 3, 4])
+    def test_seeded_pairs_against_fresh_copies(self, nvars):
+        # one pair of objects through every (target, twist, within) solve
+        # in a seeded order, and another through the reverse order: J need
+        # not contain I and I contains itself, so both skips meet at one
+        # width in either order; each ambient solve runs before and after
+        # the plain one of its twist
+        ctx = RingContext(("x", "y", "z", "w")[:nvars])
+        rng = random.Random(401 + nvars)
+        skipped = 0
+        for _ in range(5):
+            I, J = (Ideal(ctx, [f for f in (random_form(rng, ctx, rng.randint(1, 2))
+                                            for _ in range(rng.randint(2, 3)))
+                                if not f.is_zero()]) for _ in range(2))
+            within = Ideal(ctx, [g * random_form(rng, ctx, 1, 2) for g in I.gens])
+            leads = I.groebner(GREVLEX).lead_monomials()
+            if not J.contains_ideal(I):
+                skipped += any(coprime(a, b) for k, a in enumerate(leads) for b in leads[k + 1:])
+            solves = [(to_source, twist, ambient) for to_source in (True, False)
+                      for twist in (-1, 0, 1) for ambient in (True, False, True)]
+            rng.shuffle(solves)
+            for schedule in (solves, solves[::-1]):
+                source, target = fresh(I), fresh(J)
+                for to_source, twist, ambient in schedule:
+                    w = within if ambient else None
+                    shared = graded_hom_dimension(source, source if to_source else target,
+                                                  twist, w)
+                    alone = fresh(I)
+                    assert shared == graded_hom_dimension(
+                        alone, alone if to_source else fresh(J), twist, fresh(w)), \
+                        (I, J, to_source, twist, ambient)
+        # a pair that only the solve into I itself may skip
+        assert skipped > 0
+
+    def test_each_fact_derived_once(self, monkeypatch):
+        # one relative and one ambient solve of a quartic, then both again:
+        # one syzygy build in all, one standard-monomial list per degree
+        built, listed, kept = [], [], []
+
+        def syzygies(gb, packing, skip_coprime=False):
+            built.append((id(gb), packing.bits, skip_coprime))
+            return BASIS_SYZYGIES(gb, packing, skip_coprime)
+
+        def monomials(ideal, d):
+            listed.append((id(ideal.groebner(GREVLEX)), d))
+            return STANDARD_MONOMIALS(ideal, d)
+
+        def recorded(gb, key, build):
+            value = KEPT(gb, key, build)
+            kept.append(value)
+            return value
+
+        monkeypatch.setattr(homspaces, "basis_syzygies", syzygies)
+        monkeypatch.setattr(homspaces, "standard_monomials", monomials)
+        monkeypatch.setattr(GroebnerBasis, "kept", recorded)
+        model = dp5.build_model()
+        curve = fresh(dp5.expected_quartic_rows(model)[0][0])
+        degrees = {g.total_degree() for g in curve.groebner(GREVLEX)}
+        first = [tangent_dimension(curve, within=model.threefold), tangent_dimension(curve)]
+        assert len(built) == len(set(built)) == 1
+        assert sorted(d for _, d in listed) == sorted(degrees)
+        assert len(set(listed)) == len(listed)
+        assert [tangent_dimension(curve), tangent_dimension(curve, within=model.threefold)] \
+            == first[::-1]
+        assert len(built) == 1 and len(listed) == len(degrees)
+        # what the bases keep is shared, so it is kept immutable
+        assert kept and all(type(value) is tuple for value in kept)
+        taus = [value for value in kept if value and type(value[0][0]) is dict]
+        assert taus and all(type(tau) is tuple for value in taus for tau in value)

@@ -10,7 +10,7 @@ import pytest
 
 from delpezzo5 import dp5, ideals
 from delpezzo5.groebner import reduced_groebner_basis
-from delpezzo5.ideals import Ideal, _as_variable, _meet
+from delpezzo5.ideals import Ideal, _meet
 from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext,
                                 parse_polynomial, variable_last_order)
 
@@ -240,7 +240,7 @@ class TestSaturation:
             outside = [g for g in J.gens if g not in I]
             routes = []
             for g in outside:
-                name = _as_variable(g)
+                name = g.variable_name()
                 routes.append("variable" if name else "poly")
                 if name and I.saturate_variable(name) is I:
                     break
@@ -342,6 +342,43 @@ class TestSaturation:
                 assert fold.gens == reduce(_meet, factors).gens
                 stopped += any(f is I for f in factors[:-1])
         assert stopped >= 3
+
+    def test_quotient_skips_factors_that_contain_the_meet(self, monkeypatch):
+        # (I : g) contains the meet M exactly when M * g lies in I, and
+        # then _meet returns M: skipping g before computing its factor
+        # keeps the generator list of the meet over every factor
+        rng = random.Random(131)
+        computed, factors_total = 0, 0
+        for ctx in (XY, XYZ, XYZW):
+            for size in (2, 3):
+                for _ in range(4):
+                    I = random_ideal(rng, ctx, homogeneous=rng.random() < 0.75)
+                    if I.split_variables() is not None:
+                        continue  # the fold would run on the cut
+                    pool = [*ctx.gens(), *(random_poly(rng, ctx, True, 2) for _ in range(2))]
+                    J = Ideal(ctx, rng.sample(pool, size))
+
+                    def single(I, g):
+                        name = g.variable_name()
+                        if name is not None and I.is_homogeneous():
+                            return I.quotient_variable(name)
+                        return I._quotient_poly(g)
+
+                    factors = [single(I, g) for g in J.gens if g not in I]
+                    if not factors:
+                        continue
+                    seen = []
+                    variable, poly = Ideal.quotient_variable, Ideal._quotient_poly
+                    monkeypatch.setattr(Ideal, "quotient_variable",
+                                        lambda self, name: seen.append(name) or variable(self, name))
+                    monkeypatch.setattr(Ideal, "_quotient_poly",
+                                        lambda self, g: seen.append(g) or poly(self, g))
+                    fold = Ideal(ctx, I.gens).quotient(J)
+                    monkeypatch.undo()
+                    assert fold.gens == reduce(_meet, factors).gens, (I, J)
+                    computed += len(seen)
+                    factors_total += len(factors)
+        assert computed < factors_total
 
     def test_basis_computations_are_pinned(self, monkeypatch):
         # A * (l, x^2, y^2, z^2, w^2) saturates to (A): Buchberger runs
@@ -462,7 +499,7 @@ def uncut_fold(I, divisors, saturate=False):
     """The meet of the single quotients or saturations, each computed on
     I itself in its own ring: the fold without the split."""
     def single(g):
-        name = _as_variable(g)
+        name = g.variable_name()
         if saturate:
             return I.saturate_variable(name) if name else I._saturate_poly(g)
         if name is not None and I.is_homogeneous():

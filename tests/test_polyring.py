@@ -50,6 +50,20 @@ class TestConstruction:
             Polynomial(XYZ, {exps: Fraction(1)})
 
 
+class TestVariableName:
+    @pytest.mark.parametrize("text, name", [
+        ("x", "x"), ("3*x", "x"), ("-1/2*z", "z"), ("x^2", None), ("x + y", None),
+        ("0", None), ("1", None), ("y*z", None)])
+    def test_only_a_scalar_multiple_of_one_variable_has_a_name(self, text, name):
+        assert parse_polynomial(text, XYZ).variable_name() == name
+
+    def test_wide_packing(self):
+        # the degree is read from the packed monomial at any field width
+        p = parse_polynomial("y", XYZ)
+        assert p.repacked(XYZ.packing(300)).variable_name() == "y"
+        assert parse_polynomial("y^256", XYZ).variable_name() is None
+
+
 class TestArithmetic:
     def test_additive_inverse(self):
         assert (p("x") + p("-x")).is_zero()
