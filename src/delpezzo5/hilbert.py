@@ -128,7 +128,7 @@ def standard_monomials(ideal: Ideal, d: int) -> list[Exponents]:
     leads = ideal.groebner(GREVLEX).lead_monomials()
     excluded = {g.index(1) for g in leads if sum(g) == 1}
     free = [i for i in range(n) if i not in excluded]
-    packing = Packing(len(free), Packing.bits_holding(d))
+    packing = Packing.holding(len(free), d)
     pack, guard = packing.pack, packing.guard
     live = [pack(tuple(g[i] for i in free)) for g in leads
             if sum(g) <= d and not any(g[i] for i in excluded)]

@@ -21,14 +21,19 @@ scaled by the lcm of its remainders' denominators only (see `_rank`).
 
 A solve derives each fact of its bases once, however many solves read
 the same bases (both tangent numbers of one curve, for instance): the
-source's reduced basis keeps its S-pair syzygies per (field width,
-coprime skip), the target's keeps its standard monomials per degree
-(`GroebnerBasis.kept`), both as tuples, and each solve builds its own
-block list from them.  A tangent space's target is its source, so the
-containment that allows the coprime skip holds by identity and is not
-tested.  The monomial remainders stay per solve: keeping them on the
-target's basis would hold every product any solve met for as long as
-the basis lives, also where each basis is solved against once.
+source's reduced basis keeps the facts of its lead pairs (whether some
+pair is coprime, and the widest lcm degrees) and its S-pair syzygies
+per (field width, coprime skip), the target's keeps its standard
+monomials per degree (`GroebnerBasis.kept`), all as tuples, and each
+solve builds its own block list from them.  A tangent space's target
+is its source, so the containment that allows the coprime skip holds
+by identity and is not tested, and the echelon of the syzygies' rows
+depends on the basis and the twist alone: the basis keeps its pivots
+per twist, an ambient solve reads its rank off them, and a relative
+solve starts from them and adds only the ambient generators' rows.
+The monomial remainders stay per solve: keeping them on the target's
+basis would hold every product any solve met for as long as the basis
+lives, also where each basis is solved against once.
 
 The dimension of the degree-0 part of Hom(I_C, S/I_C) is the tangent
 space to the Hilbert scheme of the ambient projective space at [C];
@@ -56,15 +61,18 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     syzygies of basis pairs with coprime leads are skipped: they add
     nothing beyond the Koszul relations, which are zero in S/target.
     Containment is tested only when some pair of leads is coprime and
-    ``target`` is not ``source`` itself.  The syzygies and the standard
-    monomials come from what earlier solves kept on the two bases.
-    The ambient generators' blocks are always kept.  The solve runs once
-    on packed monomials: everything being homogeneous, each product
-    c * x^m of a block and each term of its normal form has degree
-    deg c + deg g_k + twist, a kept pair's lcm degree (where its syzygy is
-    divided) or an ambient generator's degree plus the twist: the packing
-    (at least as wide as either basis's, which a negative twist can leave
-    above every such degree) is sized from those before any division.
+    the target's basis is not the source's.  The lead pairs' facts, the
+    syzygies and the standard monomials come from what earlier solves
+    kept on the two bases.  When the target's basis is the source's, so
+    is the echelon of the syzygies' rows at ``twist``: the solve starts
+    from it and reduces only the ambient generators' blocks, which are
+    always kept.  The solve runs once on packed monomials: everything
+    being homogeneous, each product c * x^m of a block and each term of
+    its normal form has degree deg c + deg g_k + twist, a kept pair's
+    lcm degree (where its syzygy is divided) or an ambient generator's
+    degree plus the twist: the packing (at least as wide as either
+    basis's, which a negative twist can leave above every such degree)
+    is sized from those before any division.
     """
     if source.context != target.context:
         raise ValueError("source and target live in different ring contexts")
@@ -100,24 +108,44 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
         return 0
 
     # the containment test can only change the blocks when some leads are coprime
-    leads, lcm_of = gb.triples_at(gb.packing).leads, gb.packing.lcm
-    pairs = [(lcm_of(a, b), a + b) for k, a in enumerate(leads) for b in leads[k + 1:]]
-    skip = any(m == product for m, product in pairs) \
-        and (target is source or target.contains_ideal(source))
+    coprime, widest, widest_kept = gb.kept(("lead pairs",), lambda: _lead_pairs(gb))
+    skip = coprime and (tgb is gb or target.contains_ideal(source))
     degrees = [w.total_degree() for w in within.gens] if within is not None else []
-    degrees += [gb.packing.degree(m) for m, product in pairs if not (skip and m == product)]
-    top = max(max(shifted), max(degrees, default=0) + max(twist, 0))
+    degrees.append(widest_kept if skip else widest)
+    top = max(max(shifted), max(degrees) + max(twist, 0))
     packing = max(gb.packing, tgb.packing, target.context.packing(top), key=lambda k: k.bits)
 
-    # one int block per kept S-pair syzygy and per ambient generator (cleared
-    # as a whole); the list is this solve's own, the syzygies are shared
-    blocks = list(gb.kept(("syzygies", packing.bits, skip),
-                          lambda: tuple(map(tuple, basis_syzygies(gb, packing, skip)))))
+    def syzygies():
+        return gb.kept(("syzygies", packing.bits, skip),
+                       lambda: tuple(map(tuple, basis_syzygies(gb, packing, skip))))
+
+    # one int block per ambient generator (cleared as a whole)
+    blocks = []
     for q in ambient:
         cleared = [integer_terms(qk.repacked(packing).packed) for qk in q]
         den = lcm(*(d for _, d in cleared))
         blocks.append([{t: c * (den // d) for t, c in ints.items()} for ints, d in cleared])
-    return unknowns - _rank(tgb, bases, blocks, packing)
+    reduced: dict[int, tuple[dict[int, int], int]] = {}
+    if tgb is not gb:
+        # one int block per kept S-pair syzygy; the list is this solve's
+        # own, the syzygies are shared
+        return unknowns - _rank(tgb, bases, [*syzygies(), *blocks], packing, reduced).rank
+    pivots = gb.kept(("syzygy echelon", twist),
+                     lambda: _rank(tgb, bases, syzygies(), packing, reduced).pivots)
+    if not blocks:
+        return unknowns - len(pivots)
+    return unknowns - _rank(tgb, bases, blocks, packing, reduced, SparseEchelon(pivots)).rank
+
+
+def _lead_pairs(gb) -> tuple[bool, int, int]:
+    """Whether some pair of ``gb``'s leads is coprime, the widest lcm
+    degree of all pairs, and of the pairs that are not coprime (0 when
+    there are none)."""
+    leads, packing = gb.triples_at(gb.packing).leads, gb.packing
+    pairs = [(packing.lcm(a, b), a + b) for k, a in enumerate(leads) for b in leads[k + 1:]]
+    return (any(m == product for m, product in pairs),
+            max((packing.degree(m) for m, _ in pairs), default=0),
+            max((packing.degree(m) for m, product in pairs if m != product), default=0))
 
 
 def _standard_monomials(target: Ideal, tgb, d: int) -> tuple[Exponents, ...]:
@@ -129,25 +157,28 @@ def _standard_monomials(target: Ideal, tgb, d: int) -> tuple[Exponents, ...]:
     return tgb.kept(("standard monomials", d), lambda: tuple(standard_monomials(target, d)))
 
 
-def _rank(tgb, bases: list[Sequence[Exponents]], blocks: list[Sequence[dict[int, int]]],
-          packing: Packing) -> int:
-    """Rank of the equations sum_i coeffs[i] * phi(g_i) = 0 in S/target,
-    one block of int coefficients at a time, with every monomial packed
-    by ``packing``, whose fields hold every product's degree.  A block's
+def _rank(tgb, bases: list[Sequence[Exponents]], blocks: Sequence[Sequence[dict[int, int]]],
+          packing: Packing, reduced: dict[int, tuple[dict[int, int], int]],
+          ech: SparseEchelon | None = None) -> SparseEchelon:
+    """The echelon of the equations sum_i coeffs[i] * phi(g_i) = 0 in
+    S/target, one block of int coefficients at a time, added to ``ech``
+    (a new echelon by default), with every monomial packed by
+    ``packing``, whose fields hold every product's degree.  A block's
     entries are sums of c_e * r / den, c_e an int of the block and
     r / den a monomial's remainder; scaling the block by the lcm of the
-    remainders' den makes them ints and keeps its row space."""
+    remainders' den makes them ints and keeps its row space.
+
+    Normal form is linear: NF(c * x^m) is the sum of c_e * NF(x^(e+m))
+    over the terms c_e * x^e of c.  So each monomial is reduced once per
+    solve, into the solve's memo ``reduced``, which dies with it."""
     columns = []  # (first unknown, packed standard monomials) per basis element
     first = 0
     for basis in bases:
         columns.append((first, [packing.pack(m) for m in basis]))
         first += len(basis)
 
-    ech = SparseEchelon()
-    # Normal form is linear: NF(c * x^m) is the sum of c_e * NF(x^(e+m))
-    # over the terms c_e * x^e of c.  So each monomial is reduced once per
-    # solve, and the memo dies with it.
-    reduced: dict[int, tuple[dict[int, int], int]] = {}
+    if ech is None:
+        ech = SparseEchelon()
     for coeffs in blocks:
         products = []  # (unknown, c_e, (r, den)) of each product c_e * x^e * x^m
         for (start, basis), c in zip(columns, coeffs):
@@ -173,7 +204,7 @@ def _rank(tgb, bases: list[Sequence[Exponents]], blocks: list[Sequence[dict[int,
             row = {u: v for u, v in row.items() if v}
             if row:
                 ech.add_row(row)
-    return ech.rank
+    return ech
 
 
 def tangent_dimension(curve: Ideal, within: Ideal | None = None) -> int:

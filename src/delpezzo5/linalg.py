@@ -103,14 +103,24 @@ class SparseEchelon:
     keeps the row space, and a `Fraction` entry fails in `math.gcd`.
     Each stored pivot row is primitive (its entries are ints with gcd 1)
     with a positive lead, so no entry is ever a Fraction.
+
+    An echelon may start from the `pivots` another one kept: the rows
+    are shared, not copied, which is safe because `add_row` never writes
+    to a stored pivot row; it only adds new ones.
     """
 
-    def __init__(self):
-        self._pivots: dict = {}
+    def __init__(self, pivots: Sequence[tuple] = ()):
+        self._pivots: dict = dict(pivots)
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
+
+    @property
+    def pivots(self) -> tuple:
+        """The stored pivot rows as a tuple of (lead column, row), in the
+        order they were stored: what a later echelon can start from."""
+        return tuple(self._pivots.items())
 
     def add_row(self, row: dict) -> bool:
         """Insert a row of nonzero ints, which is not changed; True when

@@ -64,6 +64,12 @@ class PackingOverflow(Exception):
     """A packed product set a guard bit: the work is redone at a wider packing."""
 
 
+# A packing, and every order key it builds, depends on (nvars, bits)
+# alone, so one table serves every ring context, however many a census
+# derives by extending and restricting its rings (`Packing.holding`).
+_PACKINGS: dict[tuple[int, int], "Packing"] = {}
+
+
 class Packing:
     """Exponent vectors of ``nvars`` variables packed into ints.
 
@@ -108,8 +114,8 @@ class Packing:
         self._keys: dict[MonomialOrder, Callable[[int], int]] = {}  # order -> `key`
 
     def __reduce__(self):
-        # the closures above and the keys do not pickle; the two numbers rebuild them
-        return Packing, (self.nvars, self.bits)
+        # the closures above and the keys do not pickle; the shared packing has them
+        return Packing.holding, (self.nvars, self.limit)
 
     @staticmethod
     def bits_holding(top: int) -> int:
@@ -118,6 +124,17 @@ class Packing:
         while top >= 1 << (bits - 1):
             bits *= 2
         return bits
+
+    @staticmethod
+    def holding(nvars: int, top: int = 0) -> "Packing":
+        """The narrowest packing of ``nvars`` variables whose fields hold
+        exponents up to ``top``: one object per (nvars, bits) in the
+        process, shared by every ring context of ``nvars`` variables."""
+        bits = Packing.bits_holding(top)
+        packing = _PACKINGS.get((nvars, bits))
+        if packing is None:
+            packing = _PACKINGS[nvars, bits] = Packing(nvars, bits)
+        return packing
 
     def lcm(self, a: int, b: int) -> int:
         """Least common multiple of two packed monomials, field by field."""
@@ -151,7 +168,7 @@ class Packing:
 class RingContext:
     """Variable names, in order, with optional integer torus weights."""
 
-    __slots__ = ("variables", "weights", "_index", "_packings")
+    __slots__ = ("variables", "weights", "_index")
 
     def __init__(self, variables: Sequence[str], weights: Sequence[int] | None = None):
         variables = tuple(variables)
@@ -169,7 +186,6 @@ class RingContext:
         self.variables = variables
         self.weights = weights
         self._index = {name: i for i, name in enumerate(variables)}
-        self._packings: dict[int, Packing] = {}
 
     @property
     def nvars(self) -> int:
@@ -183,12 +199,9 @@ class RingContext:
 
     def packing(self, top: int = 0) -> Packing:
         """The narrowest packing of this ring whose fields hold exponents
-        up to ``top``; one object per width."""
-        bits = Packing.bits_holding(top)
-        packing = self._packings.get(bits)
-        if packing is None:
-            packing = self._packings[bits] = Packing(self.nvars, bits)
-        return packing
+        up to ``top``; one object per width, shared with every ring of as
+        many variables (`Packing.holding`)."""
+        return Packing.holding(self.nvars, top)
 
     def zero_exponents(self) -> Exponents:
         return (0,) * self.nvars

@@ -13,8 +13,8 @@ from delpezzo5.hilbert import degree_monomials, hilbert_function, standard_monom
 from delpezzo5.homspaces import graded_hom_dimension, tangent_dimension
 from delpezzo5.ideals import Ideal
 from delpezzo5.linalg import SparseEchelon, integer_terms
-from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext, elimination_order,
-                                mono_div, mono_lcm, parse_polynomial)
+from delpezzo5.polyring import (GREVLEX, LEX, Packing, Polynomial, RingContext,
+                                elimination_order, mono_div, mono_lcm, parse_polynomial)
 
 from test_groebner import int_polynomials, lcm_packing, random_form, reference_basis
 
@@ -292,8 +292,9 @@ class TestSharedSPolynomial:
 
 
 def reference_hom_rows(source, target, twist=0, within=None, skip_coprime=False):
-    """The unknowns and equation rows of the graded Hom solve on the
-    source's reduced basis, each product c * x^m reduced on its own by the
+    """The unknowns, the syzygies' equation rows and the ambient
+    generators' equation rows of the graded Hom solve on the source's
+    reduced basis, each product c * x^m reduced on its own by the
     target's basis, as before the solve reduced each monomial once; None
     when the solve stops before any row.  The relations are the S-pair
     syzygies of all pairs, or with ``skip_coprime`` of the pairs whose
@@ -306,11 +307,12 @@ def reference_hom_rows(source, target, twist=0, within=None, skip_coprime=False)
     unknown_index, bases = presentation_unknowns(gb.elements, target, twist)
     if not unknown_index:
         return None
-    blocks = s_pair_syzygies(gb, skip_coprime)
-    if within is not None:
-        blocks += [gb.normal_form(w, with_quotients=True)[1] for w in within.gens]
-    return len(unknown_index), product_rows(blocks, unknown_index, bases,
-                                            target.groebner(GREVLEX))
+    ambient = [] if within is None else \
+        [gb.normal_form(w, with_quotients=True)[1] for w in within.gens]
+    tgb = target.groebner(GREVLEX)
+    return (len(unknown_index),
+            product_rows(s_pair_syzygies(gb, skip_coprime), unknown_index, bases, tgb),
+            product_rows(ambient, unknown_index, bases, tgb))
 
 
 def input_generator_hom_dimension(source, target, twist=0, within=None):
@@ -374,7 +376,7 @@ def rank(rows):
 def all_pairs_dimension(source, target, twist=0, within=None):
     """The Hom dimension from the reference rows of every S-pair syzygy."""
     ref = reference_hom_rows(source, target, twist, within)
-    return 0 if ref is None else ref[0] - rank(ref[1])
+    return 0 if ref is None else ref[0] - rank(ref[1] + ref[2])
 
 
 class TestReferenceSolve:
@@ -387,11 +389,17 @@ class TestReferenceSolve:
 
     `check` returns how many monomial remainders had a denominator other
     than 1 and how many syzygies came as den * tau with den other than 1,
-    the two things the solve's block scaling and int blocks absorb."""
+    the two things the solve's block scaling and int blocks absorb.
+
+    A solve into its own source feeds the syzygies' rows only when no
+    earlier solve of the basis kept their echelon at its twist; the
+    ambient generators' rows it always feeds, also on top of a kept
+    echelon."""
 
     def check(self, monkeypatch, source, target, twist=0, within=None):
         fed = []
         scaled = Counter()
+        built = []
 
         class Recording(SparseEchelon):
             def add_row(self, row):
@@ -408,15 +416,22 @@ class TestReferenceSolve:
             scaled["tau"] += sum(den != 1 for den in pair_taus(gb, packing, taus, skip_coprime)[1])
             return taus
 
-        def int_blocks_rank(tgb, bases, blocks, packing):
+        def int_blocks_rank(tgb, bases, blocks, packing, *rest):
             assert all(type(c) is int for coeffs in blocks for terms in coeffs
                        for c in terms.values())
-            return RANK(tgb, bases, blocks, packing)
+            return RANK(tgb, bases, blocks, packing, *rest)
+
+        def kept(gb, key, build):
+            def recorded():
+                built.append(key[0])
+                return build()
+            return KEPT(gb, key, recorded)
 
         monkeypatch.setattr(homspaces, "SparseEchelon", Recording)
         monkeypatch.setattr(GroebnerBasis, "monomial_remainder", remainder)
         monkeypatch.setattr(homspaces, "basis_syzygies", syzygies)
         monkeypatch.setattr(homspaces, "_rank", int_blocks_rank)
+        monkeypatch.setattr(GroebnerBasis, "kept", kept)
         dim = graded_hom_dimension(source, target, twist, within)
         assert all(type(v) is int for row in fed for v in row.values())
         assert dim == input_generator_hom_dimension(source, target, twist, within)
@@ -424,11 +439,15 @@ class TestReferenceSolve:
         if ref is None:
             assert dim == 0 and fed == []
             return scaled
-        unknowns, rows = ref
-        assert dim == unknowns - rank(rows)
+        unknowns, syzygy_rows, ambient_rows = ref
+        assert dim == unknowns - rank(syzygy_rows + ambient_rows)
         if target.contains_ideal(source):
-            _, rows = reference_hom_rows(source, target, twist, within, skip_coprime=True)
-        assert row_multiset(fed) == row_multiset(rows)
+            _, syzygy_rows, _ = reference_hom_rows(source, target, twist, within,
+                                                   skip_coprime=True)
+        to_source = target.groebner(GREVLEX) is source.groebner(GREVLEX)
+        if to_source and "syzygy echelon" not in built:
+            syzygy_rows = []
+        assert row_multiset(fed) == row_multiset(syzygy_rows + ambient_rows)
         return scaled
 
     def test_seeded_ideals(self, monkeypatch):
@@ -455,9 +474,9 @@ class TestReferenceSolve:
         widths = []
         solve = homspaces._rank
 
-        def recording(tgb, bases, blocks, packing):
+        def recording(tgb, bases, blocks, packing, *rest):
             widths.append(packing.bits)
-            return solve(tgb, bases, blocks, packing)
+            return solve(tgb, bases, blocks, packing, *rest)
 
         monkeypatch.setattr(homspaces, "_rank", recording)
         assert graded_hom_dimension(I, J) == 2 * 101 - 1
@@ -716,7 +735,8 @@ class TestKeptFacts:
 
     def test_each_fact_derived_once(self, monkeypatch):
         # one relative and one ambient solve of a quartic, then both again:
-        # one syzygy build in all, one standard-monomial list per degree
+        # one syzygy build and one syzygy echelon in all, one
+        # standard-monomial list per degree
         built, listed, kept = [], [], []
 
         def syzygies(gb, packing, skip_coprime=False):
@@ -729,7 +749,7 @@ class TestKeptFacts:
 
         def recorded(gb, key, build):
             value = KEPT(gb, key, build)
-            kept.append(value)
+            kept.append((key, value))
             return value
 
         monkeypatch.setattr(homspaces, "basis_syzygies", syzygies)
@@ -745,7 +765,110 @@ class TestKeptFacts:
         assert [tangent_dimension(curve), tangent_dimension(curve, within=model.threefold)] \
             == first[::-1]
         assert len(built) == 1 and len(listed) == len(degrees)
+        assert {key for key, _ in kept if key[0] == "syzygy echelon"} \
+            == {("syzygy echelon", 0)}
         # what the bases keep is shared, so it is kept immutable
-        assert kept and all(type(value) is tuple for value in kept)
-        taus = [value for value in kept if value and type(value[0][0]) is dict]
+        assert kept and all(type(value) is tuple for _, value in kept)
+        taus = [value for key, value in kept if key[0] == "syzygies"]
         assert taus and all(type(tau) is tuple for value in taus for tau in value)
+
+    @staticmethod
+    def quartic():
+        model = dp5.build_model()
+        return fresh(dp5.expected_quartic_rows(model)[0][0]), model.threefold
+
+    def test_one_syzygy_echelon_in_either_order(self, monkeypatch):
+        # a quartic's relative and ambient solves, in either order, build
+        # one syzygy echelon; an ambient solve after it adds no row, and a
+        # relative one only the rows of the threefold's generators
+        curve, threefold = self.quartic()
+        alone, rows, echelons = {}, [0], []
+        add_row = SparseEchelon.add_row
+
+        def counted(ech, row):
+            rows[0] += 1
+            return add_row(ech, row)
+
+        def kept(gb, key, build):
+            def recorded():
+                echelons.append(key)
+                return build()
+            return KEPT(gb, key, recorded if key[0] == "syzygy echelon" else build)
+
+        monkeypatch.setattr(SparseEchelon, "add_row", counted)
+        monkeypatch.setattr(GroebnerBasis, "kept", kept)
+        solves = {"relative": threefold, "ambient": None}
+        for name, within in solves.items():
+            rows[0] = 0
+            alone[name] = (tangent_dimension(fresh(curve), within=within), rows[0])
+        assert alone["relative"][1] > alone["ambient"][1] > 0
+        for first, second in (("relative", "ambient"), ("ambient", "relative")):
+            source = fresh(curve)
+            echelons.clear()
+            seen = []
+            for name in (first, second):
+                rows[0] = 0
+                seen.append((tangent_dimension(source, within=solves[name]), rows[0]))
+            assert echelons == [("syzygy echelon", 0)]
+            # the relative solve alone feeds the syzygies' rows, then the
+            # threefold's: after the ambient solve, only the latter
+            added = alone["relative"][1] - alone["ambient"][1] if second == "relative" else 0
+            assert seen == [alone[first], (alone[second][0], added)]
+
+    def test_kept_echelon_is_a_tuple_left_unchanged(self):
+        curve, threefold = self.quartic()
+        gb = curve.groebner(GREVLEX)
+
+        def unbuilt():
+            raise AssertionError("the echelon must already be kept")
+
+        dimension = tangent_dimension(curve, within=threefold)
+        pivots = gb.kept(("syzygy echelon", 0), unbuilt)
+        assert type(pivots) is tuple and pivots
+        snapshot = tuple((col, dict(row)) for col, row in pivots)
+        again = [tangent_dimension(curve), tangent_dimension(curve, within=threefold),
+                 graded_hom_dimension(curve, curve, 1, threefold)]
+        assert again[1] == dimension
+        assert gb.kept(("syzygy echelon", 0), unbuilt) is pivots
+        assert pivots == snapshot
+
+    def test_no_echelon_kept_for_another_target(self, monkeypatch):
+        # a solve into a distinct target, even an equal one, keeps syzygies
+        # but no echelon, on either basis
+        keys = []
+
+        def kept(gb, key, build):
+            keys.append(key[0])
+            return KEPT(gb, key, build)
+
+        monkeypatch.setattr(GroebnerBasis, "kept", kept)
+        curve, threefold = self.quartic()
+        for target in (fresh(curve), ideal(P6, "a6", "a4", "a2", "a0")):
+            for twist in (-1, 0, 1):
+                for within in (threefold, None):
+                    graded_hom_dimension(curve, target, twist, within)
+        assert "syzygies" in keys and "syzygy echelon" not in keys
+
+    def test_lead_pairs_formed_once_per_basis(self, monkeypatch):
+        # the second solve of a basis forms no lcm of its leads: the coprime
+        # skip and the packing's width come from what the first one kept
+        formed = []
+        lcm_of = Packing.lcm
+
+        def counted(packing, a, b):
+            formed.append((a, b))
+            return lcm_of(packing, a, b)
+
+        curve, threefold = self.quartic()
+        I, J = ideal(P3, "x^2", "x*y", "y^3*z"), ideal(P3, "x", "y^2")
+        for source, target in ((curve, curve), (I, J), (I, I)):
+            first = graded_hom_dimension(source, target, 0, None)
+            monkeypatch.setattr(Packing, "lcm", counted)
+            formed.clear()
+            assert graded_hom_dimension(source, target, 0, None) == first
+            assert formed == []
+            monkeypatch.undo()
+        monkeypatch.setattr(Packing, "lcm", counted)
+        source = fresh(curve)
+        tangent_dimension(source)
+        assert formed

@@ -194,3 +194,27 @@ def test_primitive_divides_out_the_content():
                 assert reduced.keys() == ints.keys()
                 # a rational multiple of ints: reduced == ints * reduced[lead] / ints[lead]
                 assert all(reduced[c] * ints[lead] == ints[c] * reduced[lead] for c in ints)
+
+
+def test_echelon_started_from_kept_pivots():
+    # an echelon fed the first rows keeps its pivots; a second one started
+    # from them and fed the rest must leave them as they were, and reach
+    # the rank of one echelon fed every row
+    for rows in INTEGER_MATRICES:
+        ints = [integer_terms(dict(enumerate(row)))[0] for row in rows]
+        ints = [row for row in ints if row]
+        cut = len(ints) // 2
+        first = SparseEchelon()
+        for row in ints[:cut]:
+            first.add_row(row)
+        kept = first.pivots
+        assert type(kept) is tuple
+        snapshot = tuple((col, dict(row)) for col, row in kept)
+        started, whole = SparseEchelon(kept), SparseEchelon()
+        for row in ints[cut:]:
+            started.add_row(row)
+        for row in ints:
+            whole.add_row(row)
+        assert kept == snapshot and first.pivots == snapshot
+        assert started.rank == whole.rank == len(dense_rref(rows)[0])
+        assert started.pivots[:len(kept)] == kept

@@ -304,6 +304,23 @@ class TestPackedMonomials:
         for order in every_order_class(3):
             assert back.key(order)(m) == packing.key(order)(m), order
 
+    @pytest.mark.parametrize("top", [0, 200], ids=["8-bit", "16-bit"])
+    def test_packings_shared_across_contexts(self, top):
+        # a ring, its extension and a restriction of that, all of three
+        # variables, share one packing per width and so one key per order;
+        # a ring of another size does not
+        ring = RingContext(("a", "b", "c"), (1, 0, -1))
+        extended = RingContext(("x", "y")).extended("t")
+        restricted = ring.extended("t").restricted((0, 1, 3))
+        packing = ring.packing(top)
+        for other in (extended, restricted):
+            assert other.packing(top) is packing
+            for order in every_order_class(3):
+                assert other.packing(top).key(order) is packing.key(order), order
+        assert ring.packing(1 << 20) is not packing
+        assert ring.extended("t").packing(top) is not packing
+        assert pickle.loads(pickle.dumps(packing)) is packing
+
 
 def moved_by_tuples(q, target, at):
     """The tuple route that `Polynomial.moved` replaces: decode each term,
