@@ -34,8 +34,8 @@ with no S-pair.  One builder,
 `_s_polynomial`, forms every S-polynomial in ints, for Buchberger and
 for `basis_syzygies` (which returns ints) alike.  `normal_form` keeps its exact Fraction results, converting the
 dividend once on the way in and the results once on the way out.  A
-`GroebnerBasis` keeps its divisor triples per field width, and what a
-caller derives from it alone under the caller's key (`kept`), and
+`GroebnerBasis` keeps its divisor triples per field width, and what
+else a caller derives from it alone, in one memo (`kept`), and
 `monomial_remainder` returns a monomial's remainder as the kernel's
 ints over one denominator.
 """
@@ -238,15 +238,15 @@ def _divide_int(work: dict[int, int], den: int, triples: DivisorTriples,
 class GroebnerBasis:
     """Reduced basis and its order.
 
-    `triples_at` holds each element's ``(lead, lc, tail)`` per field
-    width, built on first use (none before), so that dividing by the basis
-    never recomputes a lead term; the elements share one ``packing``.
-    `kept` holds whatever else a caller derives from the basis alone,
-    built on first use under the caller's key: a Hom solve keeps the
-    source's S-pair syzygies and the target's standard monomials there.
+    One memo, `kept`, holds what is derived from the basis alone, built
+    on first use under the caller's key: each element's ``(lead, lc,
+    tail)`` per field width (`triples_at`), so that no division
+    recomputes a lead term, and what Hom solves read of the basis.  The
+    elements share one ``packing``.  A pickle or a copy holds the
+    context, order and elements only, and derives the rest again.
     """
 
-    __slots__ = ("context", "order", "elements", "packing", "_triples", "_kept")
+    __slots__ = ("context", "order", "elements", "packing", "_kept")
 
     def __init__(self, context: RingContext, order: MonomialOrder,
                  elements: Sequence[Polynomial]):
@@ -255,16 +255,15 @@ class GroebnerBasis:
         self.order = order
         self.elements = tuple(g.repacked(packing) for g in elements)
         self.packing = packing
-        self._triples: dict[int, DivisorTriples] | None = None  # field width -> triples
         self._kept: dict | None = None
+
+    def __reduce__(self):
+        return GroebnerBasis, (self.context, self.order, self.elements)
 
     def triples_at(self, packing: Packing) -> DivisorTriples:
         """The elements' `divisor_triples` under ``packing``, built once per width."""
-        if self._triples is None:
-            self._triples = {}
-        if packing.bits not in self._triples:
-            self._triples[packing.bits] = divisor_triples(self.elements, self.order, packing)
-        return self._triples[packing.bits]
+        return self.kept(("triples", packing.bits),
+                         lambda: divisor_triples(self.elements, self.order, packing))
 
     def kept(self, key, build: Callable[[], T]) -> T:
         """``build()`` on the first call with ``key``, the same object on

@@ -11,29 +11,31 @@ the span of the others and the Koszul relation g_j e_i - g_i e_j, which
 maps to zero because g_i and g_j vanish in S/J (`basis_syzygies`).
 Restricting to homomorphisms that kill a smaller ideal I_X (for curves
 inside a fixed ambient variety X) adds one equation block per
-generator of I_X: the quotients of its division by the basis.  All
-inputs are homogeneous, so the degree of every monomial the solve can
-meet is known before it starts, and it runs once at a packing that
-holds them, in ints from the division kernel to the echelon (both
+generator of I_X: the quotients of its division by the basis.  Every
+solve takes one path: the echelon of the syzygies' rows, then the
+ambient generators' rows on top; the dimension is the unknowns minus
+the rank.  All inputs are homogeneous, so the degree of every monomial
+the solve can meet is known before it starts, from the source's lead
+pairs whether skipped or not, and it runs once at a packing that holds
+them, in ints from the division kernel to the echelon (both
 fraction-free, cf. Bareiss 1968): the equation blocks come as ints, each
 monomial's remainder as ints over one denominator, and each block is
 scaled by the lcm of its remainders' denominators only (see `_rank`).
 
 A solve derives each fact of its bases once, however many solves read
-the same bases (both tangent numbers of one curve, for instance): the
-source's reduced basis keeps the facts of its lead pairs (whether some
-pair is coprime, and the widest lcm degrees) and its S-pair syzygies
-per (field width, coprime skip), the target's keeps its standard
-monomials per degree (`GroebnerBasis.kept`), all as tuples, and each
-solve builds its own block list from them.  A tangent space's target
-is its source, so the containment that allows the coprime skip holds
-by identity and is not tested, and the echelon of the syzygies' rows
-depends on the basis and the twist alone: the basis keeps its pivots
-per twist, an ambient solve reads its rank off them, and a relative
-solve starts from them and adds only the ambient generators' rows.
-The monomial remainders stay per solve: keeping them on the target's
-basis would hold every product any solve met for as long as the basis
-lives, also where each basis is solved against once.
+the same bases (both tangent numbers of one curve, for instance), and
+keeps it as a tuple in the basis's one memo (`GroebnerBasis.kept`):
+the source's basis its lead pairs' facts (whether some pair is
+coprime, and the widest lcm degree) and its S-pair syzygies per (field
+width, coprime skip), the target's its standard monomials per degree,
+packed at the solve's width.  A tangent space's target is its source,
+so the containment that allows the coprime skip holds by identity and
+is not tested, and the echelon of the syzygies' rows depends on the
+basis and the twist alone: the basis keeps its pivots per twist, and
+later solves start from them; into another target the echelon is
+ranked afresh.  The monomial remainders stay per solve: keeping them
+on the target's basis would hold every product any solve met for as
+long as the basis lives, also where each basis is solved against once.
 
 The dimension of the degree-0 part of Hom(I_C, S/I_C) is the tangent
 space to the Hilbert scheme of the ambient projective space at [C];
@@ -41,6 +43,7 @@ with ``within`` it is the tangent space of the Hilbert scheme of X.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
@@ -48,7 +51,7 @@ from .groebner import basis_syzygies
 from .hilbert import standard_monomials
 from .ideals import Ideal
 from .linalg import SparseEchelon, integer_terms
-from .polyring import GREVLEX, Exponents, Packing
+from .polyring import GREVLEX, Packing
 
 
 def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
@@ -60,19 +63,19 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     ``source``.  When ``target`` contains ``source``, the S-pair
     syzygies of basis pairs with coprime leads are skipped: they add
     nothing beyond the Koszul relations, which are zero in S/target.
-    Containment is tested only when some pair of leads is coprime and
-    the target's basis is not the source's.  The lead pairs' facts, the
-    syzygies and the standard monomials come from what earlier solves
-    kept on the two bases.  When the target's basis is the source's, so
-    is the echelon of the syzygies' rows at ``twist``: the solve starts
-    from it and reduces only the ambient generators' blocks, which are
-    always kept.  The solve runs once on packed monomials: everything
-    being homogeneous, each product c * x^m of a block and each term of
-    its normal form has degree deg c + deg g_k + twist, a kept pair's
-    lcm degree (where its syzygy is divided) or an ambient generator's
-    degree plus the twist: the packing (at least as wide as either
-    basis's, which a negative twist can leave above every such degree)
-    is sized from those before any division.
+    Containment is tested only when some pair of leads is coprime, some
+    unknown exists and the target's basis is not the source's.  The
+    solve ranks the syzygies' rows, from the echelon the source's basis
+    keeps at ``twist`` when it is the target's and afresh otherwise,
+    then the ambient generators' rows on top.  It runs once on packed
+    monomials: everything being homogeneous, each product c * x^m of a
+    block and each term of its normal form has degree deg c + deg g_k +
+    twist, a pair's lcm degree (where its syzygy is divided) or an
+    ambient generator's degree plus the twist.  The packing holds the
+    widest of those over all pairs, skipped or not, and the standard
+    monomials' degrees, which a negative twist can leave above it; it is
+    at least as wide as either basis's, and is sized before any
+    standard monomial is listed.
     """
     if source.context != target.context:
         raise ValueError("source and target live in different ring contexts")
@@ -100,88 +103,80 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
         return 0
     tgb = target.groebner(GREVLEX)
 
-    # one unknown per (basis element, standard monomial of matching degree)
+    coprime, widest = gb.kept(("lead pairs",), lambda: _lead_pairs(gb))
     shifted = [g.total_degree() + twist for g in gb]
-    bases = [_standard_monomials(target, tgb, d) for d in shifted]
-    unknowns = sum(map(len, bases))
-    if not unknowns:
-        return 0
-
-    # the containment test can only change the blocks when some leads are coprime
-    coprime, widest, widest_kept = gb.kept(("lead pairs",), lambda: _lead_pairs(gb))
-    skip = coprime and (tgb is gb or target.contains_ideal(source))
     degrees = [w.total_degree() for w in within.gens] if within is not None else []
-    degrees.append(widest_kept if skip else widest)
+    degrees.append(widest)
     top = max(max(shifted), max(degrees) + max(twist, 0))
     packing = max(gb.packing, tgb.packing, target.context.packing(top), key=lambda k: k.bits)
 
-    def syzygies():
-        return gb.kept(("syzygies", packing.bits, skip),
-                       lambda: tuple(map(tuple, basis_syzygies(gb, packing, skip))))
+    # one unknown per (basis element, standard monomial of matching degree)
+    bases = [_standard_monomials(target, tgb, d, packing) for d in shifted]
+    unknowns = sum(map(len, bases))
+    if not unknowns:
+        return 0
+    # the containment test can only change the blocks when some leads are coprime
+    skip = coprime and (tgb is gb or target.contains_ideal(source))
+    reduced: dict[int, tuple[dict[int, int], int]] = {}
 
-    # one int block per ambient generator (cleared as a whole)
+    def syzygy_echelon() -> SparseEchelon:
+        # one int block per S-pair syzygy, kept for every solve
+        taus = gb.kept(("syzygies", packing.bits, skip),
+                       lambda: tuple(map(tuple, basis_syzygies(gb, packing, skip))))
+        return _rank(tgb, bases, taus, packing, reduced, SparseEchelon())
+
+    # into its own source, the syzygies' echelon depends on the basis and twist alone
+    if tgb is gb:
+        ech = SparseEchelon(gb.kept(("syzygy echelon", twist), lambda: syzygy_echelon().pivots))
+    else:
+        ech = syzygy_echelon()
+    # one int block per ambient generator (cleared as a whole), on top
     blocks = []
     for q in ambient:
         cleared = [integer_terms(qk.repacked(packing).packed) for qk in q]
         den = lcm(*(d for _, d in cleared))
         blocks.append([{t: c * (den // d) for t, c in ints.items()} for ints, d in cleared])
-    reduced: dict[int, tuple[dict[int, int], int]] = {}
-    if tgb is not gb:
-        # one int block per kept S-pair syzygy; the list is this solve's
-        # own, the syzygies are shared
-        return unknowns - _rank(tgb, bases, [*syzygies(), *blocks], packing, reduced).rank
-    pivots = gb.kept(("syzygy echelon", twist),
-                     lambda: _rank(tgb, bases, syzygies(), packing, reduced).pivots)
-    if not blocks:
-        return unknowns - len(pivots)
-    return unknowns - _rank(tgb, bases, blocks, packing, reduced, SparseEchelon(pivots)).rank
+    return unknowns - _rank(tgb, bases, blocks, packing, reduced, ech).rank
 
 
-def _lead_pairs(gb) -> tuple[bool, int, int]:
-    """Whether some pair of ``gb``'s leads is coprime, the widest lcm
-    degree of all pairs, and of the pairs that are not coprime (0 when
-    there are none)."""
+def _lead_pairs(gb) -> tuple[bool, int]:
+    """Whether some pair of ``gb``'s leads is coprime, and the widest lcm
+    degree of all pairs (0 when there are none)."""
     leads, packing = gb.triples_at(gb.packing).leads, gb.packing
     pairs = [(packing.lcm(a, b), a + b) for k, a in enumerate(leads) for b in leads[k + 1:]]
     return (any(m == product for m, product in pairs),
-            max((packing.degree(m) for m, _ in pairs), default=0),
-            max((packing.degree(m) for m, product in pairs if m != product), default=0))
+            max((packing.degree(m) for m, _ in pairs), default=0))
 
 
-def _standard_monomials(target: Ideal, tgb, d: int) -> tuple[Exponents, ...]:
+def _standard_monomials(target: Ideal, tgb, d: int, packing: Packing) -> tuple[int, ...]:
     """The degree-d standard monomials of ``target``, whose reduced grevlex
-    basis is ``tgb``, listed on the first solve that reads them and kept
-    on ``tgb``; none below degree 0."""
+    basis is ``tgb``, packed by ``packing``: listed on the first solve
+    that reads them at its width and kept on ``tgb``; none below degree 0."""
     if d < 0:
         return ()
-    return tgb.kept(("standard monomials", d), lambda: tuple(standard_monomials(target, d)))
+    return tgb.kept(("standard monomials", d, packing.bits),
+                    lambda: tuple(map(packing.pack, standard_monomials(target, d))))
 
 
-def _rank(tgb, bases: list[Sequence[Exponents]], blocks: Sequence[Sequence[dict[int, int]]],
+def _rank(tgb, bases: list[Sequence[int]], blocks: Sequence[Sequence[dict[int, int]]],
           packing: Packing, reduced: dict[int, tuple[dict[int, int], int]],
-          ech: SparseEchelon | None = None) -> SparseEchelon:
-    """The echelon of the equations sum_i coeffs[i] * phi(g_i) = 0 in
-    S/target, one block of int coefficients at a time, added to ``ech``
-    (a new echelon by default), with every monomial packed by
-    ``packing``, whose fields hold every product's degree.  A block's
-    entries are sums of c_e * r / den, c_e an int of the block and
-    r / den a monomial's remainder; scaling the block by the lcm of the
-    remainders' den makes them ints and keeps its row space.
+          ech: SparseEchelon) -> SparseEchelon:
+    """``ech`` extended by the equations sum_i coeffs[i] * phi(g_i) = 0 in
+    S/target, one block of int coefficients at a time, every monomial
+    packed by ``packing``, whose fields hold every product's degree; the
+    unknowns of g_i are its packed standard monomials ``bases[i]``, in
+    order after those of g_0 .. g_(i-1).  A block's entries are sums of
+    c_e * r / den, c_e an int of the block and r / den a monomial's
+    remainder; scaling the block by the lcm of the remainders' den makes
+    them ints and keeps its row space.
 
     Normal form is linear: NF(c * x^m) is the sum of c_e * NF(x^(e+m))
     over the terms c_e * x^e of c.  So each monomial is reduced once per
     solve, into the solve's memo ``reduced``, which dies with it."""
-    columns = []  # (first unknown, packed standard monomials) per basis element
-    first = 0
-    for basis in bases:
-        columns.append((first, [packing.pack(m) for m in basis]))
-        first += len(basis)
-
-    if ech is None:
-        ech = SparseEchelon()
+    starts = list(accumulate(map(len, bases), initial=0))  # each element's first unknown
     for coeffs in blocks:
         products = []  # (unknown, c_e, (r, den)) of each product c_e * x^e * x^m
-        for (start, basis), c in zip(columns, coeffs):
+        for start, basis, c in zip(starts, bases, coeffs):
             if not basis or not c:
                 continue
             for u, m in enumerate(basis, start):

@@ -1,6 +1,8 @@
 """The threefold model end to end: coordinate change, invariant
 subspace, fixed-point combinatorics, curve censuses, residuals."""
+import copy
 import gc
+import pickle
 import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
@@ -319,6 +321,33 @@ class TestResidualQuartic:
 class TestQuarticCensus:
     def census(self):
         return dp5.enumerate_fixed_quartics(MODEL)
+
+    @pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)),
+                                            copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_round_trips_after_a_solve(self, round_trip):
+        # a basis that has divided keeps divisor triples holding its order's
+        # key, a closure; a copy holds the basis alone and derives the rest
+        census = self.census()
+        curve = census.records[0].curve
+        tangents = (tangent_dimension(curve), tangent_dimension(curve, within=MODEL.threefold))
+        back = round_trip(curve)
+        assert back == curve
+        assert (tangent_dimension(back), tangent_dimension(back, within=MODEL.threefold)) \
+            == tangents
+        gb = curve.groebner()
+        gb_back = round_trip(gb)
+        assert (gb_back.context, gb_back.order, gb_back.elements, gb_back.packing) \
+            == (gb.context, gb.order, gb.elements, gb.packing)
+        assert gb_back.triples_at(gb_back.packing) == gb.triples_at(gb.packing)
+        census_back = round_trip(census)
+        assert [r.curve.canonical_key() for r in census_back.records] \
+            == [r.curve.canonical_key() for r in census.records]
+        assert [(o.keys, o.members, o.label, o.row) for o in census_back.orbits] \
+            == [(o.keys, o.members, o.label, o.row) for o in census.orbits]
+        relative = [r.relative_tangent for r in census.records]
+        assert [r.relative_tangent for r in census_back.records] == relative
+        assert [tangent_dimension(r.curve, within=MODEL.threefold)
+                for r in census_back.records] == relative
 
     def test_thirty_distinct_curves(self):
         records = self.census().records

@@ -779,10 +779,25 @@ class TestGroebnerBasisObject:
                         == normal_form(p, gb.elements, gb.order, True)
 
     def test_triples_held_only_once_divided(self):
+        # the triples live in the basis's one memo, read here through
+        # `kept` with a build that fails, so that reading stores nothing
+        class Unbuilt(Exception):
+            pass
+
+        def unbuilt():
+            raise Unbuilt
+
         gb = reduced_groebner_basis(ORBIT_QUADRICS, GREVLEX)
-        assert gb._triples is None
+        widths = (8, 16, 32, 64)
+        assert gb.packing.bits in widths
+        for bits in widths:
+            with pytest.raises(Unbuilt):
+                gb.kept(("triples", bits), unbuilt)
         assert gb.contains(ORBIT_QUADRICS[0])
-        assert list(gb._triples) == [gb.packing.bits]
+        assert gb.kept(("triples", gb.packing.bits), unbuilt) is gb.triples_at(gb.packing)
+        for bits in set(widths) - {gb.packing.bits}:
+            with pytest.raises(Unbuilt):
+                gb.kept(("triples", bits), unbuilt)
 
     def test_wide_dividend_triples_built_once(self, monkeypatch):
         # x^200*y needs 16-bit fields, the basis of (x^2, y) fits 8: both

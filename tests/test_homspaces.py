@@ -471,22 +471,35 @@ class TestReferenceSolve:
         # J does not contain I, so the pair is kept; its one equation
         # matches the x^100 y^100 coefficients
         I, J = ideal(XY, "x^100", "y^100"), ideal(XY, "x^101", "y^101")
-        widths = []
+        steps = []
         solve = homspaces._rank
 
         def recording(tgb, bases, blocks, packing, *rest):
-            widths.append(packing.bits)
+            steps.append((packing.bits, len(blocks)))
             return solve(tgb, bases, blocks, packing, *rest)
 
         monkeypatch.setattr(homspaces, "_rank", recording)
         assert graded_hom_dimension(I, J) == 2 * 101 - 1
         # Hom(I, S/I)_0 = (S/I)_100 twice, for the complete intersection I;
-        # I contains itself, so the coprime pair is skipped and its lcm
-        # degree 200 does not widen the solve past 8 bits
+        # I contains itself, so the coprime pair is skipped, but the width
+        # is sized from every pair's lcm degree, 200, before the skip is
+        # known: the solve runs at 16 bits too.  Each solve ranks twice,
+        # the syzygies and then the ambient generators (none here)
         assert graded_hom_dimension(I, I) == 2 * 99
-        assert widths == [16, 8]
+        assert steps == [(16, 1), (16, 0), (16, 0), (16, 0)]
         self.check(monkeypatch, I, J)
         self.check(monkeypatch, I, I)
+
+    def test_mixed_sign_shifted_degrees(self, monkeypatch):
+        # (x, y^3) into (x^2, y^2, z*w): at twists -3 .. -1 the element x
+        # has a negative shifted degree, and so no unknown, beside y^3,
+        # whose shifted degree is not negative
+        source, target = ideal(P3, "x", "y^3"), ideal(P3, "x^2", "y^2", "z*w")
+        dimensions = []
+        for twist in (-3, -2, -1):
+            self.check(monkeypatch, source, target, twist)
+            dimensions.append(graded_hom_dimension(source, target, twist))
+        assert dimensions == [0, 1, 4]
 
     def test_triples_built_once_per_width(self, monkeypatch):
         # each basis's triples are built once per width: I's at 8 bits for
@@ -522,6 +535,92 @@ class TestReferenceSolve:
         # the threefold's basis has primitive leads 3, 2 and 8
         assert scaled["den"] > 0 and scaled["tau"] > 0
 
+
+class TestOnePath:
+    """Every solve ranks the S-pair syzygies' rows first, from the echelon
+    its source's basis keeps when the target's basis is the source's and
+    afresh otherwise, then the ambient generators' rows on top: a cold
+    solve into the source and one into an equal copy of it feed the
+    echelon the same rows in the same order.  The standard monomials come
+    packed at the solve's width, listed once per target basis and width."""
+
+    @staticmethod
+    def fed_rows(monkeypatch, source, target, twist, within):
+        fed = []
+        add_row = SparseEchelon.add_row
+
+        def recording(ech, row):
+            fed.append(dict(row))
+            return add_row(ech, row)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SparseEchelon, "add_row", recording)
+            return graded_hom_dimension(source, target, twist, within), fed
+
+    def same_rows(self, monkeypatch, source, twist=0, within=None):
+        cold = fresh(source)
+        into_source = self.fed_rows(monkeypatch, cold, cold, twist, within)
+        into_copy = self.fed_rows(monkeypatch, fresh(source), fresh(source), twist, within)
+        assert into_source == into_copy, (source, twist, within)
+        return into_source[1]
+
+    def test_census_quartic(self, monkeypatch):
+        model = dp5.build_model()
+        curve = dp5.expected_quartic_rows(model)[0][0]
+        relative = self.same_rows(monkeypatch, curve, within=model.threefold)
+        ambient = self.same_rows(monkeypatch, curve)
+        # the syzygies' rows first, the threefold's generators' after them
+        assert ambient and relative[:len(ambient)] == ambient and len(relative) > len(ambient)
+
+    def test_seeded_ideals(self, monkeypatch):
+        rng = random.Random(223)
+        helper = TestPresentationIndependence()
+        fed = 0
+        for _ in range(6):
+            source = helper.random_ideal(rng)
+            within = Ideal(P3, [g * helper.random_form(rng, 1) for g in source.gens])
+            for twist in (-1, 0, 1):
+                for w in (within, None):
+                    fed += len(self.same_rows(monkeypatch, source, twist, w))
+        assert fed > 0
+
+    def test_standard_monomials_packed_once(self, monkeypatch):
+        # a second solve that reads the same target basis at the same width,
+        # from the same source or an equal copy, lists no standard monomial
+        listed, monomials = [], []
+
+        def listing(ideal, d):
+            listed.append(d)
+            return STANDARD_MONOMIALS(ideal, d)
+
+        def ranking(tgb, bases, *rest):
+            monomials.extend(m for basis in bases for m in basis)
+            return RANK(tgb, bases, *rest)
+
+        monkeypatch.setattr(homspaces, "standard_monomials", listing)
+        monkeypatch.setattr(homspaces, "_rank", ranking)
+        model = dp5.build_model()
+        curve = fresh(dp5.expected_quartic_rows(model)[0][0])
+        I, J = ideal(P3, "x^2", "x*y", "y^3*z"), ideal(P3, "x", "y^2")
+        for source, target in ((curve, curve), (I, J)):
+            first = graded_hom_dimension(source, target)
+            assert listed
+            listed.clear()
+            assert graded_hom_dimension(source, target) == first
+            assert graded_hom_dimension(fresh(source), target) == first
+            assert listed == []
+        assert monomials and all(type(m) is int for m in monomials)
+
+
+    def test_one_target_basis_at_two_widths(self, monkeypatch):
+        # J's degree-1 standard monomials x, y are read at 8 bits by the
+        # solve from (x, y) and at 16 by the one from (x^150, y), whose
+        # lcm degree 151 widens it: each reads them packed at its width,
+        # and the products x^150 * x and x^150 * y stay outside J
+        J = ideal(XY, "y^2")
+        for source in (ideal(XY, "x", "y"), ideal(XY, "x^150", "y")):
+            TestReferenceSolve().check(monkeypatch, source, J)
+        assert J.groebner(GREVLEX).packing.bits == 8
 
 class TestNormalFormCount:
     """A Hom solve reduces each monomial once, in the integer kernel,
@@ -685,7 +784,7 @@ class TestKoszulPairs:
 
 class TestKeptFacts:
     """The source's basis keeps its S-pair syzygies per (width, skip) and
-    the target's basis its standard monomials per degree; every solve
+    the target's basis its standard monomials per (degree, width); every solve
     must give what the same solve on fresh copies gives, in any order,
     and must not alter what it shares."""
 
@@ -767,8 +866,12 @@ class TestKeptFacts:
         assert len(built) == 1 and len(listed) == len(degrees)
         assert {key for key, _ in kept if key[0] == "syzygy echelon"} \
             == {("syzygy echelon", 0)}
-        # what the bases keep is shared, so it is kept immutable
-        assert kept and all(type(value) is tuple for _, value in kept)
+        # what the bases keep is shared, so it is kept immutable: tuples,
+        # the divisor triples a tuple subclass
+        assert kept and all(isinstance(value, tuple) for _, value in kept)
+        assert {type(value) for key, value in kept if key[0] == "triples"} \
+            == {groebner.DivisorTriples}
+        assert all(type(value) is tuple for key, value in kept if key[0] != "triples")
         taus = [value for key, value in kept if key[0] == "syzygies"]
         assert taus and all(type(tau) is tuple for value in taus for tau in value)
 
