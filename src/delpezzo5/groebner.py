@@ -1,15 +1,23 @@
 """Buchberger engine, S-pair syzygies, and syzygies of generators.
 
 Everything here is deterministic: pairs come from a heap ordered by
-(lcm degree, lcm order key, index pair), each entry built once when its
-pair is formed, the reducer is always the first basis element in list
-order whose lead divides the target term, and the final basis is the
-unique reduced Groebner basis sorted by decreasing lead monomial.
+(lcm degree, lcm code, index pair), the code ordering as the lcm's order
+key, each entry built once when its pair is formed, the reducer is
+always the first basis element in list order whose lead divides the
+target term, and the final basis is the unique reduced Groebner basis
+sorted by decreasing lead monomial.
 
 Division, pair selection and interreduction run on packed monomials
 (`polyring.Packing`): a product is an integer sum, divisibility one mask
 test, and an order key one int, the key of a product being the sum of
-the keys.  A product that outgrows its packing restarts the division,
+the keys.  Inside the kernel every term is keyed by its code
+``(key(m) << width) + m``, which sorts like the order and holds m in its
+low bits: a term gets its code where it enters (`_as_divisors`, the
+dividend of `normal_form`, `GroebnerBasis.monomial_remainder`), every
+term the kernel makes keeps one (a tail step is a difference of codes,
+so a product's code is a sum), and the monomial is read back only where
+a result leaves.  So an order key is evaluated only on entry and for
+pair lcms.  A product that outgrows its packing restarts the division,
 or the Buchberger run, at a wider one, so no field ever wraps; the
 S-pair syzygies of a homogeneous basis run at a packing their caller
 sizes from its largest lcm degree, and never restart.
@@ -19,7 +27,7 @@ as in `linalg`, whose `integer_terms` and `primitive` make every
 conversion to ints): each divisor is held as a primitive integer
 polynomial, the dividend and the quotients as ints over one running
 denominator, and a reduction scales them by an integer instead of
-dividing by the lead coefficient.  One builder, `_divisor`, turns
+dividing by the lead coefficient.  One builder, `_divisor`, turns coded
 integer terms into a divisor (lead, primitive form and tail steps), for
 `divisor_triples` and for every element Buchberger adds or interreduces;
 Buchberger reads its leads from those triples.  It holds every element as
@@ -34,8 +42,9 @@ with no S-pair.  One builder,
 `_s_polynomial`, forms every S-polynomial in ints, for Buchberger and
 for `basis_syzygies` (which returns ints) alike.  `normal_form` keeps its exact Fraction results, converting the
 dividend once on the way in and the results once on the way out.  A
-`GroebnerBasis` keeps its divisor triples per field width, and what
-else a caller derives from it alone, in one memo (`kept`), and
+`GroebnerBasis` keeps its divisor triples per field width, its lead
+exponents and homogeneity, and what else a caller derives from it
+alone, in one memo (`kept`), and
 `monomial_remainder` returns a monomial's remainder as the kernel's
 ints over one denominator.
 """
@@ -61,18 +70,21 @@ from .polyring import (
 )
 
 T = TypeVar("T")
-Triple = tuple  # (lead, lc, (steps, coefficients)) of one divisor; see `_divisor`
+Triple = tuple  # (lead code, lc, (steps, coefficients)) of one divisor; see `_divisor`
 
 
 class DivisorTriples(tuple):
     """The `Triple` of each divisor of a list, all under ``packing``, the
-    order's ``key`` on that packing, and the packed leads."""
+    order's ``key`` on that packing, the mask ``low`` of a code's monomial
+    bits, the lead codes and the packed leads."""
 
     def __new__(cls, triples, packing: Packing, key: Callable[[int], int]):
         self = super().__new__(cls, triples)
         self.packing = packing
         self.key = key
-        self.leads = [t[0] for t in self]
+        self.low = low = (1 << packing.width) - 1
+        self.codes = [t[0] for t in self]
+        self.leads = [c & low for c in self.codes]
         return self
 
 
@@ -84,29 +96,33 @@ def _widest(polys: Sequence[Polynomial], context: RingContext) -> Packing:
     return packing
 
 
-def _fractions(ints: dict[int, int], den: int) -> dict[int, Fraction]:
-    """The terms ``ints / den`` as Fractions; den is positive."""
+def _coded(ints: dict[int, int], key: Callable[[int], int], width: int) -> dict[int, int]:
+    """The packed terms ``ints`` keyed by their codes ``(key(m) << width) + m``,
+    in the same order: where a term enters the kernel."""
+    return {(key(m) << width) + m: c for m, c in ints.items()}
+
+
+def _fractions(ints: dict[int, int], den: int, low: int) -> dict[int, Fraction]:
+    """The coded terms ``ints / den`` as Fractions keyed by their packed
+    monomials ``code & low``; den is positive.  Where a term leaves the kernel."""
     if den == 1:
-        return {m: Fraction(c) for m, c in ints.items()}
-    return {m: Fraction(c, den) for m, c in ints.items()}
+        return {t & low: Fraction(c) for t, c in ints.items()}
+    return {t & low: Fraction(c, den) for t, c in ints.items()}
 
 
-def _divisor(ints: dict[int, int], key: Callable[[int], int],
-             width: int) -> tuple[dict[int, int], Triple]:
-    """The primitive form of the nonzero packed integer terms ``ints`` and
+def _divisor(ints: dict[int, int]) -> tuple[dict[int, int], Triple]:
+    """The primitive form of the nonzero coded integer terms ``ints`` and
     its `Triple` ``(lead, lc, tail)``; the one builder of a divisor, for
-    `divisor_triples` and Buchberger alike.  The lead is the term whose
-    order ``key`` is largest, the form is `linalg.primitive` at it (int
-    coefficients with gcd 1, lc positive), and the tail lists, for every
-    other term ``c * x^e``, its int coefficient c and its step
-    ``((key(e) - key(lead)) << width) + e - lead``.  A step added to
-    ``(key(m) << width) + m`` for a monomial m that the lead divides
-    gives the same code for the product of m / lead and x^e."""
-    keys = {m: key(m) for m in ints}
-    lead = max(keys, key=keys.get)
+    `divisor_triples` and Buchberger alike.  The lead is the largest code,
+    that of the term largest in the order, the form is
+    `linalg.primitive` at it (int coefficients with gcd 1, lc positive),
+    and the tail lists, for every other term ``c * x^e``, its int
+    coefficient c and its step ``code(e) - code(lead)``.  A step added to
+    the code of a monomial m that the lead divides gives the code of the
+    product of m / lead and x^e, since keys add like the monomials."""
+    lead = max(ints)
     ints = primitive(ints, lead)
-    top = keys[lead]
-    tail = [(((keys[m] - top) << width) + m - lead, c) for m, c in ints.items() if m != lead]
+    tail = [(t - lead, c) for t, c in ints.items() if t != lead]
     return ints, (lead, ints[lead], (tuple(s for s, _ in tail), tuple(c for _, c in tail)))
 
 
@@ -148,18 +164,19 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOr
         quotients = [{} for _ in divisors] if with_quotients else None
         try:
             work, den = integer_terms(p.repacked(packing).packed)
-            remainder, den = _divide_int(work, den, triples, quotients)
+            remainder, den = _divide_int(_coded(work, triples.key, packing.width), den,
+                                         triples, quotients)
             break
         except PackingOverflow:
             packing = p.context.packing(packing.limit + 1)
             triples = divisor_triples(divisors, order, packing)
 
-    r = Polynomial.from_packed(p.context, packing, _fractions(remainder, den))
+    r = Polynomial.from_packed(p.context, packing, _fractions(remainder, den, triples.low))
     if quotients is None:
         return r
     # q_k / den is the quotient by d's primitive form, lc / lead_coefficient(d) times d
     out = []
-    for q, d, (lead, lc, _) in zip(quotients, divisors, triples):
+    for q, d, lead, (_, lc, _) in zip(quotients, divisors, triples.leads, triples):
         if q:
             top = d.repacked(packing).packed[lead]
             num, dn = lc * top.denominator, den * top.numerator
@@ -172,7 +189,14 @@ def _divide_int(work: dict[int, int], den: int, triples: DivisorTriples,
                 quotients: list[dict[int, int]] | None) -> tuple[dict[int, int], int]:
     """Fraction-free division of ``work / den`` by the divisors (primitive
     pseudo-division, cf. Bareiss 1968): the remainder is ``r / den``
-    for the returned ``(r, den)``, r's packed terms largest first.
+    for the returned ``(r, den)``, r's coded terms largest first.
+
+    Every term is keyed by its code ``(key(m) << width) + m``, from the
+    dividend to the remainder: codes sort like the order, since order
+    keys are injective, ``code & low`` is the packed monomial, a tail
+    step added to a code gives the product's code, and a difference of
+    codes has the guard bits of the difference of the monomials, so the
+    division evaluates no order key.
 
     One running denominator serves the whole division.  A term c meets
     a divisor's lead coefficient lc: with g = gcd(c, lc), the work, the
@@ -185,23 +209,18 @@ def _divide_int(work: dict[int, int], den: int, triples: DivisorTriples,
     `PackingOverflow` when a product reaches a guard bit."""
     work = dict(work)
     remainder: dict[int, int] = {}
-    key, leads = triples.key, triples.leads
-    guard, width = triples.packing.guard, triples.packing.width
-    low = (1 << width) - 1
-    # the codes (key(m) << width) + m, ascending; pop() takes the largest.
-    # Order keys are injective, so codes sort by key, and m = code & low.
-    agenda = sorted((key(m) << width) + m for m in work)
+    codes, guard, low = triples.codes, triples.packing.guard, triples.low
+    agenda = sorted(work)  # ascending; pop() takes the largest
     while agenda:
         code = agenda.pop()
-        m = code & low
-        c = work.pop(m, None)
+        c = work.pop(code, None)
         if c is None:
             continue
-        for hit, lead in enumerate(leads):
-            if not (m - lead) & guard:
+        for hit, lead in enumerate(codes):
+            if not (code - lead) & guard:
                 break
         else:
-            remainder[m] = c
+            remainder[code] = c
             continue
         _, lc, (steps, coeffs) = triples[hit]
         if lc != 1:
@@ -218,20 +237,19 @@ def _divide_int(work: dict[int, int], den: int, triples: DivisorTriples,
         if quotients is not None:
             # terms only shrink, so no monomial is reduced twice and each
             # quotient term is set once
-            quotients[hit][m - lead] = c
+            quotients[hit][(code - lead) & low] = c
         # the lead term cancels m itself; the tail lands at m + (e - lead)
         for step, ce in zip(steps, coeffs):
             new = code + step
-            t = new & low
-            if t & guard:
+            if new & guard:
                 raise PackingOverflow
-            acc = work.get(t, 0) - c * ce
+            acc = work.get(new, 0) - c * ce
             if acc:
-                if t not in work:
+                if new not in work:
                     insort(agenda, new)
-                work[t] = acc
+                work[new] = acc
             else:
-                del work[t]
+                del work[new]
     return remainder, den
 
 
@@ -241,9 +259,10 @@ class GroebnerBasis:
     One memo, `kept`, holds what is derived from the basis alone, built
     on first use under the caller's key: each element's ``(lead, lc,
     tail)`` per field width (`triples_at`), so that no division
-    recomputes a lead term, and what Hom solves read of the basis.  The
-    elements share one ``packing``.  A pickle or a copy holds the
-    context, order and elements only, and derives the rest again.
+    recomputes a lead term, the lead exponents, whether every element is
+    homogeneous, and what Hom solves read of the basis.  The elements
+    share one ``packing``.  A pickle or a copy holds the context, order
+    and elements only, and derives the rest again.
     """
 
     __slots__ = ("context", "order", "elements", "packing", "_kept")
@@ -255,15 +274,19 @@ class GroebnerBasis:
         self.order = order
         self.elements = tuple(g.repacked(packing) for g in elements)
         self.packing = packing
-        self._kept: dict | None = None
+        self._kept: dict = {}
 
     def __reduce__(self):
         return GroebnerBasis, (self.context, self.order, self.elements)
 
     def triples_at(self, packing: Packing) -> DivisorTriples:
-        """The elements' `divisor_triples` under ``packing``, built once per width."""
-        return self.kept(("triples", packing.bits),
-                         lambda: divisor_triples(self.elements, self.order, packing))
+        """The elements' `divisor_triples` under ``packing``, built once per
+        width: a hit is one read of the memo."""
+        triples = self._kept.get(("triples", packing.bits))
+        if triples is None:
+            triples = self.kept(("triples", packing.bits),
+                                lambda: divisor_triples(self.elements, self.order, packing))
+        return triples
 
     def kept(self, key, build: Callable[[], T]) -> T:
         """``build()`` on the first call with ``key``, the same object on
@@ -271,8 +294,6 @@ class GroebnerBasis:
         alone is derived once; the caller keys it by everything else it
         depends on, and keeps it immutable, since every later caller
         shares it."""
-        if self._kept is None:
-            self._kept = {}
         if key not in self._kept:
             self._kept[key] = build()
         return self._kept[key]
@@ -286,14 +307,24 @@ class GroebnerBasis:
 
     def monomial_remainder(self, m: int, packing: Packing) -> tuple[dict[int, int], int]:
         """Ints ``(r, den)``, ``r / den`` the remainder of the packed monomial m
-        by the elements; raises `PackingOverflow` when a product outgrows ``packing``."""
-        return _divide_int({m: 1}, 1, self.triples_at(packing), None)
+        by the elements, r keyed by packed monomials; raises
+        `PackingOverflow` when a product outgrows ``packing``."""
+        triples, width = self.triples_at(packing), packing.width
+        r, den = _divide_int({(triples.key(m) << width) + m: 1}, 1, triples, None)
+        return {t & triples.low: c for t, c in r.items()}, den
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
 
-    def lead_monomials(self) -> list[Exponents]:
-        return [self.packing.unpack(t[0]) for t in self.triples_at(self.packing)]
+    def lead_monomials(self) -> tuple[Exponents, ...]:
+        """The elements' lead exponents, in the order of the elements."""
+        return self.kept(("lead monomials",), lambda: tuple(
+            map(self.packing.unpack, self.triples_at(self.packing).leads)))
+
+    def is_homogeneous(self) -> bool:
+        """Whether every element is homogeneous for the standard grading."""
+        return self.kept(("homogeneous",),
+                         lambda: all(g.is_homogeneous() for g in self.elements))
 
     def is_weight_homogeneous(self) -> bool:
         return all(g.is_weight_homogeneous() for g in self.elements)
@@ -309,30 +340,28 @@ class GroebnerBasis:
         return f"GroebnerBasis([{inner}], order={self.order!r})"
 
 
-def _s_polynomial(triples: DivisorTriples, i: int, j: int, lcm: int) -> dict[int, int]:
+def _s_polynomial(triples: DivisorTriples, i: int, j: int, base: int) -> dict[int, int]:
     """(lc_j / g) x^a tail_i - (lc_i / g) x^b tail_j, with g = gcd(lc_i, lc_j)
-    and x^a = lcm / lead_i, x^b = lcm / lead_j: the packed integer terms of
+    and x^a = lcm / lead_i, x^b = lcm / lead_j: the coded integer terms of
     lcm(lc_i, lc_j) times the S-polynomial of the monic divisors i and j,
-    the leads cancelled.  Each tail step lands at ``(key(lcm) << width) +
-    lcm + step``, as in `_divide_int`; raises `PackingOverflow` when a
-    product reaches a guard bit."""
-    packing = triples.packing
-    low = (1 << packing.width) - 1
-    base = (triples.key(lcm) << packing.width) + lcm
+    the leads cancelled.  ``base`` is the lcm's code, and each tail step
+    lands at ``base + step``, as in `_divide_int`; raises
+    `PackingOverflow` when a product reaches a guard bit."""
     (_, lc_i, tail_i), (_, lc_j, tail_j) = triples[i], triples[j]
     g = gcd(lc_i, lc_j)
     s: dict[int, int] = {}
     seen = 0
     for (steps, coeffs), scale in ((tail_i, lc_j // g), (tail_j, -(lc_i // g))):
         for step, c in zip(steps, coeffs):
-            t = (base + step) & low
+            t = base + step
             seen |= t
             acc = s.get(t, 0) + scale * c
             if acc:
                 s[t] = acc
             else:
                 del s[t]
-    if seen & packing.guard:
+    # a code's low bits are its monomial's, so the guard bits are read off them
+    if seen & triples.packing.guard:
         raise PackingOverflow
     return s
 
@@ -364,18 +393,18 @@ def basis_syzygies(gb: GroebnerBasis, packing: Packing,
     homogeneous: every term of a pair's reduction then has the degree of
     its lcm, so the caller's ``packing`` holds the largest lcm degree."""
     G = gb.elements
-    if not all(g.is_homogeneous() for g in G):
+    if not gb.is_homogeneous():
         raise ValueError("S-pair syzygies need a homogeneous basis")
     triples = gb.triples_at(packing)
-    leads, lcm_of = triples.leads, packing.lcm
+    leads, lcm_of, key, width = triples.leads, packing.lcm, triples.key, packing.width
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
              if not (skip_coprime and lcm_of(leads[i], leads[j]) == leads[i] + leads[j])]
     syzygies = []
     for i, j in pairs:
         m = lcm_of(leads[i], leads[j])
         quotients = [{} for _ in G]
-        r, den = _divide_int(_s_polynomial(triples, i, j, m), lcm(triples[i][1], triples[j][1]),
-                             triples, quotients)
+        r, den = _divide_int(_s_polynomial(triples, i, j, (key(m) << width) + m),
+                             lcm(triples[i][1], triples[j][1]), triples, quotients)
         if r:
             raise AssertionError("S-pair of a Groebner basis must reduce to zero")
         # the S-polynomial's terms lie below the lcm, so x^a is not in q_i
@@ -456,12 +485,13 @@ def _reduced(context: RingContext, gens: Sequence[Polynomial], order: MonomialOr
 
 def _as_divisors(gens: Sequence[Polynomial], order: MonomialOrder,
                  packing: Packing) -> tuple[list[dict[int, int]], DivisorTriples]:
-    """The nonzero ``gens`` as packed primitive integer terms with positive
+    """The nonzero ``gens`` as coded primitive integer terms with positive
     leads and their divisor triples, as `_buchberger` starts and returns
     its basis and `divisor_triples` hands them to a division."""
     key, G, triples = packing.key(order), [], []
     for g in gens:
-        ints, triple = _divisor(integer_terms(g.repacked(packing).packed)[0], key, packing.width)
+        ints = integer_terms(g.repacked(packing).packed)[0]
+        ints, triple = _divisor(_coded(ints, key, packing.width))
         G.append(ints)
         triples.append(triple)
     return G, DivisorTriples(triples, packing, key)
@@ -469,15 +499,17 @@ def _as_divisors(gens: Sequence[Polynomial], order: MonomialOrder,
 
 def _buchberger(gens: list[Polynomial], order: MonomialOrder,
                 packing: Packing) -> tuple[list[dict[int, int]], DivisorTriples]:
-    """A Groebner basis of nonzero ``gens`` at one packing, as packed
+    """A Groebner basis of nonzero ``gens`` at one packing, as coded
     primitive integer terms with positive leads and their divisor
     triples; raises `PackingOverflow` when a product outgrows the
     packing."""
     G, triples = _as_divisors(gens, order, packing)
     key, degree, guard, width = triples.key, packing.degree, packing.guard, packing.width
+    low = triples.low
     # the open pairs, as a set for the chain criterion and as a heap of
-    # (lcm degree, lcm order key, i, j) for selection; a pair leaves both
-    # only when popped, so they always hold the same pairs
+    # (lcm degree, lcm code, i, j) for selection, which orders them as the
+    # lcm's order key would; a pair leaves both only when popped, so they
+    # always hold the same pairs
     pairs: set[tuple[int, int]] = set()
     queue: list[tuple] = []
 
@@ -485,17 +517,17 @@ def _buchberger(gens: list[Polynomial], order: MonomialOrder,
         lead = triples.leads[new]
         for k in range(new):
             lcm = packing.lcm(triples.leads[k], lead)
-            heappush(queue, (degree(lcm), key(lcm), k, new))
+            heappush(queue, (degree(lcm), (key(lcm) << width) + lcm, k, new))
             pairs.add((k, new))
 
     for new in range(len(G)):
         pair_with_earlier(new)
 
     while queue:
-        _, _, i, j = heappop(queue)
+        _, base, i, j = heappop(queue)
         pairs.discard((i, j))
         leads = triples.leads
-        lcm = packing.lcm(leads[i], leads[j])
+        lcm = base & low
         if lcm == leads[i] + leads[j]:
             continue  # coprime leads reduce to zero
         chain = False
@@ -507,9 +539,9 @@ def _buchberger(gens: list[Polynomial], order: MonomialOrder,
                 break
         if chain:
             continue
-        r, _ = _divide_int(_s_polynomial(triples, i, j, lcm), 1, triples, None)
+        r, _ = _divide_int(_s_polynomial(triples, i, j, base), 1, triples, None)
         if r:
-            ints, triple = _divisor(r, key, width)
+            ints, triple = _divisor(r)
             G.append(ints)
             triples = DivisorTriples(triples + (triple,), packing, key)
             pair_with_earlier(len(G) - 1)
@@ -522,11 +554,10 @@ def _interreduced(context: RingContext, order: MonomialOrder, G: list[dict[int, 
     whose leads involve the ``eliminate`` variables; see
     `reduced_groebner_basis`.  Raises `PackingOverflow` when a product
     outgrows the packing."""
-    packing, key, leads = triples.packing, triples.key, triples.leads
-    guard, width = packing.guard, packing.width
-    # minimal generating set of the lead ideal, ascending
+    packing, key, leads, guard = triples.packing, triples.key, triples.leads, triples.packing.guard
+    # minimal generating set of the lead ideal, ascending by lead code
     kept: list[int] = []
-    for k in sorted(range(len(G)), key=lambda k: key(leads[k])):
+    for k in sorted(range(len(G)), key=triples.codes.__getitem__):
         if all((leads[k] - leads[t]) & guard for t in kept):
             kept.append(k)
     fields = sum(packing.limit << (i * packing.bits) for i in eliminate)
@@ -540,12 +571,13 @@ def _interreduced(context: RingContext, order: MonomialOrder, G: list[dict[int, 
         smaller = DivisorTriples(final_triples[:idx], packing, key)
         r, _ = _divide_int(final[idx], 1, smaller, None)
         if r != final[idx]:
-            final[idx], final_triples[idx] = _divisor(r, key, width)
+            final[idx], final_triples[idx] = _divisor(r)
 
     # kept is ascending in lead order and interreduction keeps the leads,
     # so reversing sorts the basis by decreasing lead monomial
+    low = triples.low
     return GroebnerBasis(context, order, [Polynomial.from_packed(context, packing,
-                                                                 _fractions(ints, t[1]))
+                                                                 _fractions(ints, t[1], low))
                                           for ints, t in zip(final[::-1], final_triples[::-1])])
 
 

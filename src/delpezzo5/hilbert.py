@@ -15,6 +15,13 @@ with s = t*lead(g_i), such a row is t*g_j times g_i, a combination of
 rows of g_i, minus rows of g_j whose shifts lie beyond s, so it adds
 nothing to the rank.
 
+Both Hilbert functions read their monomials of one degree, packed, from
+one table per process (`packed_degree_monomials`), keyed by (variables,
+field width, degree): the standard-monomial count its candidates, the
+direct variant its shifts.  The table keeps lists while all of them
+together hold at most `_TABLE_LIMIT` ints, dropping the oldest first, so
+its memory is bounded however high the degrees a run asks for.
+
 Serre's criterion reads the same (Q, r): S/I is Cohen-Macaulay when its
 cut by r fixed linear forms is Artinian with Q_cut(1) = Q(1), and then
 its sections by a regular sequence are saturated as they stand.
@@ -114,48 +121,101 @@ def degree_monomials(nvars: int, d: int) -> Iterator[Exponents]:
         e[i + 1] = rest
 
 
-def standard_monomials(ideal: Ideal, d: int) -> list[Exponents]:
-    """Degree-d monomials not in the grevlex lead ideal: a basis of
-    (S/I)_d, in the order of `degree_monomials`.
+# (variables, field width, degree) -> `packed_degree_monomials`; the lists
+# kept hold at most _TABLE_LIMIT ints in all, about 0.3 MB at 8-bit fields
+_DEGREE_TABLES: dict[tuple[int, int, int], tuple[int, ...]] = {}
+_TABLE_LIMIT = 1 << 13
+
+
+def packed_degree_monomials(packing: Packing, d: int) -> tuple[int, ...]:
+    """The monomials of `degree_monomials` (packing.nvars, d), packed by
+    ``packing``, in the same order; d must not exceed ``packing.limit``.
+
+    Each list is built once and kept in one table per process while the
+    lists kept hold at most `_TABLE_LIMIT` ints in all; keeping one drops
+    the oldest until it fits, and a longer one is returned and not kept.
+    A list of n variables is read off those of n - 1 at the same width:
+    the first exponent a from d down, plus each monomial of degree d - a
+    in the others, shifted one field up."""
+    key = (packing.nvars, packing.bits, d)
+    table = _DEGREE_TABLES.get(key)
+    if table is not None:
+        return table
+    n, bits = packing.nvars, packing.bits
+    if d < 0 or n == 0:
+        table = (0,) if d == 0 else ()
+    elif n == 1:
+        table = (d,)
+    else:
+        rest = Packing.holding(n - 1, packing.limit)
+        table = tuple(a + (r << bits) for a in range(d, -1, -1)
+                      for r in packed_degree_monomials(rest, d - a))
+    if len(table) <= _TABLE_LIMIT:
+        size = sum(map(len, _DEGREE_TABLES.values()))
+        while size + len(table) > _TABLE_LIMIT:
+            size -= len(_DEGREE_TABLES.pop(next(iter(_DEGREE_TABLES))))
+        _DEGREE_TABLES[key] = table
+    return table
+
+
+def _standard_packed(ideal: Ideal, d: int, top: int) -> tuple[list[int], list[int]]:
+    """``(free, survivors)``: the variables that are not lead monomials,
+    and the degree-d monomials in them outside the grevlex lead ideal,
+    packed by their packing whose fields hold ``top`` (at least d), in
+    the order of `degree_monomials`.
 
     A variable that is itself a lead monomial divides every monomial it
-    occurs in, so only monomials in the other variables are listed, and
-    each is tested against the packed leads of degree at most d that
-    involve none of the excluded variables."""
-    if d < 0:
-        return []
+    occurs in, so only monomials in the other variables are candidates,
+    read from `packed_degree_monomials`, and each is tested against the
+    packed leads of degree at most d that involve none of the excluded
+    variables."""
     n = ideal.context.nvars
     leads = ideal.groebner(GREVLEX).lead_monomials()
     excluded = {g.index(1) for g in leads if sum(g) == 1}
     free = [i for i in range(n) if i not in excluded]
-    packing = Packing.holding(len(free), d)
+    packing = Packing.holding(len(free), top)
     pack, guard = packing.pack, packing.guard
     live = [pack(tuple(g[i] for i in free)) for g in leads
             if sum(g) <= d and not any(g[i] for i in excluded)]
-    if free:
-        candidates = degree_monomials(len(free), d)
-    else:
-        candidates = [()] if d == 0 else []
-    out = []
-    for r in candidates:
-        m = pack(r)
-        if all((m - g) & guard for g in live):
-            if excluded:
-                e = [0] * n
-                for i, k in zip(free, r):
-                    e[i] = k
-                r = tuple(e)
-            out.append(r)
-    return out
+    survivors = [m for m in packed_degree_monomials(packing, d)
+                 if all((m - g) & guard for g in live)]
+    return free, survivors
+
+
+def standard_monomials(ideal: Ideal, d: int) -> list[Exponents]:
+    """Degree-d monomials not in the grevlex lead ideal: a basis of
+    (S/I)_d, in the order of `degree_monomials`.  The candidates are
+    the monomials in the variables that are not leads, read packed from
+    the bounded table of `packed_degree_monomials`, and only the
+    survivors are unpacked (see `_standard_packed`)."""
+    packing = Packing.holding(ideal.context.nvars, d)
+    return list(map(packing.unpack, packed_standard_monomials(ideal, d, packing)))
+
+
+def packed_standard_monomials(ideal: Ideal, d: int, packing: Packing) -> list[int]:
+    """The degree-d standard monomials packed by ``packing``, a packing of
+    the ideal's ring whose fields hold d, in the order of
+    `degree_monomials`; none below degree 0.  Each survivor of
+    `_standard_packed` has its fields copied to its variables' fields of
+    the same width."""
+    if d < 0:
+        return []
+    free, survivors = _standard_packed(ideal, d, packing.limit)
+    if len(free) == packing.nvars:
+        return survivors
+    bits, limit = packing.bits, packing.limit
+    moves = [(k * bits, i * bits) for k, i in enumerate(free)]
+    return [sum(((m >> s) & limit) << t for s, t in moves) for m in survivors]
 
 
 def hilbert_function(ideal: Ideal, d: int) -> int:
-    """dim_k (S/I)_d for homogeneous I."""
+    """dim_k (S/I)_d for homogeneous I: the packed survivors of
+    `_standard_packed`, counted without unpacking them."""
     if d < 0:
         return 0
     if not ideal.is_homogeneous():
         raise ValueError("Hilbert function needs a homogeneous ideal")
-    return len(standard_monomials(ideal, d))
+    return len(_standard_packed(ideal, d, d)[1])
 
 def hilbert_function_direct(ideal: Ideal, d: int) -> int:
     """Groebner-free oracle: dim S_d minus the rank of the degree-d
@@ -180,7 +240,8 @@ def hilbert_function_direct(ideal: Ideal, d: int) -> int:
     packed at the ring's packing for degree d: no exponent exceeds d, so
     a shift times a term is the sum of their packed ints, and ``(s -
     lead) & guard`` is zero exactly when lead divides s.  The shifts of
-    each generator degree are listed once."""
+    each generator degree are read once per call from the table of
+    `packed_degree_monomials` at that packing's width."""
     if d < 0:
         return 0
     context = ideal.context
@@ -189,8 +250,8 @@ def hilbert_function_direct(ideal: Ideal, d: int) -> int:
         if not g.is_homogeneous():
             raise ValueError("Hilbert function needs homogeneous generators")
     packing = context.packing(d)
-    pack, guard = packing.pack, packing.guard
-    shifts: dict[int, list[int]] = {}
+    guard = packing.guard
+    shifts: dict[int, tuple[int, ...]] = {}
     leads: list[int] = []
     ech = SparseEchelon()
     for g in ideal.gens:
@@ -198,7 +259,7 @@ def hilbert_function_direct(ideal: Ideal, d: int) -> int:
         if g.is_zero() or gd > d:
             continue
         if d - gd not in shifts:
-            shifts[d - gd] = [pack(s) for s in degree_monomials(n, d - gd)]
+            shifts[d - gd] = packed_degree_monomials(packing, d - gd)
         terms, _ = integer_terms(g.repacked(packing).packed)
         least = min(terms)
         terms = primitive(terms, least)

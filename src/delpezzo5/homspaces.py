@@ -48,7 +48,7 @@ from math import lcm
 from typing import Sequence
 
 from .groebner import basis_syzygies
-from .hilbert import standard_monomials
+from .hilbert import packed_standard_monomials
 from .ideals import Ideal
 from .linalg import SparseEchelon, integer_terms
 from .polyring import GREVLEX, Packing
@@ -151,11 +151,12 @@ def _lead_pairs(gb) -> tuple[bool, int]:
 def _standard_monomials(target: Ideal, tgb, d: int, packing: Packing) -> tuple[int, ...]:
     """The degree-d standard monomials of ``target``, whose reduced grevlex
     basis is ``tgb``, packed by ``packing``: listed on the first solve
-    that reads them at its width and kept on ``tgb``; none below degree 0."""
+    that reads them at its width, from the packed candidates of the
+    Hilbert layer's table, and kept on ``tgb``; none below degree 0."""
     if d < 0:
         return ()
     return tgb.kept(("standard monomials", d, packing.bits),
-                    lambda: tuple(map(packing.pack, standard_monomials(target, d))))
+                    lambda: tuple(packed_standard_monomials(target, d, packing)))
 
 
 def _rank(tgb, bases: list[Sequence[int]], blocks: Sequence[Sequence[dict[int, int]]],

@@ -93,7 +93,7 @@ class Ideal:
         return len(gb) == 1 and gb.elements[0].is_constant()
 
     def is_homogeneous(self) -> bool:
-        return all(g.is_homogeneous() for g in self.groebner())
+        return self.groebner().is_homogeneous()
 
     def is_torus_fixed(self) -> bool:
         """True when the ideal is stable under the torus action, i.e. its

@@ -447,13 +447,14 @@ def primitive_terms(terms):
 
 def divided_ints(monkeypatch, build):
     """The result of ``build()`` and, in `primitive_terms` form, every
-    dividend it hands to the integer kernel ``groebner._divide_int``."""
+    dividend it hands to the integer kernel ``groebner._divide_int``,
+    decoded from the kernel's codes."""
     seen = []
     original = groebner._divide_int
 
     def recording(work, den, triples, quotients):
-        unpack = triples.packing.unpack
-        seen.append(primitive_terms({unpack(m): c for m, c in work.items()}))
+        unpack, low = triples.packing.unpack, (1 << triples.packing.width) - 1
+        seen.append(primitive_terms({unpack(t & low): c for t, c in work.items()}))
         return original(work, den, triples, quotients)
 
     with monkeypatch.context() as patch:
@@ -534,8 +535,9 @@ class TestWideExponents:
     def test_restart_from_the_s_pair_guard(self, order, monkeypatch):
         # the S-pair y^30*(x^120 - y^100) - x^119*(x*y^30 - x) has the term
         # y^130: building it overflows the 8-bit run before any division does
-        runs, raised = [], []
+        runs, raised, s_raised = [], [], []
         buchberger, divide_int = groebner._buchberger, groebner._divide_int
+        s_polynomial = groebner._s_polynomial
 
         def run(gens, order, packing):
             runs.append([packing.bits, False])
@@ -552,11 +554,21 @@ class TestWideExponents:
                 raised.append(triples.packing.bits)
                 raise
 
+        def s_pair(triples, i, j, base):
+            try:
+                return s_polynomial(triples, i, j, base)
+            except PackingOverflow:
+                s_raised.append(triples.packing.bits)
+                raise
+
         monkeypatch.setattr(groebner, "_buchberger", run)
         monkeypatch.setattr(groebner, "_divide_int", divide)
+        monkeypatch.setattr(groebner, "_s_polynomial", s_pair)
         gb = reduced_groebner_basis([p2("x^120 - y^100"), p2("x*y^30 - x")], order)
         assert runs == [[8, True], [16, False]]
         assert 8 not in raised
+        # the coded S-polynomial reads the guard bits off its codes' low bits
+        assert s_raised == [8]
         assert gb.packing.bits == 16
 
 
@@ -759,6 +771,71 @@ class TestEliminate:
         assert counts == {"divisions": 4, "changed": 2, "rebuilds": 2}
 
 
+class TestKernelCodes:
+    """Inside the kernel every term is keyed by its code ``(key(m) << width)
+    + m``: divisors carry tail steps that are differences of codes, and
+    an S-polynomial comes coded, decoding to the terms the exponent-tuple
+    arithmetic gives."""
+
+    ORDERS = [GREVLEX, LEX, elimination_order(3, (0,)), variable_last_order(3, 2)]
+
+    @staticmethod
+    def coder(packing, order):
+        key, width = packing.key(order), packing.width
+        return (lambda m: (key(m) << width) + m), (1 << width) - 1
+
+    def cases(self, seed):
+        rng = random.Random(seed)
+        for _ in range(5):
+            gens = [g for g in (random_form(rng, XYZ, rng.randint(1, 3))
+                                + random_form(rng, XYZ, rng.randint(1, 2), 2)
+                                for _ in range(rng.randint(2, 4))) if not g.is_zero()]
+            if gens:
+                for order in self.ORDERS:
+                    for packing in (XYZ.packing(), XYZ.packing(200)):
+                        yield gens, order, packing
+
+    def test_tail_steps_are_code_differences(self):
+        for gens, order, packing in self.cases(31):
+            code, low = self.coder(packing, order)
+            # at the boundary, and as Buchberger returns its basis
+            for G, triples in (groebner._as_divisors(gens, order, packing),
+                               groebner._buchberger(gens, order, packing)):
+                assert len(G) == len(triples)
+                assert triples.leads == [c & low for c in triples.codes]
+                for ints, (lead, lc, (steps, coeffs)) in zip(G, triples):
+                    assert all(t == code(t & low) for t in ints)
+                    exponents = [packing.unpack(t & low) for t in ints]
+                    assert packing.unpack(lead & low) == max(exponents, key=order.key)
+                    assert ints[lead] == lc > 0
+                    tail = [(t, c) for t, c in ints.items() if t != lead]
+                    assert steps == tuple(code(t & low) - code(lead & low) for t, _ in tail)
+                    assert coeffs == tuple(c for _, c in tail)
+
+    def test_s_polynomial_decodes_to_the_exponent_arithmetic(self):
+        pairs = 0
+        for gens, order, packing in self.cases(37):
+            code, low = self.coder(packing, order)
+            G, triples = groebner._as_divisors(gens, order, packing)
+            unpack = packing.unpack
+            for i, j in combinations(range(len(G)), 2):
+                (lead_i, lc_i, _), (lead_j, lc_j, _) = triples[i], triples[j]
+                m = packing.lcm(lead_i & low, lead_j & low)
+                s = groebner._s_polynomial(triples, i, j, code(m))
+                assert all(t == code(t & low) for t in s)
+                # (lc_j / g) x^a P_i - (lc_i / g) x^b P_j, P the primitive forms
+                g = gcd(lc_i, lc_j)
+                expected = Counter()
+                for ints, lead, scale in ((G[i], lead_i, lc_j // g), (G[j], lead_j, -(lc_i // g))):
+                    shift = mono_div(unpack(m), unpack(lead & low))
+                    for t, c in ints.items():
+                        expected[mono_mul(unpack(t & low), shift)] += scale * c
+                assert {unpack(t & low): c for t, c in s.items()} \
+                    == {e: c for e, c in expected.items() if c}
+                pairs += 1
+        assert pairs > 100
+
+
 class TestGroebnerBasisObject:
     @pytest.mark.parametrize("nvars", [3, 4])
     def test_held_triples_match_a_fresh_division(self, nvars):
@@ -778,7 +855,7 @@ class TestGroebnerBasisObject:
                     assert gb.normal_form(p, with_quotients=True) \
                         == normal_form(p, gb.elements, gb.order, True)
 
-    def test_triples_held_only_once_divided(self):
+    def test_triples_held_only_once_divided(self, monkeypatch):
         # the triples live in the basis's one memo, read here through
         # `kept` with a build that fails, so that reading stores nothing
         class Unbuilt(Exception):
@@ -798,6 +875,28 @@ class TestGroebnerBasisObject:
         for bits in set(widths) - {gb.packing.bits}:
             with pytest.raises(Unbuilt):
                 gb.kept(("triples", bits), unbuilt)
+        # a second call at the same width runs no builder: the hit is a read
+        # of the memo, not a call of `kept`
+        built, stored = [], []
+        original, kept = groebner.divisor_triples, GroebnerBasis.kept
+
+        def counted(divisors, order, packing):
+            built.append(packing.bits)
+            return original(divisors, order, packing)
+
+        def recorded(basis, key, build):
+            stored.append(key)
+            return kept(basis, key, build)
+
+        monkeypatch.setattr(groebner, "divisor_triples", counted)
+        monkeypatch.setattr(GroebnerBasis, "kept", recorded)
+        wide = ORBIT.packing(200)
+        first = gb.triples_at(wide)
+        assert (built, stored) == ([16], [("triples", 16)])
+        assert gb.triples_at(wide) is first
+        assert gb.triples_at(gb.packing) is gb.kept(("triples", gb.packing.bits), unbuilt)
+        assert built == [16]
+        assert stored == [("triples", 16), ("triples", gb.packing.bits)]
 
     def test_wide_dividend_triples_built_once(self, monkeypatch):
         # x^200*y needs 16-bit fields, the basis of (x^2, y) fits 8: both

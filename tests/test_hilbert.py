@@ -14,7 +14,8 @@ from delpezzo5.hilbert import (HilbertPolynomial, certify_cohen_macaulay,
                                hilbert_series_numerator, standard_monomials)
 from delpezzo5.ideals import Ideal
 from delpezzo5.linalg import SparseEchelon
-from delpezzo5.polyring import LEX, Polynomial, RingContext, mono_divides, parse_polynomial
+from delpezzo5.polyring import (LEX, Packing, Polynomial, RingContext, mono_divides,
+                                parse_polynomial)
 
 XY = RingContext(("x", "y"))
 XYZ = RingContext(("x", "y", "z"))
@@ -389,6 +390,67 @@ class TestDegreeMonomials:
             for d in range(7):
                 every = [m for m in product(range(d + 1), repeat=n) if sum(m) == d]
                 assert list(degree_monomials(n, d)) == sorted(every, reverse=True)
+
+
+class TestDegreeTable:
+    """The process-wide table of packed degree-d monomials: the lists of
+    `degree_monomials` packed, kept per (variables, width, degree) while
+    all that is kept fits its limit."""
+
+    @pytest.mark.parametrize("top", [0, 200], ids=["8-bit", "16-bit"])
+    def test_equals_the_packed_exponent_lists(self, top, monkeypatch):
+        monkeypatch.setattr(hilbert, "_DEGREE_TABLES", {})
+        for n in range(1, 6):
+            packing = Packing.holding(n, top)
+            assert packing.bits == (16 if top else 8)
+            for d in (*range(8), 40, 127) if n <= 2 else range(8):
+                table = hilbert.packed_degree_monomials(packing, d)
+                assert type(table) is tuple
+                assert table == tuple(map(packing.pack, degree_monomials(n, d))), (n, d)
+                assert hilbert.packed_degree_monomials(packing, d) == table
+        assert hilbert.packed_degree_monomials(Packing.holding(3, top), -1) == ()
+
+    def test_longer_than_the_limit_returned_not_kept(self, monkeypatch):
+        # 21 monomials of degree 5 in three variables, over a limit of 20;
+        # its 21 monomials of one variable fewer do not all fit either
+        monkeypatch.setattr(hilbert, "_DEGREE_TABLES", {})
+        monkeypatch.setattr(hilbert, "_TABLE_LIMIT", 20)
+        packing = Packing.holding(3, 5)
+        table = hilbert.packed_degree_monomials(packing, 5)
+        assert table == tuple(map(packing.pack, degree_monomials(3, 5)))
+        assert (3, 8, 5) not in hilbert._DEGREE_TABLES
+        assert sum(map(len, hilbert._DEGREE_TABLES.values())) <= 20
+        small = hilbert.packed_degree_monomials(packing, 4)
+        assert hilbert._DEGREE_TABLES[3, 8, 4] is small
+
+    def test_kept_entries_never_exceed_the_limit(self, monkeypatch):
+        limit = 60
+        monkeypatch.setattr(hilbert, "_DEGREE_TABLES", {})
+        monkeypatch.setattr(hilbert, "_TABLE_LIMIT", limit)
+        rng = random.Random(30)
+        for _ in range(200):
+            n, d, top = rng.randint(1, 4), rng.randint(0, 9), rng.choice((0, 200))
+            packing = Packing.holding(n, top)
+            table = hilbert.packed_degree_monomials(packing, d)
+            assert table == tuple(map(packing.pack, degree_monomials(n, d)))
+            kept = hilbert._DEGREE_TABLES
+            assert sum(map(len, kept.values())) <= limit
+            # the latest list is kept exactly when it fits
+            assert ((n, packing.bits, d) in kept) == (len(table) <= limit)
+            for (m, bits, e), values in kept.items():
+                other = Packing.holding(m, (1 << (bits - 1)) - 1)
+                assert values == tuple(map(other.pack, degree_monomials(m, e)))
+
+    def test_two_methods_agree_across_the_width_change(self, monkeypatch):
+        # at degree 128 the direct variant packs at 16 bits and reads the
+        # shifts of degree 126, which the standard-monomial count of
+        # degree 126 read at 8 bits: a table keyed without the width
+        # would hand it 8-bit shifts
+        monkeypatch.setattr(hilbert, "_DEGREE_TABLES", {})
+        for texts in (("x^2 + 3*x*y",), ("x^2 - y^2", "x*y"), ("x*y", "y^2")):
+            I = ideal(XY, *texts)
+            for d in range(126, 131):
+                assert hilbert_function(I, d) == hilbert_function_direct(I, d), (texts, d)
 
 
 SKEW_LINES = ideal(XYZW, "x*z", "x*w", "y*z", "y*w")    # (x, y) cap (z, w)

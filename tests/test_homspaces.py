@@ -7,7 +7,7 @@ from math import gcd, lcm
 
 import pytest
 
-from delpezzo5 import dp5, groebner, homspaces
+from delpezzo5 import dp5, groebner, hilbert, homspaces
 from delpezzo5.groebner import GroebnerBasis, normal_form, syzygy_columns
 from delpezzo5.hilbert import degree_monomials, hilbert_function, standard_monomials
 from delpezzo5.homspaces import graded_hom_dimension, tangent_dimension
@@ -361,7 +361,7 @@ def row_multiset(rows):
 
 MONOMIAL_REMAINDER = GroebnerBasis.monomial_remainder
 BASIS_SYZYGIES = groebner.basis_syzygies
-STANDARD_MONOMIALS = standard_monomials
+PACKED_STANDARD_MONOMIALS = hilbert.packed_standard_monomials
 KEPT = GroebnerBasis.kept
 RANK = homspaces._rank
 
@@ -589,15 +589,15 @@ class TestOnePath:
         # from the same source or an equal copy, lists no standard monomial
         listed, monomials = [], []
 
-        def listing(ideal, d):
+        def listing(ideal, d, packing):
             listed.append(d)
-            return STANDARD_MONOMIALS(ideal, d)
+            return PACKED_STANDARD_MONOMIALS(ideal, d, packing)
 
         def ranking(tgb, bases, *rest):
             monomials.extend(m for basis in bases for m in basis)
             return RANK(tgb, bases, *rest)
 
-        monkeypatch.setattr(homspaces, "standard_monomials", listing)
+        monkeypatch.setattr(homspaces, "packed_standard_monomials", listing)
         monkeypatch.setattr(homspaces, "_rank", ranking)
         model = dp5.build_model()
         curve = fresh(dp5.expected_quartic_rows(model)[0][0])
@@ -842,9 +842,9 @@ class TestKeptFacts:
             built.append((id(gb), packing.bits, skip_coprime))
             return BASIS_SYZYGIES(gb, packing, skip_coprime)
 
-        def monomials(ideal, d):
+        def monomials(ideal, d, packing):
             listed.append((id(ideal.groebner(GREVLEX)), d))
-            return STANDARD_MONOMIALS(ideal, d)
+            return PACKED_STANDARD_MONOMIALS(ideal, d, packing)
 
         def recorded(gb, key, build):
             value = KEPT(gb, key, build)
@@ -852,7 +852,7 @@ class TestKeptFacts:
             return value
 
         monkeypatch.setattr(homspaces, "basis_syzygies", syzygies)
-        monkeypatch.setattr(homspaces, "standard_monomials", monomials)
+        monkeypatch.setattr(homspaces, "packed_standard_monomials", monomials)
         monkeypatch.setattr(GroebnerBasis, "kept", recorded)
         model = dp5.build_model()
         curve = fresh(dp5.expected_quartic_rows(model)[0][0])
@@ -867,11 +867,14 @@ class TestKeptFacts:
         assert {key for key, _ in kept if key[0] == "syzygy echelon"} \
             == {("syzygy echelon", 0)}
         # what the bases keep is shared, so it is kept immutable: tuples,
-        # the divisor triples a tuple subclass
-        assert kept and all(isinstance(value, tuple) for _, value in kept)
+        # the divisor triples a tuple subclass, and a basis's homogeneity
+        # a bool
+        facts = [(key, value) for key, value in kept if key[0] != "homogeneous"]
+        assert facts and all(isinstance(value, tuple) for _, value in facts)
+        assert {type(value) for key, value in kept if key[0] == "homogeneous"} == {bool}
         assert {type(value) for key, value in kept if key[0] == "triples"} \
             == {groebner.DivisorTriples}
-        assert all(type(value) is tuple for key, value in kept if key[0] != "triples")
+        assert all(type(value) is tuple for key, value in facts if key[0] != "triples")
         taus = [value for key, value in kept if key[0] == "syzygies"]
         assert taus and all(type(tau) is tuple for value in taus for tau in value)
 
