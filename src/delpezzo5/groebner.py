@@ -12,8 +12,8 @@ Division, pair selection and interreduction run on packed monomials
 test, and an order key one int, the key of a product being the sum of
 the keys.  Inside the kernel every term is keyed by its code
 ``(key(m) << width) + m``, which sorts like the order and holds m in its
-low bits: a term gets its code where it enters (`_as_divisors`, the
-dividend of `normal_form`, `GroebnerBasis.monomial_remainder`), every
+low bits: a term gets its code where it enters (`_coded`, for divisors
+and dividends alike, and `GroebnerBasis.monomial_remainder`), every
 term the kernel makes keeps one (a tail step is a difference of codes,
 so a product's code is a sum), and the monomial is read back only where
 a result leaves.  So an order key is evaluated only on entry and for
@@ -38,15 +38,15 @@ divides each element by the smaller leads alone, in ascending order, and
 an elimination (``eliminate``) drops the elements that involve the
 eliminated variables before interreducing.  `interreduced_basis`
 finishes a list already known to be a Groebner basis the same way,
-with no S-pair.  One builder,
-`_s_polynomial`, forms every S-polynomial in ints, for Buchberger and
-for `basis_syzygies` (which returns ints) alike.  `normal_form` keeps its exact Fraction results, converting the
-dividend once on the way in and the results once on the way out.  A
+with no S-pair.  One builder, `_s_polynomial`, forms every S-polynomial
+in ints, for Buchberger and for `basis_syzygies` alike.  Fractions leave
+the kernel through `_fractions` alone, for `normal_form`'s remainder and
+the finished basis; quotients leave as int rows only, from `quotient_rows`,
+for the S-pair syzygies, a Hom solve's ambient blocks and (I : f).  A
 `GroebnerBasis` keeps its divisor triples per field width, its lead
-exponents and homogeneity, and what else a caller derives from it
-alone, in one memo (`kept`), and
-`monomial_remainder` returns a monomial's remainder as the kernel's
-ints over one denominator.
+exponents and homogeneity, and what else a caller derives from it alone,
+in one memo (`kept`); `monomial_remainder` gives a monomial's remainder
+as the kernel's ints over one denominator.
 """
 from __future__ import annotations
 
@@ -96,10 +96,12 @@ def _widest(polys: Sequence[Polynomial], context: RingContext) -> Packing:
     return packing
 
 
-def _coded(ints: dict[int, int], key: Callable[[int], int], width: int) -> dict[int, int]:
-    """The packed terms ``ints`` keyed by their codes ``(key(m) << width) + m``,
-    in the same order: where a term enters the kernel."""
-    return {(key(m) << width) + m: c for m, c in ints.items()}
+def _coded(p: Polynomial, packing: Packing, key: Callable[[int], int]) -> tuple[dict, int]:
+    """p's terms under ``packing`` as ints over one denominator, ``(ints, den)``,
+    keyed by their codes ``(key(m) << width) + m``: where p enters the kernel."""
+    ints, den = integer_terms(p.repacked(packing).packed)
+    width = packing.width
+    return {(key(m) << width) + m: c for m, c in ints.items()}, den
 
 
 def _fractions(ints: dict[int, int], den: int, low: int) -> dict[int, Fraction]:
@@ -142,47 +144,49 @@ def divisor_triples(divisors: Sequence[Polynomial], order: MonomialOrder,
 
 
 def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
-                with_quotients: bool = False, triples: DivisorTriples | None = None):
+                triples: DivisorTriples | None = None) -> Polynomial:
     """Full remainder of p on division by the list of divisors.
 
     Reduces the largest reducible term by the first divisor in list
-    order whose lead divides it, until no term is reducible.  With
-    ``with_quotients`` returns ``(r, quotients)`` satisfying
-    ``p == sum(q_i * divisors_i) + r`` exactly.  ``triples``, when
-    given, are the divisors' `divisor_triples` under ``order``, held by
-    a caller that divides by the same list many times.  The division
-    itself runs in ints (`_divide_int`): p is converted once on the way in
-    and the remainder and quotients once on the way out.  The results are packed like
+    order whose lead divides it, until no term is reducible.  ``triples``,
+    when given, are the divisors' `divisor_triples` under ``order``, held
+    by a caller that divides by the same list many times.  The division
+    runs in ints (`_divide_int`); the remainder leaves once, packed like
     the triples, or wider when a product outgrows them.
     """
     if divisors and divisors[0].context != p.context:
         raise ValueError("ring context mismatch")
     if triples is None or triples.packing.bits < p.packing.bits:
         triples = divisor_triples(divisors, order, _widest([p, *divisors], p.context))
-    packing = triples.packing
     while True:
-        quotients = [{} for _ in divisors] if with_quotients else None
+        packing = triples.packing
         try:
-            work, den = integer_terms(p.repacked(packing).packed)
-            remainder, den = _divide_int(_coded(work, triples.key, packing.width), den,
-                                         triples, quotients)
-            break
+            r, den = _divide_int(*_coded(p, packing, triples.key), triples, None)
+            return Polynomial.from_packed(p.context, packing, _fractions(r, den, triples.low))
         except PackingOverflow:
-            packing = p.context.packing(packing.limit + 1)
-            triples = divisor_triples(divisors, order, packing)
+            triples = divisor_triples(divisors, order, p.context.packing(packing.limit + 1))
 
-    r = Polynomial.from_packed(p.context, packing, _fractions(remainder, den, triples.low))
-    if quotients is None:
-        return r
-    # q_k / den is the quotient by d's primitive form, lc / lead_coefficient(d) times d
-    out = []
-    for q, d, lead, (_, lc, _) in zip(quotients, divisors, triples.leads, triples):
-        if q:
-            top = d.repacked(packing).packed[lead]
-            num, dn = lc * top.denominator, den * top.numerator
-            q = {t: Fraction(c * num, dn) for t, c in q.items()}
-        out.append(Polynomial.from_packed(p.context, packing, q))
-    return r, out
+
+def quotient_rows(p: Polynomial | dict[int, int], triples: DivisorTriples,
+                  den: int = 1) -> tuple[list[dict[int, int]], int] | None:
+    """``(rows, den)``, the quotients of an exact division of p by the
+    divisors d_k of ``triples`` as int rows keyed by packed monomials:
+    ``p == sum(rows[k] / den * d_k / lc(d_k))``; None when the remainder
+    is not zero.  Row k is ``q_k * lc_k``, q_k / den the kernel's quotient
+    by d_k's primitive form, whose lead coefficient is lc_k.  p is a
+    Polynomial or, inside the kernel, the coded int terms of den * p,
+    divided once at the triples' packing, which must hold every product:
+    a homogeneous caller sizes it from the degrees, and an exact division
+    by one d stays in the widest packing of p and d (the Newton polytope
+    of q * d is the Minkowski sum of those of q and d)."""
+    if isinstance(p, Polynomial):
+        p, den = _coded(p, triples.packing, triples.key)
+    quotients = [{} for _ in triples]
+    remainder, den = _divide_int(p, den, triples, quotients)
+    if remainder:
+        return None
+    return [q if lc == 1 else {m: c * lc for m, c in q.items()}
+            for q, (_, lc, _) in zip(quotients, triples)], den
 
 
 def _divide_int(work: dict[int, int], den: int, triples: DivisorTriples,
@@ -298,12 +302,12 @@ class GroebnerBasis:
             self._kept[key] = build()
         return self._kept[key]
 
-    def normal_form(self, p: Polynomial, with_quotients: bool = False):
+    def normal_form(self, p: Polynomial) -> Polynomial:
         # checked here too: the zero ideal has no element to check against
         if p.context != self.context:
             raise ValueError("ring context mismatch")
         wide = max(self.packing, p.packing, key=lambda k: k.bits)
-        return normal_form(p, self.elements, self.order, with_quotients, self.triples_at(wide))
+        return normal_form(p, self.elements, self.order, self.triples_at(wide))
 
     def monomial_remainder(self, m: int, packing: Packing) -> tuple[dict[int, int], int]:
         """Ints ``(r, den)``, ``r / den`` the remainder of the packed monomial m
@@ -384,14 +388,14 @@ def basis_syzygies(gb: GroebnerBasis, packing: Packing,
     with J containing the elements does, loses nothing by the skip.
 
     Each S-polynomial is built in ints by `_s_polynomial`, as in
-    Buchberger, and divided over the denominator lcm(lc_i, lc_j), so the
-    quotients are those of the S-polynomial of the reduced, hence monic,
-    elements.  Each comes as den * tau, den the division's final
-    denominator, one packed int dict per element: -q_k * lc_k off the
-    leads, q_k the int quotient by the primitive form with lead lc_k, and
-    +-den at lcm / lead_i and lcm / lead_j.  The elements must be
-    homogeneous: every term of a pair's reduction then has the degree of
-    its lcm, so the caller's ``packing`` holds the largest lcm degree."""
+    Buchberger, and divided over the denominator lcm(lc_i, lc_j) by
+    `quotient_rows`, so the rows are the quotients of the S-polynomial
+    of the reduced, hence monic, elements.  Each comes as den * tau, den
+    the division's final denominator, one packed int dict per element:
+    minus the rows off the leads, and +-den at lcm / lead_i and
+    lcm / lead_j.  The elements must be homogeneous: every term of a
+    pair's reduction then has the degree of its lcm, so the caller's
+    ``packing`` holds the largest lcm degree."""
     G = gb.elements
     if not gb.is_homogeneous():
         raise ValueError("S-pair syzygies need a homogeneous basis")
@@ -402,13 +406,13 @@ def basis_syzygies(gb: GroebnerBasis, packing: Packing,
     syzygies = []
     for i, j in pairs:
         m = lcm_of(leads[i], leads[j])
-        quotients = [{} for _ in G]
-        r, den = _divide_int(_s_polynomial(triples, i, j, (key(m) << width) + m),
-                             lcm(triples[i][1], triples[j][1]), triples, quotients)
-        if r:
+        found = quotient_rows(_s_polynomial(triples, i, j, (key(m) << width) + m), triples,
+                              lcm(triples[i][1], triples[j][1]))
+        if found is None:
             raise AssertionError("S-pair of a Groebner basis must reduce to zero")
-        # the S-polynomial's terms lie below the lcm, so x^a is not in q_i
-        tau = [{t: -c * lc for t, c in q.items()} for q, (_, lc, _) in zip(quotients, triples)]
+        rows, den = found
+        # the S-polynomial's terms lie below the lcm, so x^a is not in row i
+        tau = [{t: -c for t, c in row.items()} for row in rows]
         tau[i][m - leads[i]] = den
         tau[j][m - leads[j]] = -den
         syzygies.append(tau)
@@ -490,8 +494,7 @@ def _as_divisors(gens: Sequence[Polynomial], order: MonomialOrder,
     its basis and `divisor_triples` hands them to a division."""
     key, G, triples = packing.key(order), [], []
     for g in gens:
-        ints = integer_terms(g.repacked(packing).packed)[0]
-        ints, triple = _divisor(_coded(ints, key, packing.width))
+        ints, triple = _divisor(_coded(g, packing, key)[0])
         G.append(ints)
         triples.append(triple)
     return G, DivisorTriples(triples, packing, key)

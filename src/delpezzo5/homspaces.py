@@ -47,10 +47,10 @@ from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
-from .groebner import basis_syzygies
+from .groebner import basis_syzygies, quotient_rows
 from .hilbert import packed_standard_monomials
 from .ideals import Ideal
-from .linalg import SparseEchelon, integer_terms
+from .linalg import SparseEchelon
 from .polyring import GREVLEX, Packing
 
 
@@ -74,8 +74,8 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
     ambient generator's degree plus the twist.  The packing holds the
     widest of those over all pairs, skipped or not, and the standard
     monomials' degrees, which a negative twist can leave above it; it is
-    at least as wide as either basis's, and is sized before any
-    standard monomial is listed.
+    at least as wide as either basis's, and is sized before any ambient
+    generator is divided or standard monomial listed.
     """
     if source.context != target.context:
         raise ValueError("source and target live in different ring contexts")
@@ -83,32 +83,26 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
         raise ValueError("graded Hom needs a homogeneous source ideal")
     if not target.is_homogeneous():
         raise ValueError("graded Hom needs a homogeneous target ideal")
-    gb = source.groebner(GREVLEX)
-    # per ambient generator, the quotients of its division by the basis:
-    # the proof that it lies in source, and its equation block in the solve
-    ambient = []
-    if within is not None:
-        if within.context != source.context:
-            raise ValueError("ambient ideal lives in a different ring context")
-        for w in within.gens:
-            if not w.is_homogeneous():
-                raise ValueError("graded Hom needs homogeneous ambient generators")
-            r, q = gb.normal_form(w, with_quotients=True)
-            if not r.is_zero():
-                raise ValueError("ambient ideal is not contained in the source ideal")
-            ambient.append(q)
-    if target.is_unit():
-        return 0
-    if len(gb) == 0:
-        return 0
-    tgb = target.groebner(GREVLEX)
-
+    gb, tgb = source.groebner(GREVLEX), target.groebner(GREVLEX)
+    gens = () if within is None else within.gens
+    if within is not None and within.context != source.context:
+        raise ValueError("ambient ideal lives in a different ring context")
     coprime, widest = gb.kept(("lead pairs",), lambda: _lead_pairs(gb))
     shifted = [g.total_degree() + twist for g in gb]
-    degrees = [w.total_degree() for w in within.gens] if within is not None else []
-    degrees.append(widest)
-    top = max(max(shifted), max(degrees) + max(twist, 0))
+    top = max([*shifted, max([widest, *(w.total_degree() for w in gens)]) + max(twist, 0)])
     packing = max(gb.packing, tgb.packing, target.context.packing(top), key=lambda k: k.bits)
+    # per ambient generator, its quotients by the basis as int rows: the
+    # proof that it lies in source, and its equation block in the solve
+    ambient = []
+    for w in gens:
+        if not w.is_homogeneous():
+            raise ValueError("graded Hom needs homogeneous ambient generators")
+        found = quotient_rows(w, gb.triples_at(packing))
+        if found is None:
+            raise ValueError("ambient ideal is not contained in the source ideal")
+        ambient.append(found[0])
+    if target.is_unit() or len(gb) == 0:
+        return 0
 
     # one unknown per (basis element, standard monomial of matching degree)
     bases = [_standard_monomials(target, tgb, d, packing) for d in shifted]
@@ -130,13 +124,7 @@ def graded_hom_dimension(source: Ideal, target: Ideal, twist: int = 0,
         ech = SparseEchelon(gb.kept(("syzygy echelon", twist), lambda: syzygy_echelon().pivots))
     else:
         ech = syzygy_echelon()
-    # one int block per ambient generator (cleared as a whole), on top
-    blocks = []
-    for q in ambient:
-        cleared = [integer_terms(qk.repacked(packing).packed) for qk in q]
-        den = lcm(*(d for _, d in cleared))
-        blocks.append([{t: c * (den // d) for t, c in ints.items()} for ints, d in cleared])
-    return unknowns - _rank(tgb, bases, blocks, packing, reduced, ech).rank
+    return unknowns - _rank(tgb, bases, ambient, packing, reduced, ech).rank
 
 
 def _lead_pairs(gb) -> tuple[bool, int]:

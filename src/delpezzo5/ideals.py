@@ -15,7 +15,8 @@ from __future__ import annotations
 import warnings
 from typing import Iterable, Sequence
 
-from .groebner import GroebnerBasis, interreduced_basis, normal_form, reduced_groebner_basis
+from .groebner import (GroebnerBasis, divisor_triples, interreduced_basis, quotient_rows,
+                       reduced_groebner_basis)
 from .polyring import (
     GREVLEX,
     MonomialOrder,
@@ -154,17 +155,24 @@ class Ideal:
         return self._divide_variable_last(name, saturate=False)
 
     def _quotient_poly(self, f: Polynomial) -> "Ideal":
+        """(I : f) = (I cap (f)) / f.  Each element g = q * f of the meet's
+        reduced grevlex basis is divided exactly by f's one divisor triple,
+        in the widest packing of the meet and f (q's Newton polytope is a
+        Minkowski summand of g's), and q becomes Fractions once, at the
+        end; lead(q) = lead(g) / lead(f), so the q are a grevlex Groebner
+        basis of (I : f)."""
         meet = self.intersect(Ideal(self.context, [f]))
-        # every element of I cap (f) is a polynomial multiple of f
+        packing = max((f, *meet.gens), key=lambda p: p.packing.bits).packing
+        triples, lc = divisor_triples([f], GREVLEX, packing), f.lead_coefficient(GREVLEX)
         quots = []
         for g in meet.gens:
-            r, q = normal_form(g, [f], GREVLEX, with_quotients=True)
-            if not r.is_zero():
+            found = quotient_rows(g, triples)
+            if found is None:
                 raise AssertionError("intersection element not divisible by the divisor")
-            quots.append(q[0])
-        # meet.gens is the reduced grevlex basis of I cap (f), and
-        # lead(g / f) = lead(g) / lead(f), so the quotients are a grevlex
-        # Groebner basis of (I : f) = (I cap (f)) / f
+            (row,), den = found
+            scale = 1 / (den * lc)
+            quots.append(Polynomial.from_packed(self.context, packing,
+                                                {m: c * scale for m, c in row.items()}))
         return _with_basis(Ideal(self.context, quots), quots, GREVLEX)
 
     def saturate(self, other) -> "Ideal":

@@ -8,8 +8,8 @@ echelon holds each pivot row as an exact integer multiple of itself
 the rationals with Python ints alone; `rref` returns Fractions.  There
 is no floating point, no modulus and no pivoting heuristic that could
 change results between runs.  `integer_terms` (clear denominators) and
-`primitive` (divide out the content) are the package's one boundary from
-rationals to ints, for the echelon, the division kernel and the Hom solve.
+`primitive` (divide out the content) turn rationals into ints where
+they enter the echelon, the division kernel or the Hilbert oracle.
 """
 from __future__ import annotations
 

@@ -300,10 +300,11 @@ class TestSyzygies:
             assert span.rank == kernel
 
 
-def reference_normal_form(p, divisors, order=GREVLEX, with_quotients=False, triples=None):
-    """Division with the agenda kept sorted by ``insort(..., key=order.key)``,
-    which recomputes the key of every element the bisection touches.  Any
-    held ``triples`` are ignored: every divisor's lead is recomputed."""
+def reference_normal_form(p, divisors, order=GREVLEX):
+    """The remainder and the quotients of p on division by the divisors,
+    on exponent tuples, with the agenda kept sorted by ``insort(...,
+    key=order.key)``, which recomputes the key of every element the
+    bisection touches, and every divisor's lead recomputed."""
     divs = [(d.lead_monomial(order), d.lead_coefficient(order), d.terms) for d in divisors]
     key = order.key
     work = dict(p.terms)
@@ -338,10 +339,7 @@ def reference_normal_form(p, divisors, order=GREVLEX, with_quotients=False, trip
                 work[t] = acc
             else:
                 work.pop(t, None)
-    r = Polynomial(p.context, remainder)
-    if not with_quotients:
-        return r
-    return r, [Polynomial(p.context, q) for q in quotients]
+    return Polynomial(p.context, remainder), [Polynomial(p.context, q) for q in quotients]
 
 
 def combine_rows(coeffs, rows, start):
@@ -350,13 +348,14 @@ def combine_rows(coeffs, rows, start):
             for k, a in enumerate(start)]
 
 
-def reference_basis(gens, order):
+def reference_basis(gens, order, division=reference_normal_form):
     """Buchberger with cofactors, selecting at each step the open pair with
     the smallest (lcm degree, lcm order key, i, j) by a linear ``min()``.
     Returns the reduced basis and the cofactor row of each element, with
     ``element == sum(row[k] * gens[k])``.  S-pairs and the interreduction
-    go through ``groebner.normal_form``, which a caller may replace by
-    `reference_normal_form`."""
+    go through ``division(p, divisors, order)``, which returns the
+    remainder and the quotients; a caller may swap in a division that
+    records what it divides."""
     context = gens[0].context
     G, rows = [], []
     for k, g in enumerate(gens):
@@ -388,7 +387,7 @@ def reference_basis(gens, order):
             continue
         xi = context.monomial(mono_div(lcm, leads[i]))
         xj = context.monomial(mono_div(lcm, leads[j]))
-        r, q = groebner.normal_form(xi * G[i] - xj * G[j], G, order, with_quotients=True)
+        r, q = division(xi * G[i] - xj * G[j], G, order)
         tau = [-qt for qt in q]
         tau[i] += xi
         tau[j] -= xj
@@ -409,7 +408,7 @@ def reference_basis(gens, order):
     final = [G[k] for k in kept]
     final_rows = [rows[k] for k in kept]
     for idx in range(1, len(final)):
-        final[idx], q = groebner.normal_form(final[idx], final[:idx], order, with_quotients=True)
+        final[idx], q = division(final[idx], final[:idx], order)
         final_rows[idx] = combine_rows([-qt for qt in q], final_rows[:idx], final_rows[idx])
     desc = sorted(range(len(final)), key=lambda k: order.key(final[k].lead_monomial(order)),
                   reverse=True)
@@ -417,17 +416,29 @@ def reference_basis(gens, order):
             [final_rows[k] for k in desc])
 
 
-def divided(monkeypatch, division, build):
-    """The result of ``build()`` and every polynomial it hands to
-    ``groebner.normal_form``, which divides by ``division`` meanwhile."""
+def recorded(division):
+    """A `reference_basis` division that calls ``division``, and the list
+    of every polynomial handed to it."""
     seen = []
 
-    def recording(p, *args, **kwargs):
+    def recording(p, divisors, order):
         seen.append(p)
-        return division(p, *args, **kwargs)
+        return division(p, divisors, order)
 
-    monkeypatch.setattr(groebner, "normal_form", recording)
-    return build(), seen
+    return recording, seen
+
+
+def built_quotients(p, divisors, order, packing):
+    """The quotients of the exact division of p by ``divisors`` under
+    ``order``, from the int rows of `groebner.quotient_rows` at
+    ``packing``: row k over den is the quotient by divisor k made monic,
+    so those quotients times the monic divisors must sum back to p."""
+    rows, den = groebner.quotient_rows(p, groebner.divisor_triples(divisors, order, packing))
+    assert all(type(c) is int for row in rows for c in row.values())
+    lcs = [d.lead_coefficient(order) for d in divisors]
+    monic = int_polynomials(p.context, packing, rows, den)
+    assert sum((q * (d / lc) for q, d, lc in zip(monic, divisors, lcs)), p.context.zero()) == p
+    return [q / lc for q, lc in zip(monic, lcs)]
 
 
 def primitive_terms(terms):
@@ -465,8 +476,9 @@ def divided_ints(monkeypatch, build):
 class TestReferenceSelection:
     """The library hands its integer kernel the same S-polynomials, up to
     a nonzero scalar and in the same sequence, as the reference with its
-    linear selection hands `normal_form`, followed by the same elements
-    to interreduce; this pins the order in which pairs are selected."""
+    linear selection hands its tuple division, followed by the same
+    elements to interreduce; this pins the order in which pairs are
+    selected."""
 
     @pytest.mark.parametrize("nvars, linear_term", [(3, False), (3, True), (4, False)],
                              ids=["3vars-homogeneous", "3vars-inhomogeneous", "4vars-homogeneous"])
@@ -483,8 +495,8 @@ class TestReferenceSelection:
             for order in orders:
                 gb, inputs = divided_ints(monkeypatch,
                                           lambda: reduced_groebner_basis(gens, order))
-                (ref, _), ref_inputs = divided(monkeypatch, reference_normal_form,
-                                               lambda: reference_basis(gens, order))
+                recording, ref_inputs = recorded(reference_normal_form)
+                ref, _ = reference_basis(gens, order, recording)
                 assert ref.elements == gb.elements
                 assert [primitive_terms(p.terms) for p in ref_inputs] == inputs
 
@@ -507,10 +519,12 @@ class TestWideExponents:
     def test_normal_form_matches_the_tuple_division(self, case, order):
         text, divisor_texts, expected = self.CASES[case]
         p, divisors = p2(text), [p2(t) for t in divisor_texts]
-        r, q = normal_form(p, divisors, order, with_quotients=True)
-        assert (r, q) == reference_normal_form(p, divisors, order, with_quotients=True)
-        assert p == sum((qi * d for qi, d in zip(q, divisors)), r)
+        r = normal_form(p, divisors, order)
+        ref, q = reference_normal_form(p, divisors, order)
+        assert r == ref
         assert r.packing.bits == 16
+        # p - r divides exactly, by the steps that divided p, at r's packing
+        assert built_quotients(p - r, divisors, order, r.packing) == q
         if expected is not None:
             assert r == p2(expected)
 
@@ -521,14 +535,13 @@ class TestWideExponents:
         (["x^2 - y", "x^100*y^90 - x*y"], None),
         (["x^120 - y^100", "x*y^30 - x"], None),
     ], ids=["widened-midway", "parsed-wide", "mixed", "s-pair-wide"])
-    def test_basis_matches_the_tuple_reference(self, texts, expected, order, monkeypatch):
+    def test_basis_matches_the_tuple_reference(self, texts, expected, order):
         gens = [p2(t) for t in texts]
         gb = reduced_groebner_basis(gens, order)
         assert gb.packing.bits == 16
         assert all(g.packing is gb.packing for g in gb.elements)
         if expected is not None and order == GREVLEX:
             assert gb.elements == tuple(p2(t) for t in expected)
-        monkeypatch.setattr(groebner, "normal_form", reference_normal_form)
         assert reference_basis(gens, order)[0].elements == gb.elements
 
     @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
@@ -594,10 +607,10 @@ class TestIntegerKernel:
             used = [False] * len(divisors)
             for text in self.DIVIDENDS:
                 p = parse_polynomial(text, XYZ)
-                r, q = normal_form(p, divisors, order, with_quotients=True)
-                assert p == sum((qi * d for qi, d in zip(q, divisors)), r)
-                assert (r, q) == reference_normal_form(p, divisors, order, with_quotients=True)
-                assert normal_form(p, divisors, order) == r
+                r = normal_form(p, divisors, order)
+                ref, q = reference_normal_form(p, divisors, order)
+                assert r == ref
+                assert built_quotients(p - r, divisors, order, r.packing) == q
                 used = [u or not qi.is_zero() for u, qi in zip(used, q)]
             assert used[0]
 
@@ -614,14 +627,18 @@ class TestIntegerKernel:
 
         monkeypatch.setattr(groebner, "_divide_int", divide)
         p, d = p2("1/2*x^6 + 1/5*x*y^2"), p2("3*x - y")
-        r, (q,) = normal_form(p, [d], GREVLEX, with_quotients=True)
+        r = normal_form(p, [d], GREVLEX)
         assert dens == [10 * 3 ** 6]
         assert r == p2("1/1458*y^6 + 1/15*y^3")
-        assert p == q * d + r
-        assert (r, [q]) == reference_normal_form(p, [d], GREVLEX, with_quotients=True)
+        ref, q = reference_normal_form(p, [d], GREVLEX)
+        assert r == ref
+        # q * d = p - r enters the builder over den 7290 = 10 * 3^6, which
+        # already holds every factor 3 its steps meet, so it scales nothing
+        assert built_quotients(p - r, [d], GREVLEX, r.packing) == q
+        assert dens[1:] == [7290]
 
     @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
-    def test_basis_matches_the_reference(self, order, monkeypatch):
+    def test_basis_matches_the_reference(self, order):
         gens = [parse_polynomial(t, XYZ) for t in self.XYZ_DIVISORS + self.DIVIDENDS[:1]]
         rng = random.Random(211)
         seeded = [Polynomial(XYZ, {e: Fraction(rng.randint(-9, 9), rng.randint(1, 8))
@@ -630,9 +647,7 @@ class TestIntegerKernel:
         cases = [gens[:2], gens[1:], [*gens[:1], *seeded], gens]
         for case in cases:
             gb = reduced_groebner_basis(case, order)
-            with monkeypatch.context() as patch:
-                patch.setattr(groebner, "normal_form", reference_normal_form)
-                assert reference_basis(case, order)[0].elements == gb.elements
+            assert reference_basis(case, order)[0].elements == gb.elements
 
 
 class TestContextChecks:
@@ -852,8 +867,13 @@ class TestGroebnerBasisObject:
                     == tuple(groebner.divisor_triples(gb.elements, order, gb.packing))
                 for _ in range(4):
                     p = random_form(rng, ctx, rng.randint(1, 4), 4)
-                    assert gb.normal_form(p, with_quotients=True) \
-                        == normal_form(p, gb.elements, gb.order, True)
+                    r = gb.normal_form(p)
+                    ref, q = reference_normal_form(p, gb.elements, order)
+                    assert r == ref == normal_form(p, gb.elements, gb.order)
+                    held = groebner.quotient_rows(p - r, gb.triples_at(r.packing))
+                    assert held == groebner.quotient_rows(
+                        p - r, groebner.divisor_triples(gb.elements, order, r.packing))
+                    assert built_quotients(p - r, gb.elements, order, r.packing) == q
 
     def test_triples_held_only_once_divided(self, monkeypatch):
         # the triples live in the basis's one memo, read here through

@@ -8,7 +8,7 @@ from math import gcd, lcm
 import pytest
 
 from delpezzo5 import dp5, groebner, hilbert, homspaces
-from delpezzo5.groebner import GroebnerBasis, normal_form, syzygy_columns
+from delpezzo5.groebner import GroebnerBasis, syzygy_columns
 from delpezzo5.hilbert import degree_monomials, hilbert_function, standard_monomials
 from delpezzo5.homspaces import graded_hom_dimension, tangent_dimension
 from delpezzo5.ideals import Ideal
@@ -16,7 +16,8 @@ from delpezzo5.linalg import SparseEchelon, integer_terms
 from delpezzo5.polyring import (GREVLEX, LEX, Packing, Polynomial, RingContext,
                                 elimination_order, mono_div, mono_lcm, parse_polynomial)
 
-from test_groebner import int_polynomials, lcm_packing, random_form, reference_basis
+from test_groebner import (int_polynomials, lcm_packing, random_form, reference_basis,
+                           reference_normal_form)
 
 XY = RingContext(("x", "y"))
 XYZ = RingContext(("x", "y", "z"))
@@ -223,7 +224,7 @@ def s_pair_syzygies(gb, skip_coprime=False):
                 continue
             lcm = mono_lcm(leads[i], leads[j])
             xi, xj = ctx.monomial(mono_div(lcm, leads[i])), ctx.monomial(mono_div(lcm, leads[j]))
-            r, q = normal_form(xi * G[i] - xj * G[j], G, gb.order, with_quotients=True)
+            r, q = reference_normal_form(xi * G[i] - xj * G[j], G, gb.order)
             assert r.is_zero()
             tau = [-qt for qt in q]
             tau[i] += xi
@@ -308,7 +309,7 @@ def reference_hom_rows(source, target, twist=0, within=None, skip_coprime=False)
     if not unknown_index:
         return None
     ambient = [] if within is None else \
-        [gb.normal_form(w, with_quotients=True)[1] for w in within.gens]
+        [reference_normal_form(w, gb.elements, gb.order)[1] for w in within.gens]
     tgb = target.groebner(GREVLEX)
     return (len(unknown_index),
             product_rows(s_pair_syzygies(gb, skip_coprime), unknown_index, bases, tgb),
@@ -329,7 +330,7 @@ def input_generator_hom_dimension(source, target, twist=0, within=None):
     unknown_index, bases = presentation_unknowns(gens, target, twist)
 
     def express(p):
-        r, q = gb.normal_form(p, with_quotients=True)
+        r, q = reference_normal_form(p, gb.elements, gb.order)
         assert r.is_zero()
         return [sum((qt * row[k] for qt, row in zip(q, rows)), source.context.zero())
                 for k in range(len(gens))]
@@ -360,6 +361,7 @@ def row_multiset(rows):
 
 
 MONOMIAL_REMAINDER = GroebnerBasis.monomial_remainder
+QUOTIENT_ROWS = groebner.quotient_rows
 BASIS_SYZYGIES = groebner.basis_syzygies
 PACKED_STANDARD_MONOMIALS = hilbert.packed_standard_monomials
 KEPT = GroebnerBasis.kept
@@ -624,28 +626,35 @@ class TestOnePath:
 
 class TestNormalFormCount:
     """A Hom solve reduces each monomial once, in the integer kernel,
-    through `GroebnerBasis.monomial_remainder`; `groebner.normal_form`,
-    which the benchmark's tracer counts, sees only the ambient
-    generators' divisions: a tangent solve's target is its source, so it
-    tests no containment.  The divisions of the S-pair
+    through `GroebnerBasis.monomial_remainder`, and calls
+    `groebner.normal_form`, which the benchmark's tracer counts, not at
+    all: each ambient generator is divided once, by
+    `groebner.quotient_rows`, whose int rows both prove it lies in the
+    source and are its equation block, and a tangent solve's target is
+    its source, so it tests no containment.  The divisions of the S-pair
     syzygies (`groebner.basis_syzygies`) and of Buchberger run in the
-    integer kernel and pass through neither.  The counts are pinned for
-    fresh ideals, so that the ambient containment check and the solve
-    are both counted."""
+    integer kernel too.  The counts are pinned for fresh ideals, so that
+    the ambient division and the solve are both counted."""
 
     # (relative, ambient) normal forms of one catalogued conic and quartic
-    PINNED = {"conic": (5, 0), "quartic": (5, 0)}
+    PINNED = {"conic": (0, 0), "quartic": (0, 0)}
+    # (relative, ambient) divisions by the solve's `quotient_rows`
+    AMBIENT = {"conic": (5, 0), "quartic": (5, 0)}
     # (relative, ambient) monomial remainders of the same solves
     MONOMIALS = {"conic": (15, 0), "quartic": (48, 28)}
 
     def counted_solves(self, monkeypatch, curve, ambient):
         original = groebner.normal_form
-        calls = [0]
+        calls = Counter()
         reduced = []
 
         def counted(*args, **kwargs):
-            calls[0] += 1
+            calls["normal form"] += 1
             return original(*args, **kwargs)
+
+        def divided(*args):
+            calls["ambient"] += 1
+            return QUOTIENT_ROWS(*args)
 
         def remainder(tgb, m, packing):
             reduced.append(m)
@@ -657,19 +666,22 @@ class TestNormalFormCount:
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counted)
+        # the solve's own binding only: the syzygies divide by it too
+        monkeypatch.setattr(homspaces, "quotient_rows", divided)
         monkeypatch.setattr(GroebnerBasis, "monomial_remainder", remainder)
-        counts, monomials = [], []
+        counts, divisions, monomials = [], [], []
         for within in (ambient, None):
-            calls[0] = 0
+            calls.clear()
             reduced.clear()
             fresh = Ideal(curve.context, curve.gens)
             fresh_within = None if within is None else Ideal(within.context, within.gens)
             tangent_dimension(fresh, within=fresh_within)
-            counts.append(calls[0])
+            counts.append(calls["normal form"])
+            divisions.append(calls["ambient"])
             # the memo reduces each monomial once per solve
             assert len(set(reduced)) == len(reduced)
             monomials.append(len(reduced))
-        return tuple(counts), tuple(monomials)
+        return tuple(counts), tuple(divisions), tuple(monomials)
 
     def test_pinned_counts(self, monkeypatch):
         model = dp5.build_model()
@@ -678,7 +690,24 @@ class TestNormalFormCount:
                   "quartic": dp5.expected_quartic_rows(model)[0][0]}
         for name, curve in curves.items():
             assert self.counted_solves(monkeypatch, curve, model.threefold) \
-                == (self.PINNED[name], self.MONOMIALS[name]), name
+                == (self.PINNED[name], self.AMBIENT[name], self.MONOMIALS[name]), name
+
+    def test_warm_relative_solve_makes_no_fraction(self, monkeypatch):
+        # `groebner._fractions` is the one place the kernel makes Fractions:
+        # with the bases built, a relative solve stays in ints throughout
+        model = dp5.build_model()
+        curve = dp5.expected_quartic_rows(model)[0][0]
+        expected = tangent_dimension(curve, within=model.threefold)
+        made = []
+        original = groebner._fractions
+
+        def counted(*args):
+            made.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(groebner, "_fractions", counted)
+        assert tangent_dimension(curve, within=model.threefold) == expected == 8
+        assert made == []
 
 
 def catalogued_curves():

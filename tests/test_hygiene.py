@@ -262,3 +262,31 @@ def test_every_export_has_a_caller():
     assert exports_without_caller(delpezzo5.__all__, sources) == []
     classes = [name for name in delpezzo5.__all__ if isinstance(getattr(delpezzo5, name), type)]
     assert methods_without_caller(classes, sources) == []
+
+
+def integer_terms_readers(sources: dict[str, str]) -> list[str]:
+    """The sources that import or read ``integer_terms``, as a name or as
+    an attribute."""
+    readers = []
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for a in node.names}
+        if "integer_terms" in imported | {name for name, _ in read_names(tree)}:
+            readers.append(path)
+    return sorted(readers)
+
+
+def test_detector_flags_an_integer_terms_reader():
+    sources = {"a.py": "from .linalg import integer_terms\n",
+               "b.py": "from . import linalg\nrows = linalg.integer_terms({})\n",
+               "c.py": '"""Cleared by `integer_terms`."""\nfrom .linalg import primitive\n'}
+    assert integer_terms_readers(sources) == ["a.py", "b.py"]
+
+
+def test_rationals_become_ints_only_where_the_kernel_starts():
+    # a polynomial's Fractions become ints where it enters the division
+    # kernel (groebner), the Hilbert-function oracle (hilbert) or the
+    # echelon (linalg); every other module hands over Polynomials or ints
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert set(integer_terms_readers(sources)) <= {"groebner.py", "hilbert.py", "linalg.py"}

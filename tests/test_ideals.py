@@ -125,6 +125,35 @@ class TestQuotient:
                 assert I.quotient_variable(name) == \
                     I._quotient_poly(XYZ.variable(name))
 
+    def test_exact_division_by_a_wide_non_monic_divisor(self, monkeypatch):
+        # f's lead coefficient is 3/4 and its exponent 130 needs 16-bit
+        # fields: each of the meet's three elements is divided by f
+        # exactly, at that width, by the one divisor triple built for f
+        f = parse_polynomial("3/4*x^130 - y*z + 2", XYZ)
+        I = Ideal(XYZ, [f * parse_polynomial("x*y - 3", XYZ),
+                        parse_polynomial("y^2*z - x", XYZ)])
+        calls, builds = Counter(), ideals.divisor_triples
+        plain = Ideal._quotient_poly
+
+        def divided(self, g):
+            calls["quotients"] += 1
+            return plain(self, g)
+
+        def built(*args):
+            calls["triples"] += 1
+            return builds(*args)
+
+        monkeypatch.setattr(Ideal, "_quotient_poly", divided)
+        monkeypatch.setattr(ideals, "divisor_triples", built)
+        Q = I.quotient(f)
+        assert calls == {"quotients": 1, "triples": 1}
+        assert Q.gens == tuple(parse_polynomial(t, XYZ) for t in (
+            "4/3*y^2*z - 4/3*x", "4/3*x^2 - 4*y*z", "4/3*x*y - 4"))
+        assert all(g.packing.bits == 16 for g in Q.gens)
+        assert Q.groebner(GREVLEX).elements == tuple(parse_polynomial(t, XYZ) for t in (
+            "y^2*z - x", "x^2 - 3*y*z", "x*y - 3"))
+        assert Ideal(XYZ, [f * q for q in Q.gens]) == I.intersect(Ideal(XYZ, [f]))
+
     def test_variable_fast_path_needs_homogeneous(self):
         with pytest.raises(ValueError):
             ideal(XY, "x^2 - 1").quotient_variable("x")
