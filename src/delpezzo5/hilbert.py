@@ -217,6 +217,7 @@ def hilbert_function(ideal: Ideal, d: int) -> int:
         raise ValueError("Hilbert function needs a homogeneous ideal")
     return len(_standard_packed(ideal, d, d)[1])
 
+
 def hilbert_function_direct(ideal: Ideal, d: int) -> int:
     """Groebner-free oracle: dim S_d minus the rank of the degree-d
     multiples s*g_j of the generators, by sparse row reduction, with
@@ -231,42 +232,62 @@ def hilbert_function_direct(ideal: Ideal, d: int) -> int:
     first part is a combination of rows of g_i, and every t*u lies above
     s, so the second part is rows of g_j with larger shifts; induction
     on j, then downward on the shift, puts every skipped row in the
-    span of the kept ones, and the rank is unchanged.
+    span of the kept ones, and the rank is unchanged.  The shifts to
+    skip are read once per generator, as the set of lead(g_i)*t over
+    the earlier leads and every t of degree d - deg g_j - deg g_i.
 
+    Each generator's degree and homogeneity are read in one pass over
+    its terms, and an inhomogeneous one raises before any row is built.
     Each generator is scaled once to its primitive integer form
     (`linalg.primitive`, least term positive), which leaves the row
-    space unchanged, so its shifted rows reach the echelon as the
-    primitive int rows it takes.  A column is a degree-d monomial
-    packed at the ring's packing for degree d: no exponent exceeds d, so
-    a shift times a term is the sum of their packed ints, and ``(s -
-    lead) & guard`` is zero exactly when lead divides s.  The shifts of
-    each generator degree are read once per call from the table of
-    `packed_degree_monomials` at that packing's width."""
+    space unchanged.  A column is a degree-d monomial packed at the
+    ring's packing for degree d: no exponent exceeds d, so a shift
+    times a term is the sum of their packed ints, and the shifts of
+    each degree are read once per call from the table of
+    `packed_degree_monomials` at that packing's width.
+
+    A row s*g_j goes to the echelon through
+    `SparseEchelon.add_primitive_row` at column s + least(g_j), which
+    stores it in one write when no pivot has that column.  This is what
+    `add_row` would store: the row is the primitive generator with every
+    key shifted by s, so its entries keep their gcd 1 and its entry at
+    the least key stays positive, and that least key is s + least(g_j),
+    since adding s to every key keeps their order.  The echelon's
+    pivots, their order and its rank are those of `add_row` fed the
+    same rows."""
     if d < 0:
         return 0
-    context = ideal.context
-    n = context.nvars
+    gens: list[tuple[Polynomial, int]] = []
     for g in ideal.gens:
-        if not g.is_homogeneous():
+        degrees = set(map(g.packing.degree, g.packed))
+        if len(degrees) > 1:
             raise ValueError("Hilbert function needs homogeneous generators")
-    packing = context.packing(d)
-    guard = packing.guard
-    shifts: dict[int, tuple[int, ...]] = {}
-    leads: list[int] = []
+        if degrees:
+            (gd,) = degrees
+            if gd <= d:
+                gens.append((g, gd))
+    n = ideal.context.nvars
+    packing = ideal.context.packing(d)
+    tables: dict[int, tuple[int, ...]] = {}
+
+    def monomials(k: int) -> tuple[int, ...]:
+        if k not in tables:
+            tables[k] = packed_degree_monomials(packing, k)
+        return tables[k]
+
+    leads: list[tuple[int, int]] = []  # (least term, degree) of each earlier generator
     ech = SparseEchelon()
-    for g in ideal.gens:
-        gd = g.total_degree()
-        if g.is_zero() or gd > d:
-            continue
-        if d - gd not in shifts:
-            shifts[d - gd] = packed_degree_monomials(packing, d - gd)
+    add = ech.add_primitive_row
+    for g, gd in gens:
         terms, _ = integer_terms(g.repacked(packing).packed)
         least = min(terms)
         terms = primitive(terms, least)
-        for shift in shifts[d - gd]:
-            if all((shift - lead) & guard for lead in leads):
-                ech.add_row({shift + m: c for m, c in terms.items()})
-        leads.append(least)
+        skips = {lead + t for lead, ld in leads if ld <= d - gd
+                 for t in monomials(d - gd - ld)}
+        for shift in monomials(d - gd):
+            if shift not in skips:
+                add({shift + m: c for m, c in terms.items()}, shift + least)
+        leads.append((least, gd))
     return comb(d + n - 1, n - 1) - ech.rank
 
 

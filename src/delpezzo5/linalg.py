@@ -10,6 +10,12 @@ is no floating point, no modulus and no pivoting heuristic that could
 change results between runs.  `integer_terms` (clear denominators) and
 `primitive` (divide out the content) turn rationals into ints where
 they enter the echelon, the division kernel or the Hilbert oracle.
+
+A row enters the echelon one of two ways, and both end in one
+reduction loop: `SparseEchelon.add_row` copies any int row, and
+`SparseEchelon.add_primitive_row` takes over a row its caller knows to
+be primitive with a positive entry at its least column, storing it with
+no copy and no gcd when that column has no pivot yet.
 """
 from __future__ import annotations
 
@@ -104,9 +110,15 @@ class SparseEchelon:
     Each stored pivot row is primitive (its entries are ints with gcd 1)
     with a positive lead, so no entry is ever a Fraction.
 
+    `add_row` reduces a copy of its row, so the caller keeps the row it
+    passed.  `add_primitive_row` takes a primitive row with its least
+    column and owns it from then on: stored as it is when that column has
+    no pivot, which is what `add_row` would store there, and otherwise
+    reduced in place by the same loop.
+
     An echelon may start from the `pivots` another one kept: the rows
-    are shared, not copied, which is safe because `add_row` never writes
-    to a stored pivot row; it only adds new ones.
+    are shared, not copied, which is safe because the echelon never
+    writes to a stored pivot row; it only adds new ones.
     """
 
     def __init__(self, pivots: Sequence[tuple] = ()):
@@ -128,9 +140,26 @@ class SparseEchelon:
         whose entry in that column is b becomes (a/g)*row - (b/g)*pivot
         with g = gcd(a, b), which changes the row only by a nonzero
         factor."""
-        work = dict(row)
-        while work:
-            col = min(work)
+        return bool(row) and self._reduce(dict(row), min(row))
+
+    def add_primitive_row(self, row: dict, lead) -> bool:
+        """Insert a primitive row of nonzero ints (gcd 1) whose least
+        column is ``lead``, with a positive entry there; True when it
+        enlarged the row space.  The echelon takes the row over: when no
+        pivot has column ``lead`` it is stored as it is, since
+        `add_row` would store an equal dict at the same column, and
+        otherwise it is reduced in place, as `add_row` reduces its copy.
+        The caller must not use the row afterwards."""
+        if lead in self._pivots:
+            return self._reduce(row, lead)
+        self._pivots[lead] = row
+        return True
+
+    def _reduce(self, work: dict, col) -> bool:
+        """Reduce ``work``, whose least column is ``col``, against the
+        stored pivots, writing to it, and store what is left primitive;
+        True when something was left."""
+        while True:
             pivot = self._pivots.get(col)
             if pivot is None:
                 self._pivots[col] = primitive(work, col)
@@ -146,4 +175,6 @@ class SparseEchelon:
                     work[c] = acc
                 else:
                     work.pop(c, None)
-        return False
+            if not work:
+                return False
+            col = min(work)

@@ -35,9 +35,9 @@ _PROPERTY_SEED = 20260818
 
 # The checks' cost grows steeply with the degree window, through the
 # kernel-rank Hilbert functions in hilbert-oracle and the properties
-# suite: `dp5 suite all` runs, one process each, on a 2-core Xeon under
-# Python 3.11 took a median 0.75 s at degree 8, 1.1 s at 12, 4.8 s at
-# 16 and 12 s at 20.
+# suite: `dp5 suite all --format json` runs, seven processes each, on a
+# 2-core Xeon under Python 3.11 took a median 0.45 s at degree 8, 0.70 s
+# at 12, 2.1 s at 16 and 9.4 s at 20 (that one with the cap lifted).
 _MAX_CHECK_DEGREE = 16
 
 
@@ -112,8 +112,8 @@ class _Suite:
 def run_suite(name: str, check_degree: int = 8) -> VerificationReport:
     """Run one named suite, or all of them concatenated.  A window below
     degree 1 is rejected: hilbert-oracle promises 7 sections there.  So
-    is one above degree 16, since the cost grows steeply (about 5 s for
-    the whole run at 16, 12 s at 20) and, for a huge degree, never ends."""
+    is one above degree 16, since the cost grows steeply (about 2.1 s for
+    the whole run at 16, 9.4 s at 20) and, for a huge degree, never ends."""
     if check_degree < 1:
         raise ValueError(f"check degree must be at least 1, got {check_degree}")
     if check_degree > _MAX_CHECK_DEGREE:

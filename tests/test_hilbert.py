@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -147,22 +147,84 @@ class TestHilbertFunction:
 
     def test_direct_row_counts_on_the_threefold(self, monkeypatch):
         # all degree-d multiples of the five quadrics, d <= 8, are 8580
-        # rows, 3840 of them reducing to zero; the rows left to reduce
-        # to zero start with the five linear syzygies in degree 3
+        # rows; the F5 skips leave 6084, 1344 of which reduce to zero,
+        # starting with the five linear syzygies in degree 3.  2688 rows
+        # meet a pivot at their lead column and are reduced; the rest
+        # are stored as they come
         counts = Counter()
 
         class Counting(SparseEchelon):
-            def add_row(self, row):
-                grew = super().add_row(row)
+            def add_primitive_row(self, row, lead):
+                counts["contested"] += lead in self._pivots
+                grew = super().add_primitive_row(row, lead)
                 counts["rows"] += 1
                 counts["zero"] += not grew
                 return grew
+
+            def add_row(self, row):
+                counts["add_row"] += 1
+                return super().add_row(row)
 
         monkeypatch.setattr(hilbert, "SparseEchelon", Counting)
         I = x5()
         assert [hilbert_function_direct(I, d) for d in range(9)] \
             == [1, 7, 23, 54, 105, 181, 287, 428, 609]
-        assert counts == {"rows": 6084, "zero": 1344}
+        assert counts == {"rows": 6084, "zero": 1344, "contested": 2688}
+
+    def test_direct_echelon_matches_add_row(self, monkeypatch):
+        # the oracle stores a row whose lead column is free as it comes;
+        # a plain echelon fed copies of the same rows, in the same order,
+        # through add_row must hold the same pivot rows at the same
+        # columns in the same order, and every row offered must be
+        # primitive with a positive entry at the column it is offered at
+        echelons = []
+
+        class Recording(SparseEchelon):
+            def __init__(self, pivots=()):
+                super().__init__(pivots)
+                self.offered = []
+                echelons.append(self)
+
+            def add_primitive_row(self, row, lead):
+                assert lead == min(row) and row[lead] > 0
+                assert gcd(*row.values()) == 1
+                self.offered.append(dict(row))
+                return super().add_primitive_row(row, lead)
+
+        monkeypatch.setattr(hilbert, "SparseEchelon", Recording)
+
+        def check(I, degrees):
+            n = I.context.nvars
+            for d in degrees:
+                echelons.clear()
+                value = hilbert_function_direct(I, d)
+                (ech,) = echelons
+                plain = SparseEchelon()
+                for row in ech.offered:
+                    plain.add_row(row)
+                assert ech.pivots == plain.pivots
+                assert value == comb(d + n - 1, n - 1) - plain.rank == hilbert_function(I, d)
+
+        check(x5(), range(9))
+        coeffs = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), 1, -3)
+        for nvars in (2, 3, 4):
+            ctx = RingContext(("x", "y", "z", "w")[:nvars])
+            rng = random.Random(32 + nvars)
+
+            def form(d):
+                pool = list(degree_monomials(nvars, d))
+                picks = rng.sample(pool, k=min(len(pool), 3))
+                return Polynomial(ctx, {m: rng.choice(coeffs) for m in picks})
+
+            for case in range(3):
+                gens = [form(rng.randint(1, 3)) for _ in range(3)]
+                gens += [ctx.zero(), gens[0], gens[1] * Fraction(-5, 3), form(2)]
+                rng.shuffle(gens)
+                if case < 2:
+                    # a constant last offers every shift no earlier lead
+                    # divides; first, it skips every later generator's rows
+                    gens.insert(len(gens) if case == 0 else 0, ctx.one() * Fraction(2, 3))
+                check(Ideal(ctx, gens), range(7))
 
     def test_generating_set_independence(self):
         rng = random.Random(97)

@@ -218,3 +218,21 @@ def test_echelon_started_from_kept_pivots():
         assert kept == snapshot and first.pivots == snapshot
         assert started.rank == whole.rank == len(dense_rref(rows)[0])
         assert started.pivots[:len(kept)] == kept
+
+
+def test_primitive_rows_stored_as_add_row_stores_them():
+    # a primitive row with a positive lead is kept as the very dict passed
+    # when its lead column is free and reduced otherwise; either way the
+    # pivots, their order and the rank are those of add_row
+    for rows in MATRICES + INTEGER_MATRICES:
+        ints = [integer_terms(dict(enumerate(row)))[0] for row in rows]
+        ints = [primitive(row, min(row)) for row in ints if row]
+        taken, plain = SparseEchelon(), SparseEchelon()
+        for row in ints:
+            free = min(row) not in dict(taken.pivots)
+            given = dict(row)
+            assert taken.add_primitive_row(given, min(row)) == plain.add_row(row)
+            if free:
+                assert dict(taken.pivots)[min(row)] is given
+        assert taken.pivots == plain.pivots
+        assert taken.rank == len(dense_rref(rows)[0])
