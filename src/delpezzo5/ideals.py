@@ -9,10 +9,18 @@ their construction proves, so it is never computed again.  Equality
 and containment are semantic (via reduced bases), so two Ideals with
 wildly different generators compare equal when they generate the same
 ideal.
+
+Intersections and general saturations eliminate a tag variable t
+appended to the ring (Cox, Little & O'Shea, Ch. 4, Sec. 3).  Their
+generators t*g, (1-t)*g and 1-t*f are built by `_tagged` as packed ints,
+t's packed unit added to g's packed monomials, and the eliminated basis
+is projected back by `Polynomial.moved`, which copies those ints as
+they are; no `Polynomial` product is formed on the way in or out.
 """
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .groebner import (GroebnerBasis, divisor_triples, interreduced_basis, quotient_rows,
@@ -134,15 +142,13 @@ class Ideal:
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """Intersection via a single auxiliary variable t:
-        I cap J = (t*I + (1-t)*J) cap k[x]."""
+        I cap J = (t*I + (1-t)*J) cap k[x], the t*f and (1-t)*g built
+        by `_tagged` from packed shifts."""
         self._check_same_context(other)
-        ctx = self.context
-        tname = ctx.fresh_name("t")
-        ext = ctx.extended(tname)  # weight 0 keeps any torus grading intact
-        t, at = ext.variable(tname), range(ctx.nvars)
-        gens = ([t * f.moved(ext, at) for f in self.gens]
-                + [(ext.one() - t) * g.moved(ext, at) for g in other.gens])
-        return _eliminate_to(ext, gens, drop=(ext.nvars - 1,), target=ctx)
+        ext = _tag_ring(self.context)
+        gens = ([_tagged(ext, f, "t*g") for f in self.gens]
+                + [_tagged(ext, g, "(1-t)*g") for g in other.gens])
+        return _eliminate_to(ext, gens, drop=(ext.nvars - 1,), target=self.context)
 
     def quotient(self, other) -> "Ideal":
         """Ideal quotient (I : f) or (I : J)."""
@@ -180,12 +186,12 @@ class Ideal:
         return self._fold(other, saturate=True)
 
     def _saturate_poly(self, f: Polynomial) -> "Ideal":
-        ctx = self.context
-        tname = ctx.fresh_name("t")
-        ext = ctx.extended(tname)
-        t, at = ext.variable(tname), range(ctx.nvars)
-        gens = [g.moved(ext, at) for g in self.gens] + [ext.one() - t * f.moved(ext, at)]
-        return _eliminate_to(ext, gens, drop=(ext.nvars - 1,), target=ctx)
+        """(I : f^inf) = (I + (1 - t*f)) cap k[x] (Rabinowitsch), the
+        1 - t*f built by `_tagged` from packed shifts."""
+        ext = _tag_ring(self.context)
+        gens = [g.moved(ext, range(self.context.nvars)) for g in self.gens] \
+            + [_tagged(ext, f, "1-t*g")]
+        return _eliminate_to(ext, gens, drop=(ext.nvars - 1,), target=self.context)
 
     def saturate_variable(self, name: str) -> "Ideal":
         """Saturation by a single variable; inhomogeneous ideals fall back
@@ -372,6 +378,28 @@ def _lifted_basis(context: RingContext, gb: GroebnerBasis,
         key = packing.key(GREVLEX)
         elements.sort(key=lambda g: max(map(key, g.repacked(packing).packed)), reverse=True)
     return GroebnerBasis(context, GREVLEX, elements)
+
+
+def _tag_ring(context: RingContext) -> RingContext:
+    """``context`` with a fresh tag variable t appended; its torus weight
+    0 keeps any grading intact."""
+    return context.extended(context.fresh_name("t"))
+
+
+def _tagged(ext: RingContext, g: Polynomial, shape: str) -> Polynomial:
+    """t*g, (1-t)*g or 1-t*g in ``ext``, g's ring with the tag t appended
+    last, as ``shape`` names it.  g's packed monomials, copied into ext as
+    they are (`Polynomial.moved`), become t*g by adding t's packed unit at
+    g's own width; the terms are those, and in that order, of the product
+    in `Polynomial` arithmetic, which none of this calls."""
+    g = g.moved(ext, range(ext.nvars - 1))
+    unit = 1 << ((ext.nvars - 1) * g.packing.bits)
+    if shape == "t*g":
+        terms = {m + unit: c for m, c in g.packed.items()}
+    else:
+        terms = dict(g.packed) if shape == "(1-t)*g" else {0: Fraction(1)}
+        terms.update((m + unit, -c) for m, c in g.packed.items())
+    return Polynomial.from_packed(ext, g.packing, terms)
 
 
 def _with_basis(ideal: Ideal, basis: Sequence[Polynomial], order: MonomialOrder) -> Ideal:

@@ -387,22 +387,37 @@ GREVLEX = GrevlexOrder()
 
 
 def elimination_order(nvars: int, eliminate: Sequence[int]) -> BlockOrder:
-    """Order whose dominant block is the variables to eliminate."""
-    elim = tuple(sorted(set(eliminate)))
+    """Order whose dominant block is the variables to eliminate, grevlex
+    in each block.  One shared object per (nvars, set of indices), from
+    a bounded cache, so every basis cache and packing keyed by it hits
+    by identity."""
+    return _elimination_order(nvars, tuple(sorted(set(eliminate))))
+
+
+@lru_cache(maxsize=256)
+def _elimination_order(nvars: int, elim: tuple[int, ...]) -> BlockOrder:
     keep = tuple(i for i in range(nvars) if i not in elim)
-    if not elim or not keep:
+    if not elim or not keep or elim[0] < 0 or elim[-1] >= nvars:
         raise ValueError("elimination needs a proper nonempty variable subset")
     return BlockOrder((elim, keep), (GREVLEX, GREVLEX))
 
 
 def variable_last_order(nvars: int, last: int) -> BlockOrder:
-    """Graded order in which the given variable is revlex-cheapest.
+    """Graded order in which the given variable is revlex-cheapest; one
+    shared object per (nvars, last), from a bounded cache.
 
     Used by the saturation fast path: for a standard-homogeneous
     polynomial the lead term is divisible by the last variable only if
     the whole polynomial is.  With no other variable it is the one
     order of a one-variable ring.
     """
+    return _variable_last_order(nvars, last)
+
+
+@lru_cache(maxsize=256)
+def _variable_last_order(nvars: int, last: int) -> BlockOrder:
+    if not 0 <= last < nvars:
+        raise ValueError(f"no variable {last} among {nvars}")
     rest = tuple(i for i in range(nvars) if i != last)
     if not rest:
         return BlockOrder(((last,),), (LEX,))
@@ -474,11 +489,17 @@ class Polynomial:
         """The image under the ring map sending variable i to variable
         ``at[i]`` of ``target``, distinct indices, or to 0 (its terms
         dropped) when ``at[i]`` is None.  Each packed monomial's fields
-        are copied straight into ``target``'s packing of the same width."""
+        are copied straight into ``target``'s packing of the same width;
+        when every kept variable keeps its index (an embedding into more
+        variables, a projection dropping some), each kept int is copied
+        as it is."""
         packing, limit = self.packing, self.packing.limit
         shifts, drop = _move_plan(tuple(at), packing.nvars, packing.bits, target.nvars)
-        packed = {sum(((m >> s) & limit) << t for s, t in shifts): c
-                  for m, c in self.packed.items() if not m & drop}
+        if shifts is None:
+            packed = {m: c for m, c in self.packed.items() if not m & drop}
+        else:
+            packed = {sum(((m >> s) & limit) << t for s, t in shifts): c
+                      for m, c in self.packed.items() if not m & drop}
         return Polynomial.from_packed(target, target.packing(limit), packed)
 
     def _aligned(self, other: "Polynomial") -> tuple[Packing, dict, dict]:
@@ -666,16 +687,18 @@ class Polynomial:
 
 
 @lru_cache(maxsize=256)
-def _move_plan(at: tuple, nvars: int, bits: int, target_nvars: int) -> tuple[tuple, int]:
+def _move_plan(at: tuple, nvars: int, bits: int, target_nvars: int) -> tuple[tuple | None, int]:
     """How `Polynomial.moved` copies fields of width ``bits``: the source
-    and target shift of each variable ``at`` keeps, and the mask of the
-    fields of the variables it sends to 0."""
+    and target shift of each variable ``at`` keeps, None when each keeps
+    its index, and the mask of the fields of the variables it sends to 0."""
     images = [j for j in at if j is not None]
     if len(at) != nvars or len(set(images)) != len(images) \
             or images and not 0 <= min(images) <= max(images) < target_nvars:
         raise ValueError(f"bad map {at} of {nvars} variables into {target_nvars}")
     limit = (1 << (bits - 1)) - 1
     drop = sum(limit << (i * bits) for i, j in enumerate(at) if j is None)
+    if all(j is None or j == i for i, j in enumerate(at)):
+        return None, drop
     return tuple((i * bits, j * bits) for i, j in enumerate(at) if j is not None), drop
 
 

@@ -8,9 +8,9 @@ from functools import reduce
 
 import pytest
 
-from delpezzo5 import dp5, ideals
+from delpezzo5 import dp5, groebner, ideals
 from delpezzo5.groebner import reduced_groebner_basis
-from delpezzo5.ideals import Ideal, _meet
+from delpezzo5.ideals import Ideal, _meet, _tag_ring, _tagged
 from delpezzo5.polyring import (GREVLEX, LEX, Polynomial, RingContext,
                                 parse_polynomial, variable_last_order)
 
@@ -90,6 +90,69 @@ class TestCombine:
             left = I.intersect(Ideal(XY, [f]))
             right = Ideal(XY, [f * g for g in I.quotient(f).gens])
             assert left == right
+
+
+class TestTaggedGenerators:
+    """The eliminations' generators t*g, (1-t)*g and 1-t*g, built from
+    packed shifts, against `Polynomial` arithmetic."""
+
+    XTZ = RingContext(("x", "t", "z"), (1, 0, -1))
+
+    @staticmethod
+    def polynomials(ctx, seed, top):
+        """A constant and seeded polynomials with rational coefficients
+        and exponents up to ``top``: 16-bit packed when top is 200."""
+        rng = random.Random(seed)
+        polys = [ctx.constant(Fraction(-3, 7))]
+        for _ in range(20):
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                exps = tuple(rng.choice((0, 0, 1, 2, top)) for _ in range(ctx.nvars))
+                terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            polys.append(Polynomial(ctx, terms))
+        return polys
+
+    @pytest.mark.parametrize("top", [3, 200], ids=["8-bit", "16-bit"])
+    @pytest.mark.parametrize("ctx", [XYZW, XTZ], ids=["tag t", "tag t0"])
+    def test_shapes_match_polynomial_arithmetic(self, ctx, top):
+        ext = _tag_ring(ctx)
+        tag = ext.variables[-1]
+        assert tag == ("t0" if "t" in ctx.variables else "t")
+        assert ext.variables[:-1] == ctx.variables
+        t, one = ext.variable(tag), ext.one()
+        for g in self.polynomials(ctx, 23 + top, top):
+            h = g.moved(ext, range(ctx.nvars))
+            for shape, expected in (("t*g", t * h), ("(1-t)*g", (one - t) * h),
+                                    ("1-t*g", one - t * h)):
+                built = _tagged(ext, g, shape)
+                assert built.context == ext and built.packing is expected.packing
+                assert built.packing.bits == g.packing.bits
+                assert list(built.packed.items()) == list(expected.packed.items())
+
+    def test_cold_eliminations_make_no_polynomial_products(self, monkeypatch):
+        counts = Counter()
+        plain_mul, plain_run = Polynomial.__mul__, groebner._buchberger
+
+        def mul(self, other):
+            counts["products"] += 1
+            return plain_mul(self, other)
+
+        def run(*args, **kwargs):
+            counts["buchberger"] += 1
+            return plain_run(*args, **kwargs)
+
+        monkeypatch.setattr(Polynomial, "__mul__", mul)
+        monkeypatch.setattr(groebner, "_buchberger", run)
+        ctx = self.XTZ
+        for operation in (lambda I, J, f: I.intersect(J), lambda I, J, f: I._saturate_poly(f),
+                          lambda I, J, f: I._quotient_poly(f)):
+            I = ideal(ctx, "x^2*t - z^3", "x*t*z - 1/2*t^2")
+            J = ideal(ctx, "x*z - t^2", "x^3 - 3/4*t*z^2")
+            f = parse_polynomial("x*z + 2/3*t^2 - z^2", ctx)
+            counts.clear()
+            operation(I, J, f)
+            # one elimination each, as with the products in Polynomial arithmetic
+            assert counts == {"buchberger": 1}
 
 
 class TestQuotient:

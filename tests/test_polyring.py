@@ -201,6 +201,45 @@ class TestOrders:
         assert elimination_order(3, (0,)) == BlockOrder(((0,), (1, 2)), (GREVLEX, GREVLEX))
 
 
+class TestSharedOrders:
+    """`elimination_order` and `variable_last_order` return one object
+    per argument tuple, equal to the `BlockOrder` it stands for."""
+
+    def test_equal_arguments_give_the_same_object(self):
+        order = elimination_order(4, (1, 3))
+        for eliminate in ([1, 3], (3, 1), (3, 1, 3), {1, 3}, range(1, 4, 2)):
+            assert elimination_order(4, eliminate) is order
+        assert elimination_order(5, (1, 3)) is not order
+        assert elimination_order(4, (1,)) is not order
+        assert variable_last_order(3, 1) is variable_last_order(3, 1)
+        assert variable_last_order(3, 1) is not variable_last_order(3, 2)
+
+    @pytest.mark.parametrize("nvars, eliminate",
+                             [(3, ()), (3, (0, 1, 2)), (3, (3,)), (3, (-1,)), (1, (0,))],
+                             ids=["none", "all", "outside", "negative", "only"])
+    def test_bad_elimination_rejected(self, nvars, eliminate):
+        with pytest.raises(ValueError):
+            elimination_order(nvars, eliminate)
+
+    @pytest.mark.parametrize("nvars, last", [(3, 3), (3, -1), (0, 0)],
+                             ids=["outside", "negative", "no variables"])
+    def test_bad_last_variable_rejected(self, nvars, last):
+        with pytest.raises(ValueError):
+            variable_last_order(nvars, last)
+
+    @pytest.mark.parametrize("shared, fresh", [
+        (elimination_order(4, [3, 1]), BlockOrder(((1, 3), (0, 2)), (GREVLEX, GREVLEX))),
+        (variable_last_order(3, 0), BlockOrder(((1, 2), (0,)), (GREVLEX, LEX))),
+        (variable_last_order(1, 0), BlockOrder(((0,),), (LEX,))),
+    ], ids=["elimination", "variable-last", "one-variable"])
+    def test_equal_to_a_fresh_order_and_pickled(self, shared, fresh):
+        assert shared == fresh and hash(shared) == hash(fresh)
+        assert shared.linear_form(4, 256) == fresh.linear_form(4, 256)
+        again = pickle.loads(pickle.dumps(shared))
+        assert again == shared and hash(again) == hash(shared)
+        assert {fresh: "basis"}[again] == "basis"
+
+
 def mono_mul(a, b):
     """Product of exponent tuples, the reference for the packed sum."""
     return tuple(x + y for x, y in zip(a, b))
@@ -395,6 +434,25 @@ class TestMoved:
             once = self.assert_moved(q, ORBIT, at)
             twice = once.moved(ORBIT, at)
             assert twice.packed == q.packed and twice.packing is q.packing
+
+    @pytest.mark.parametrize("top", [3, 200], ids=["8-bit", "16-bit"])
+    def test_maps_keeping_every_index_copy_the_ints(self, top):
+        # the embedding into one more variable, the projection dropping
+        # the last variable and an in-place drop keep each kept variable
+        # at its index, so each kept packed monomial is copied as it is
+        n = self.FIVE.nvars
+        tagged = self.FIVE.extended("t")
+        maps = [(self.FIVE, tagged, range(n)),
+                (tagged, self.FIVE, (*range(n), None)),
+                (XYZ, XYZ, (0, None, 2))]
+        for source, target, at in maps:
+            for q in seeded_polynomials(source, 17 + top, top):
+                image = self.assert_moved(q, target, at)
+                assert image.packed == {m: c for m, c in q.packed.items()
+                                        if m in image.packed}
+                if source is self.FIVE:
+                    assert image.packed == q.packed
+                    assert image.moved(source, (*range(n), None)) == q
 
     @pytest.mark.parametrize("at", [(0, 1), (0, 1, 1), (0, 1, 3), (0, None, -1)],
                              ids=["short", "repeated", "outside", "negative"])
